@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"lbica/internal/checkpoint"
-	"lbica/internal/engine"
+	"lbica/internal/experiments"
+	"lbica/internal/workload"
 )
 
 // checkpointKey is the canonical identity of a single-stack run: every
@@ -17,8 +17,8 @@ import (
 // resuming a different experiment and is rejected outright — unlike the
 // sweep's warm cache (where a bad entry silently degrades to scratch), a
 // checkpoint file named explicitly by the user is a hard contract.
-func checkpointKey(o Options) string {
-	t := o.Thresholds.coreThresholds().Normalize()
+func checkpointKey(s experiments.Spec) string {
+	t := s.Thresholds
 	id := struct {
 		Format                       int
 		Workload, Name, Scheme       string
@@ -26,7 +26,7 @@ func checkpointKey(o Options) string {
 		Intervals                    int
 		IntervalNS                   int64
 		RateFactor                   float64
-		Phases                       []Phase
+		Phases                       *[]workload.Phase
 		CacheMiB, CacheWays          int
 		Replacement                  string
 		DominantPair, MemberMin      float64
@@ -35,24 +35,24 @@ func checkpointKey(o Options) string {
 		DiskElevator, DisablePrewarm bool
 	}{
 		Format:         checkpoint.FormatVersion,
-		Workload:       strings.ToLower(o.Workload),
-		Name:           o.Name,
-		Scheme:         strings.ToLower(o.Scheme),
-		Seed:           o.Seed,
-		Intervals:      o.Intervals,
-		IntervalNS:     int64(o.IntervalLength),
-		RateFactor:     o.RateFactor,
-		Phases:         o.Phases,
-		CacheMiB:       o.CacheMiB,
-		CacheWays:      o.CacheWays,
-		Replacement:    o.Replacement,
+		Workload:       s.Workload,
+		Name:           s.Name,
+		Scheme:         strings.ToLower(s.Scheme),
+		Seed:           s.Seed,
+		Intervals:      s.Intervals,
+		IntervalNS:     int64(s.Interval),
+		RateFactor:     s.RateFactor,
+		Phases:         s.Phases,
+		CacheMiB:       s.CacheMiB,
+		CacheWays:      s.CacheWays,
+		Replacement:    s.Replacement,
 		DominantPair:   t.DominantPair,
 		MemberMin:      t.MemberMin,
 		PromoteAlone:   t.PromoteAlone,
 		ReadAlone:      t.ReadAlone,
 		MinQueued:      t.MinQueued,
-		DiskElevator:   o.DiskElevator,
-		DisablePrewarm: o.DisablePrewarm,
+		DiskElevator:   s.DiskElevator,
+		DisablePrewarm: s.DisablePrewarm,
 	}
 	// The struct holds only JSON-marshalable field types, so Marshal
 	// cannot fail; json gives a canonical, human-inspectable encoding.
@@ -60,35 +60,17 @@ func checkpointKey(o Options) string {
 	return "run|" + string(b)
 }
 
-// checkpointable rejects option combinations the single-run checkpoint
-// path does not cover.
-func checkpointable(o Options) error {
+// checkpointSpec validates o for a single-run checkpoint and translates it
+// into its run description. Multi-volume runs and the stream options are
+// not covered.
+func checkpointSpec(o Options) (experiments.Spec, error) {
 	if o.Volumes > 1 {
-		return fmt.Errorf("lbica: checkpoint/restore needs a single volume (got Volumes %d); multi-volume warmups persist through the sweep warm cache instead (lbicasweep -warm-cache)", o.Volumes)
+		return experiments.Spec{}, fmt.Errorf("lbica: checkpoint/restore needs a single volume (got Volumes %d); multi-volume warmups persist through the sweep warm cache instead (lbicasweep -warm-cache)", o.Volumes)
 	}
 	if o.TraceWriter != nil || o.RecordTo != nil || o.ReplayFrom != nil {
-		return fmt.Errorf("lbica: checkpoint/restore does not compose with TraceWriter, RecordTo or ReplayFrom")
+		return experiments.Spec{}, fmt.Errorf("lbica: checkpoint/restore does not compose with TraceWriter, RecordTo or ReplayFrom")
 	}
-	return nil
-}
-
-// buildSingleStack assembles the single-volume stack for normalized
-// options, exactly as RunContext's single-stack path wires it (minus
-// trace/record plumbing, which checkpointable rejects).
-func buildSingleStack(o Options) (*engine.Stack, error) {
-	gen, err := buildWorkload(o, nil)
-	if err != nil {
-		return nil, err
-	}
-	bal, initial, err := buildScheme(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := buildEngineConfig(o, initial)
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(cfg, gen, bal), nil
+	return toSpec(o)
 }
 
 // RunCheckpoint is RunContext with a mid-run save: the simulation pauses
@@ -104,43 +86,29 @@ func buildSingleStack(o Options) (*engine.Stack, error) {
 // is written — a halted mid-interval state is not a resumable prefix) and
 // returns the partial report with ctx.Err(), like RunContext.
 func RunCheckpoint(ctx context.Context, o Options, path string, saveAt int) (*Report, error) {
-	o, err := normalizeOptions(o)
+	s, err := checkpointSpec(o)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkpointable(o); err != nil {
 		return nil, err
 	}
 	if saveAt < 0 {
 		return nil, fmt.Errorf("lbica: negative checkpoint interval %d; zero means half the run", saveAt)
 	}
 	if saveAt == 0 {
-		saveAt = o.Intervals / 2
-		if saveAt == 0 {
-			saveAt = 1
+		saveAt = max(s.Intervals/2, 1)
+	}
+	if saveAt >= s.Intervals {
+		return nil, fmt.Errorf("lbica: checkpoint interval %d is not strictly before the run's %d intervals", saveAt, s.Intervals)
+	}
+	res, err := experiments.RunSaving(ctx, s, saveAt, func(payload []byte) error {
+		if err := checkpoint.WriteFile(path, checkpointKey(s), [][]byte{payload}); err != nil {
+			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-	}
-	if saveAt >= o.Intervals {
-		return nil, fmt.Errorf("lbica: checkpoint interval %d is not strictly before the run's %d intervals", saveAt, o.Intervals)
-	}
-	st, err := buildSingleStack(o)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lbica: %w", err)
 	}
-	st.Start(ctx, o.Intervals)
-	st.StepTo(time.Duration(saveAt) * o.IntervalLength)
-	if ctx.Err() == nil {
-		payload, err := checkpoint.EncodeStack(st)
-		if err != nil {
-			return nil, fmt.Errorf("lbica: encoding checkpoint: %w", err)
-		}
-		if err := checkpoint.WriteFile(path, checkpointKey(o), [][]byte{payload}); err != nil {
-			return nil, fmt.Errorf("lbica: writing checkpoint: %w", err)
-		}
-	}
-	st.Drain()
-	res := st.Collect()
-	return buildReport(o, res), runCtxErr(ctx, o, res)
+	return buildReport(s, res, nil), runCtxErr(ctx, s, res, nil)
 }
 
 // RunRestore resumes a run saved with RunCheckpoint: o must describe the
@@ -150,41 +118,23 @@ func RunCheckpoint(ctx context.Context, o Options, path string, saveAt int) (*Re
 // simulation picks up at the saved barrier and runs to completion; the
 // report is byte-identical to the uninterrupted run's.
 func RunRestore(ctx context.Context, o Options, path string) (*Report, error) {
-	o, err := normalizeOptions(o)
+	s, err := checkpointSpec(o)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkpointable(o); err != nil {
 		return nil, err
 	}
 	key, payloads, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("lbica: %w", err)
 	}
-	if key != checkpointKey(o) {
+	if key != checkpointKey(s) {
 		return nil, fmt.Errorf("lbica: checkpoint %s was saved for a different run configuration", path)
 	}
 	if len(payloads) != 1 {
 		return nil, fmt.Errorf("lbica: checkpoint %s holds %d stacks; single-run restore needs exactly 1", path, len(payloads))
 	}
-	st, err := buildSingleStack(o)
+	res, err := experiments.RunRestored(ctx, s, payloads[0])
 	if err != nil {
-		return nil, err
-	}
-	if err := checkpoint.DecodeStack(ctx, st, payloads[0]); err != nil {
 		return nil, fmt.Errorf("lbica: restoring checkpoint %s: %w", path, err)
 	}
-	st.Drain()
-	res := st.Collect()
-	return buildReport(o, res), runCtxErr(ctx, o, res)
-}
-
-// runCtxErr applies RunContext's partial-run rule: a cancellation that
-// lands only after every requested interval has sampled changed nothing —
-// the run is complete, not partial.
-func runCtxErr(ctx context.Context, o Options, res *engine.Results) error {
-	if err := ctx.Err(); err != nil && len(res.Samples) < o.Intervals {
-		return err
-	}
-	return nil
+	return buildReport(s, res, nil), runCtxErr(ctx, s, res, nil)
 }

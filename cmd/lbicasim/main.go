@@ -20,10 +20,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"lbica"
 	"lbica/internal/cli"
+	"lbica/internal/experiments"
 )
 
 func main() { cli.Main("lbicasim", run) }
@@ -32,8 +34,9 @@ func main() { cli.Main("lbicasim", run) }
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lbicasim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	names, patterns := experiments.WorkloadCatalog()
 	var (
-		workloadName = fs.String("workload", "tpcc", "workload: tpcc|mail|web|random-read|random-write|seq-read|seq-write|mixed")
+		workloadName = fs.String("workload", "tpcc", "workload-catalog name: "+strings.Join(names, "|")+"; families: "+strings.Join(patterns, ", "))
 		scheme       = fs.String("scheme", "lbica", "scheme: wb|sib|lbica|array-lb or a static policy wt|ro|wo|wtwo")
 		seed         = fs.Int64("seed", 1, "random seed (runs with equal seeds are bit-identical)")
 		intervals    = fs.Int("intervals", 0, "monitor intervals to run (0 = paper default for the workload)")

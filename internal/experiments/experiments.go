@@ -2,9 +2,17 @@
 // figure (Figs. 4–7) plus the headline aggregates quoted in the abstract
 // and §IV, from full simulation runs of the 3 workloads × 3 schemes
 // matrix.
+//
+// It is also the repository's single run builder. Spec describes one run
+// — the paper matrix cells, sweep grid points, warm-fork groups and every
+// lbica facade option alike — and this package alone turns a Spec into
+// engine stacks: volumeConfig derives a volume's engine configuration,
+// newStack builds the stack, and RunVolumes, the warm-fork planner and
+// the single-run checkpoint functions all go through them.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -15,12 +23,15 @@ import (
 
 	"lbica/internal/array"
 	"lbica/internal/block"
+	"lbica/internal/cache"
 	"lbica/internal/core"
 	"lbica/internal/engine"
+	"lbica/internal/ioqueue"
 	"lbica/internal/runner"
 	"lbica/internal/sib"
 	"lbica/internal/sim"
 	"lbica/internal/stats"
+	"lbica/internal/trace"
 	"lbica/internal/workload"
 )
 
@@ -37,6 +48,22 @@ const (
 	SchemeArrayLB = "ARRAY-LB"
 )
 
+// Static-policy schemes: no balancer, the cache pinned to one write
+// policy for the whole run. They are not part of the paper's comparison
+// (the sweep grid rejects them); the lbica facade and its policy-comparison
+// example run them.
+const (
+	SchemeWT   = "WT"
+	SchemeRO   = "RO"
+	SchemeWO   = "WO"
+	SchemeWTWO = "WTWO"
+)
+
+// staticPolicies maps each static-policy scheme to the policy it pins.
+var staticPolicies = map[string]cache.Policy{
+	SchemeWT: cache.WT, SchemeRO: cache.RO, SchemeWO: cache.WO, SchemeWTWO: cache.WTWO,
+}
+
 // Workloads of the evaluation.
 const (
 	WorkloadTPCC = "tpcc"
@@ -50,13 +77,20 @@ var Workloads = []string{WorkloadTPCC, WorkloadMail, WorkloadWeb}
 // Schemes lists the schemes in paper order.
 var Schemes = []string{SchemeWB, SchemeSIB, SchemeLBICA}
 
-// Spec describes one run.
+// Spec describes one run. It is the single run description every stack is
+// built from — the paper matrix, sweep grids, warm-fork groups and the
+// lbica facade alike — and it stays comparable (the sweep groups specs
+// with ==), so variable-length inputs ride behind pointers.
 type Spec struct {
+	// Workload names a workload-catalog entry (workload.Default),
+	// case-insensitively; Normalize lower-cases it. Ignored when Phases or
+	// Replay supply the stream.
 	Workload string
 	Scheme   string
 	Seed     int64
 	// Intervals defaults to the paper's length for the workload (200;
-	// 175 for web). Interval defaults to 200 ms. RateFactor defaults to 1.
+	// 175 for web; 200 for a custom Phases schedule). Interval defaults to
+	// 200 ms. RateFactor defaults to 1.
 	Intervals  int
 	Interval   time.Duration
 	RateFactor float64
@@ -97,39 +131,126 @@ type Spec struct {
 	// (core.Thresholds). The zero value is the paper's calibrated
 	// defaults; zero fields inherit their default individually.
 	Thresholds core.Thresholds
+
+	// Name labels a custom (Phases) or replayed workload — the generator's
+	// name, which the results carry — defaulting to "custom" and
+	// "replay". It is also appended to the workload's RNG stream name.
+	Name string
+	// Phases, when non-nil, replaces the named workload with a custom
+	// phase schedule, used as given (RateFactor and BurstMult do not
+	// rescale it).
+	Phases *[]workload.Phase
+	// Replay, when non-nil, replays a recorded request stream instead of
+	// generating one. Every array volume routes the same requests, exactly
+	// like a generated stream; the slice is only read.
+	Replay *[]workload.Request
+
+	// CacheMiB sizes the SSD cache (0 = 256 MiB) and CacheWays sets its
+	// associativity (0 = 8); CacheMult then scales the set count.
+	CacheMiB  int
+	CacheWays int
+	// Replacement selects the in-set victim policy: "lru" (the default,
+	// also ""), "fifo" or "rand".
+	Replacement string
+	// DiskElevator dispatches the disk queue in LOOK order over a
+	// distance-proportional seek model.
+	DiskElevator bool
+	// DisablePrewarm starts the cache cold.
+	DisablePrewarm bool
+
+	// Hooks, when non-nil, observes a single-volume run: it never shapes
+	// the simulation, and an array run rejects it (per-volume streams
+	// would interleave).
+	Hooks *Hooks
 }
 
-// Normalize fills defaulted fields in place and returns the result. Only
-// the zero value of a field means "use the default": negative scalars are
-// a caller bug (specs are code — user-supplied values are validated by the
-// sweep grid and the CLIs before a Spec is built), and silently clamping
-// them to the default would run a different experiment than the one the
-// spec labels, so Normalize panics on them instead.
+// Hooks are a single-volume run's observers.
+type Hooks struct {
+	// Trace, when non-nil, receives every block-layer event.
+	Trace trace.Recorder
+	// Record, when non-nil, collects the application request stream as
+	// the generator emits it (workload.SaveRequests writes it out).
+	Record *[]workload.Request
+}
+
+// Normalize fills defaulted fields and returns the result. Only the zero
+// value of a field means "use the default": an invalid spec panics —
+// specs are code, and silently clamping a bad value would run a different
+// experiment than the one the spec labels. Specs built from user input
+// are checked with Validate first.
 func (s Spec) Normalize() Spec {
-	if s.Intervals < 0 || s.Interval < 0 || s.RateFactor < 0 || s.CacheMult < 0 || s.BurstMult < 0 || s.Volumes < 0 {
-		panic(fmt.Sprintf("experiments: negative Spec field (%+v); zero means default, negatives are invalid", s))
+	n, err := s.normalize()
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return n
+}
+
+// Validate reports the first invalid field: Normalize's checks as an
+// error, for specs built from user input.
+func (s Spec) Validate() error {
+	_, err := s.normalize()
+	return err
+}
+
+func (s Spec) normalize() (Spec, error) {
+	if s.Intervals < 0 || s.Interval < 0 || s.RateFactor < 0 || s.CacheMult < 0 || s.BurstMult < 0 ||
+		s.Volumes < 0 || s.CacheMiB < 0 || s.CacheWays < 0 {
+		return s, fmt.Errorf("negative spec field (intervals %d, interval %v, rate %v, cache mult %v, burst mult %v, volumes %d, cache %d MiB, %d ways); zero means default, negatives are invalid",
+			s.Intervals, s.Interval, s.RateFactor, s.CacheMult, s.BurstMult, s.Volumes, s.CacheMiB, s.CacheWays)
 	}
 	if s.Volumes == 0 {
 		s.Volumes = 1
 	}
 	if s.Volumes == 1 && (s.RouteSkew != 0 || s.RoutePolicy != "") {
-		panic(fmt.Sprintf("experiments: Spec routes a single-volume run (policy %q, skew %v); routing needs Volumes > 1", s.RoutePolicy, s.RouteSkew))
+		return s, fmt.Errorf("spec routes a single-volume run (policy %q, skew %v); routing needs Volumes > 1", s.RoutePolicy, s.RouteSkew)
+	}
+	if s.Volumes > 1 && s.Hooks != nil {
+		return s, fmt.Errorf("trace and record hooks need a single volume (per-volume streams would interleave)")
 	}
 	if s.Scheme == SchemeArrayLB {
 		if s.RoutePolicy != "" {
-			panic(fmt.Sprintf("experiments: Spec sets RoutePolicy %q under ARRAY-LB; the controller owns routing (RouteSkew seeds its initial weights)", s.RoutePolicy))
+			return s, fmt.Errorf("spec sets RoutePolicy %q under ARRAY-LB; the controller owns routing (RouteSkew seeds its initial weights)", s.RoutePolicy)
 		}
 		if _, err := array.ParseVariant(s.RouteVariant); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
+			return s, err
 		}
 	} else if s.RouteVariant != "" {
-		panic(fmt.Sprintf("experiments: Spec sets RouteVariant %q under scheme %q; variants apply to ARRAY-LB only", s.RouteVariant, s.Scheme))
+		return s, fmt.Errorf("spec sets RouteVariant %q under scheme %q; variants apply to ARRAY-LB only", s.RouteVariant, s.Scheme)
 	}
-	if err := s.arrayConfig().Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	acfg, err := s.arrayConfig()
+	if err == nil {
+		err = acfg.Validate()
+	}
+	if err != nil {
+		return s, err
 	}
 	if err := s.Thresholds.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		return s, err
+	}
+	if _, static := staticPolicies[s.Scheme]; !static {
+		switch s.Scheme {
+		case SchemeWB, SchemeSIB, SchemeLBICA, SchemeArrayLB:
+		default:
+			return s, fmt.Errorf("unknown scheme %q", s.Scheme)
+		}
+	}
+	s.Workload = strings.ToLower(s.Workload)
+	switch {
+	case s.Phases != nil && s.Replay != nil:
+		return s, fmt.Errorf("spec sets both a phase schedule and a replay stream")
+	case s.Phases == nil && s.Replay == nil:
+		if _, err := workload.Default.Resolve(s.Workload); err != nil {
+			return s, err
+		}
+	}
+	if s.Replacement != "" {
+		if _, err := cache.ParseReplacement(s.Replacement); err != nil {
+			return s, err
+		}
+	}
+	if _, _, err := s.cacheGeometry(); err != nil {
+		return s, err
 	}
 	s.Thresholds = s.Thresholds.Normalize()
 	if s.Seed == 0 {
@@ -137,6 +258,9 @@ func (s Spec) Normalize() Spec {
 	}
 	if s.Intervals == 0 {
 		s.Intervals = PaperIntervals(s.Workload)
+		if s.Phases != nil {
+			s.Intervals = 200 // a custom schedule has no paper length
+		}
 	}
 	if s.Interval == 0 {
 		s.Interval = 200 * time.Millisecond
@@ -150,7 +274,24 @@ func (s Spec) Normalize() Spec {
 	if s.BurstMult == 0 {
 		s.BurstMult = 1
 	}
-	return s
+	return s, nil
+}
+
+// cacheGeometry resolves CacheMiB and CacheWays against the default
+// 256 MiB, 8-way cache (CacheMult scales the result in volumeConfig).
+func (s Spec) cacheGeometry() (sets, ways int, err error) {
+	d := cache.DefaultConfig()
+	blocks, ways := d.Sets*d.Ways, d.Ways
+	if s.CacheMiB > 0 {
+		blocks = s.CacheMiB * 1024 / 4 // 4 KiB blocks
+	}
+	if s.CacheWays > 0 {
+		ways = s.CacheWays
+	}
+	if blocks < ways {
+		return 0, 0, fmt.Errorf("cache of %d MiB cannot hold %d ways", blocks*4/1024, ways)
+	}
+	return blocks / ways, ways, nil
 }
 
 // ValidateWorkload reports whether name resolves in the workload catalog
@@ -162,10 +303,11 @@ func ValidateWorkload(name string) error {
 	return err
 }
 
-// WorkloadCatalog returns the exact catalog names and the parameterized
-// family patterns, for CLI help text.
+// WorkloadCatalog returns the catalog's names (exact entries, then the
+// legacy aliases) and the parameterized family patterns, for CLI help
+// text.
 func WorkloadCatalog() (names, patterns []string) {
-	return workload.Default.Names(), workload.Default.Patterns()
+	return append(workload.Default.Names(), workload.Default.Aliases()...), workload.Default.Patterns()
 }
 
 // PaperIntervals returns the interval count the paper plots for a
@@ -177,19 +319,27 @@ func PaperIntervals(wl string) int {
 	return 200
 }
 
-// NewGenerator builds the named workload generator by resolving
-// spec.Workload through the catalog (workload.Default): the paper trio,
-// the synthetic entries, and the parameterized synth/burst-mix families
-// all come through here. It panics on unknown names: specs are code, not
-// user input — validate names from users with ValidateWorkload first.
+// NewGenerator builds a normalized spec's workload generator: the replay
+// stream or custom phase schedule when the spec carries one, otherwise
+// spec.Workload resolved through the catalog (workload.Default) — the
+// paper trio, the synthetic entries, the legacy aliases and the
+// parameterized synth/burst-mix families all come through here. It panics
+// on unknown names: specs are code, not user input — validate names from
+// users with ValidateWorkload or Spec.Validate first.
 func NewGenerator(spec Spec) workload.Generator {
+	if spec.Replay != nil {
+		return workload.NewReplay(cmp.Or(spec.Name, "replay"), *spec.Replay)
+	}
+	g := sim.NewRNG(spec.Seed, "workload:"+spec.Workload+spec.Name)
+	if spec.Phases != nil {
+		return workload.NewPhaseGen(cmp.Or(spec.Name, "custom"), *spec.Phases, g)
+	}
 	scale := workload.Scale{
 		Interval:   spec.Interval,
 		Intervals:  spec.Intervals,
 		RateFactor: spec.RateFactor,
 		BurstMult:  spec.BurstMult,
 	}
-	g := sim.NewRNG(spec.Seed, "workload:"+spec.Workload)
 	b, err := workload.Default.Resolve(spec.Workload)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -205,11 +355,11 @@ func NewBalancer(scheme string) engine.Balancer {
 
 // NewBalancerWithThresholds is NewBalancer with an explicit LBICA
 // classifier calibration (zero fields inherit the paper defaults). The
-// thresholds only affect the LBICA scheme; WB has no balancer and SIB no
-// census classifier.
+// thresholds only affect the LBICA scheme; WB and the static-policy
+// schemes have no balancer and SIB no census classifier.
 func NewBalancerWithThresholds(scheme string, th core.Thresholds) engine.Balancer {
 	switch scheme {
-	case SchemeWB:
+	case SchemeWB, SchemeWT, SchemeRO, SchemeWO, SchemeWTWO:
 		return nil
 	case SchemeSIB:
 		return sib.New(sib.DefaultConfig())
@@ -224,53 +374,105 @@ func NewBalancerWithThresholds(scheme string, th core.Thresholds) engine.Balance
 	}
 }
 
+// newScheme builds a fresh balancer instance for the spec's scheme (array
+// volumes each get their own) plus the write policy the cache starts in:
+// the pinned policy for a static scheme, WB otherwise — SIB included,
+// whose Attach switches the cache to WT+WO itself.
+func (s Spec) newScheme() (engine.Balancer, cache.Policy) {
+	if p, ok := staticPolicies[s.Scheme]; ok {
+		return nil, p
+	}
+	return NewBalancerWithThresholds(s.Scheme, s.Thresholds), cache.WB
+}
+
 // arrayConfig resolves the spec's array fields. RoutePolicy defaults to
-// "zipf" when a skew is set and "uniform" otherwise; an unparseable name
-// panics (specs are code — user input is validated by the sweep grid and
-// the CLIs before a Spec is built).
-func (s Spec) arrayConfig() array.Config {
-	pol := array.Uniform
-	if s.RoutePolicy != "" {
-		p, err := array.ParsePolicy(s.RoutePolicy)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		pol = p
-	} else if s.RouteSkew > 0 {
+// "zipf" when a skew is set and "uniform" otherwise.
+func (s Spec) arrayConfig() (array.Config, error) {
+	pol, err := array.ParsePolicy(s.RoutePolicy)
+	if s.RoutePolicy == "" && s.RouteSkew > 0 {
 		pol = array.Zipf
 	}
-	return array.Config{Volumes: s.Volumes, Policy: pol, Skew: s.RouteSkew, Workers: s.ShardWorkers}
+	return array.Config{Volumes: s.Volumes, Policy: pol, Skew: s.RouteSkew, Workers: s.ShardWorkers}, err
 }
 
-// Run executes one workload × scheme simulation.
-func Run(spec Spec) *engine.Results {
-	return RunContext(context.Background(), spec)
-}
-
-// engineConfig builds the per-stack engine configuration for a
-// normalized spec — the single place the sweep axes (seed, interval,
-// cache geometry) become engine knobs, shared by the scratch and
-// warm-fork run paths.
-func (s Spec) engineConfig() engine.Config {
+// volumeConfig derives volume vol's engine configuration from a normalized
+// spec — the one place spec fields become engine knobs. A single-volume
+// run keeps the run seed, so its output matches the paper harness's
+// goldens; each array volume is its own hardware, drawing its devices and
+// its replacement stream from Stream(seed, vol).
+func (s Spec) volumeConfig(vol int) engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.Seed = s.Seed
+	if s.Volumes > 1 {
+		cfg.Seed = sim.Stream(s.Seed, vol)
+	}
+	cfg.Volume = vol
 	cfg.MonitorEvery = s.Interval
+	if s.Replacement != "" {
+		cfg.Cache.Replacement, _ = cache.ParseReplacement(s.Replacement) // validated in Normalize
+		cfg.Cache.ReplacementSeed = cfg.Seed
+	}
+	if s.DiskElevator {
+		cfg.HDDDiscipline = ioqueue.LookDispatch
+		cfg.HDD.DistanceSeek = true
+	}
+	cfg.Cache.Sets, cfg.Cache.Ways, _ = s.cacheGeometry() // validated in Normalize
 	if s.CacheMult != 1 {
 		// Clamped in float space before the int conversion: an absurd
 		// multiplier would otherwise overflow to min-int and silently
 		// become the smallest possible cache. 1<<22 sets is a 128 GiB
 		// cache at the default geometry — past any meaningful sweep.
 		f := math.Round(float64(cfg.Cache.Sets) * s.CacheMult)
-		if f < 1 {
-			f = 1
-		}
-		if f > 1<<22 {
-			f = 1 << 22
-		}
-		cfg.Cache.Sets = int(f)
-		cfg.PrewarmBlocks = cfg.Cache.Sets * cfg.Cache.Ways
+		cfg.Cache.Sets = int(math.Min(math.Max(f, 1), 1<<22))
+	}
+	cfg.PrewarmBlocks = cfg.Cache.Sets * cfg.Cache.Ways
+	if s.DisablePrewarm {
+		cfg.PrewarmBlocks = 0
+	}
+	if s.Hooks != nil {
+		cfg.Trace = s.Hooks.Trace
 	}
 	return cfg
+}
+
+// newStack builds volume vol's stack over gen: the one place a spec
+// becomes an engine.Stack, for single stacks, array volumes and warm
+// leaders alike.
+func (s Spec) newStack(vol int, gen workload.Generator) *engine.Stack {
+	bal, policy := s.newScheme()
+	cfg := s.volumeConfig(vol)
+	cfg.Cache.InitialPolicy = policy
+	return engine.New(cfg, gen, bal)
+}
+
+// routedStack builds volume vol of a statically routed spec — at one
+// volume, the run's only stack, which also carries the record hook. Every
+// volume replays its own copy of the base stream (the workload keeps the
+// run seed) and keeps what its router assigns it: the sibling routers
+// consume their RNG in lockstep, so they agree on every request.
+func (s Spec) routedStack(vol int) *engine.Stack {
+	gen := NewGenerator(s)
+	switch {
+	case s.Volumes > 1:
+		acfg, _ := s.arrayConfig() // validated in Normalize
+		gen = array.VolumeGen(gen, acfg.NewRouter(s.Seed), vol)
+	case s.Hooks != nil && s.Hooks.Record != nil:
+		gen = workload.NewTee(gen, s.Hooks.Record)
+	}
+	return s.newStack(vol, gen)
+}
+
+// label stamps the spec's scheme on a run's results: an ARRAY-LB volume
+// runs LBICA, and a static-policy stack has no balancer (which names
+// itself WB), so the stack's own name is not the run's.
+func (s Spec) label(res *engine.Results) *engine.Results {
+	res.Scheme = s.Scheme
+	return res
+}
+
+// Run executes one workload × scheme simulation.
+func Run(spec Spec) *engine.Results {
+	return RunContext(context.Background(), spec)
 }
 
 // RunContext is Run with cooperative cancellation: a cancelled ctx stops
@@ -285,76 +487,52 @@ func (s Spec) engineConfig() engine.Config {
 // cancellation drops volumes that had not completed; the merged partial
 // covers the volumes that finished.
 func RunContext(ctx context.Context, spec Spec) *engine.Results {
+	res, _ := RunVolumes(ctx, spec)
+	return res
+}
+
+// RunVolumes is RunContext that also returns, for an array run, each
+// volume's own results indexed by volume (a nil slot is a volume a
+// cancellation stopped before it completed); nil for a single stack.
+func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Results) {
 	spec = spec.Normalize()
-	cfg := spec.engineConfig()
-	if spec.Volumes <= 1 {
+	var ares *array.Results
+	switch {
+	case spec.Volumes == 1:
 		// The single-stack path is exactly the pre-array pipeline — no
 		// router, no filter, the run seed untouched — so Volumes: 1 output
 		// stays byte-identical to the paper harness's goldens. ARRAY-LB
 		// with one volume has nothing to balance across: it runs as plain
 		// LBICA and is relabeled.
-		gen := NewGenerator(spec)
-		st := engine.New(cfg, gen, NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
-		res := st.RunContext(ctx, spec.Intervals)
-		res.Workload = spec.Workload
-		if spec.Scheme == SchemeArrayLB {
-			res.Scheme = SchemeArrayLB
-		}
-		return res
-	}
-
-	if spec.Scheme == SchemeArrayLB {
+		return spec.label(spec.routedStack(0).RunContext(ctx, spec.Intervals)), nil
+	case spec.Scheme == SchemeArrayLB:
 		// One base stream, routed by the controller itself; per-volume
-		// hardware still draws from its own volume seed.
-		c, err := newControlled(ctx, spec, cfg)
+		// hardware still draws from its own volume seed. The config was
+		// validated in Normalize, so only a cancellation can fail — and
+		// a cancelled run returns the partial results that exist.
+		c, err := newControlled(ctx, spec)
 		if err != nil {
-			// Cannot happen: the config was validated in Normalize and the
-			// build function never fails.
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		ares, _ := c.Finish(ctx)
-		merged := ares.Merged
-		merged.Workload = spec.Workload
-		// The per-volume balancer names itself LBICA; the array-level
-		// scheme is what this run compares as.
-		merged.Scheme = SchemeArrayLB
-		return merged
+		ares, _ = c.Finish(ctx)
+	default:
+		acfg, _ := spec.arrayConfig() // validated in Normalize
+		ares, _ = array.Run(ctx, acfg, spec.Intervals, func(vol int) (*engine.Stack, error) {
+			return spec.routedStack(vol), nil
+		})
 	}
-
-	acfg := spec.arrayConfig()
-	ares, _ := array.Run(ctx, acfg, spec.Intervals, func(vol int) (*engine.Stack, error) {
-		return spec.newVolumeStack(cfg, acfg, vol), nil
-	})
-	// The only possible error is a context cancellation (builds cannot
-	// fail, the config was validated in Normalize), and the contract here
-	// matches the single-stack path: a cancelled run returns the partial
-	// results that exist.
-	merged := ares.Merged
-	merged.Workload = spec.Workload
-	return merged
-}
-
-// newVolumeStack builds volume vol's stack for the statically routed
-// multi-volume path — the single assembly both RunContext and the
-// warm-fork planner (RunWarmShared) use, so a warm-forked array is wired
-// byte-identically to a scratch one. Each volume is distinct hardware:
-// its devices draw from their own (Stream(seed, vol), component) streams.
-// The workload copy deliberately does NOT use the volume seed — every
-// volume must replay the bit-identical base stream for the routers to
-// agree.
-func (s Spec) newVolumeStack(cfg engine.Config, acfg array.Config, vol int) *engine.Stack {
-	vcfg := cfg
-	vcfg.Seed = sim.Stream(s.Seed, vol)
-	vcfg.Volume = vol
-	gen := NewGenerator(s)
-	vg := array.VolumeGen(gen, acfg.NewRouter(s.Seed), vol)
-	return engine.New(vcfg, vg, NewBalancerWithThresholds(s.Scheme, s.Thresholds))
+	for _, r := range ares.PerVolume {
+		if r != nil {
+			spec.label(r)
+		}
+	}
+	return spec.label(ares.Merged), ares.PerVolume
 }
 
 // newControlled assembles the ARRAY-LB controlled array for a normalized
-// spec — shared by RunContext and the fork property tests, so a forked
+// spec — shared by RunVolumes and the fork property tests, so a forked
 // controller faces exactly the volumes a scratch run builds.
-func newControlled(ctx context.Context, spec Spec, cfg engine.Config) (*array.Controlled, error) {
+func newControlled(ctx context.Context, spec Spec) (*array.Controlled, error) {
 	variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
 	ccfg := array.ControllerConfig{
 		Volumes: spec.Volumes,
@@ -365,10 +543,7 @@ func newControlled(ctx context.Context, spec Spec, cfg engine.Config) (*array.Co
 	}
 	return array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec),
 		func(vol int, gen workload.Generator) (*engine.Stack, error) {
-			vcfg := cfg
-			vcfg.Seed = sim.Stream(spec.Seed, vol)
-			vcfg.Volume = vol
-			return engine.New(vcfg, gen, NewBalancerWithThresholds(spec.Scheme, spec.Thresholds)), nil
+			return spec.newStack(vol, gen), nil
 		})
 }
 

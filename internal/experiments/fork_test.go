@@ -19,12 +19,7 @@ func forkSpec(wl, scheme string) Spec {
 
 // buildStack constructs the single-volume stack exactly as RunContext's
 // Volumes==1 path does.
-func buildStack(spec Spec) *engine.Stack {
-	cfg := engine.DefaultConfig()
-	cfg.Seed = spec.Seed
-	cfg.MonitorEvery = spec.Interval
-	return engine.New(cfg, NewGenerator(spec), NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
-}
+func buildStack(spec Spec) *engine.Stack { return spec.routedStack(0) }
 
 // runScratch is the uninterrupted baseline run.
 func runScratch(spec Spec) *engine.Results {

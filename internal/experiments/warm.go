@@ -129,20 +129,16 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 // a store-backed private prefix for every member the fork planner must
 // exclude (runMemberCached).
 func runWarmSingle(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	cfg := spec.engineConfig()
+	lead := spec
+	lead.Scheme, lead.RouteVariant = SchemeLBICA, ""
 	leaders, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
-		return []*engine.Stack{engine.New(cfg, NewGenerator(spec), NewBalancerWithThresholds(SchemeLBICA, spec.Thresholds))}
+		return []*engine.Stack{lead.routedStack(0)}
 	})
 	leader := leaders[0]
 
 	finish := func(st *engine.Stack, s Spec) *engine.Results {
 		st.Drain()
-		res := st.Collect()
-		res.Workload = s.Workload
-		if s.Scheme == SchemeArrayLB {
-			res.Scheme = SchemeArrayLB
-		}
-		return res
+		return s.label(st.Collect())
 	}
 
 	for i, s := range specs {
@@ -178,17 +174,15 @@ func runWarmSingle(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warm
 
 // runWarmArray is the multi-volume warm plan: the leader is the full
 // statically routed LBICA array. All N volume stacks (wired exactly as
-// RunContext wires them, via newVolumeStack, or restored together from
-// one store entry) step to the warmup barrier; a sharing sibling forks
-// every volume there before any stack advances further, so the sibling
-// sees one atomic array-wide snapshot.
+// RunContext wires them, via routedStack, or restored together from one
+// store entry) step to the warmup barrier; a sharing sibling forks every
+// volume there before any stack advances further, so the sibling sees one
+// atomic array-wide snapshot.
 func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	cfg := spec.engineConfig()
-	acfg := spec.arrayConfig()
 	stacks, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
 		sts := make([]*engine.Stack, spec.Volumes)
 		for v := range sts {
-			sts[v] = spec.newVolumeStack(cfg, acfg, v)
+			sts[v] = spec.routedStack(v)
 		}
 		return sts
 	})
@@ -214,9 +208,7 @@ func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmu
 			}
 			per[v] = res
 		}
-		merged := array.Merge(per)
-		merged.Workload = s.Workload
-		return merged
+		return s.label(array.Merge(per))
 	}
 
 	forkAll := func(balFor func(*engine.Stack) engine.Balancer) ([]*engine.Stack, error) {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -34,21 +36,36 @@ const (
 // leader always runs the LBICA balancer, even when the nominal leader
 // member is a one-volume ARRAY-LB), a scratch member's own scheme for its
 // private prefix. Execution-only fields (ShardWorkers, RouteVariant) are
-// absent: they never shape simulated state.
+// absent: they never shape simulated state. A custom schedule and a
+// replay stream key by content, not by pointer. A hooked run keys apart
+// from an unhooked one: its trace and recording start at time zero, so it
+// must never resume from another run's prefix.
 //
 // Intervals is part of the key even though the prefix stops at the warmup
 // barrier: the stack is armed for the full run, so the total tick budget
 // is serialized state.
 func warmCacheKey(spec Spec, scheme string, warmupIntervals int) string {
 	s := spec.Normalize()
-	t := s.Thresholds.Normalize()
+	t := s.Thresholds
 	return fmt.Sprintf(
-		"v%d|wl=%s|scheme=%s|seed=%d|iv=%d|step=%d|rate=%g|cache=%g|burst=%g|vol=%d|rp=%s|rs=%g|th=%g,%g,%g,%g,%d|warm=%d",
-		checkpoint.FormatVersion, s.Workload, scheme, s.Seed, s.Intervals, int64(s.Interval),
+		"v%d|wl=%s|name=%s|phases=%s|replay=%s|scheme=%s|seed=%d|iv=%d|step=%d|rate=%g|cache=%g|burst=%g|vol=%d|rp=%s|rs=%g|th=%g,%g,%g,%g,%d|geom=%d,%d,%s|elev=%t|cold=%t|hooks=%t|warm=%d",
+		checkpoint.FormatVersion, s.Workload, s.Name, contentDigest(s.Phases), contentDigest(s.Replay),
+		scheme, s.Seed, s.Intervals, int64(s.Interval),
 		s.RateFactor, s.CacheMult, s.BurstMult,
 		s.Volumes, s.RoutePolicy, s.RouteSkew,
 		t.DominantPair, t.MemberMin, t.PromoteAlone, t.ReadAlone, t.MinQueued,
+		s.CacheMiB, s.CacheWays, s.Replacement, s.DiskElevator, s.DisablePrewarm, s.Hooks != nil,
 		warmupIntervals)
+}
+
+// contentDigest addresses a schedule or stream by its content ("-" when
+// the spec has none).
+func contentDigest[T any](p *[]T) string {
+	if p == nil {
+		return "-"
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%v", *p))
+	return hex.EncodeToString(sum[:])
 }
 
 // prepareWarmStacks produces stacks standing at the warmup barrier,
@@ -91,7 +108,9 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 
 	// Scratch: simulate the prefix, then publish it for the next
 	// invocation. A failed encode or write leaves the run untouched —
-	// the cache is strictly an accelerator.
+	// the cache is strictly an accelerator. A cancelled prefix halted
+	// short of the barrier and is never published: every later
+	// invocation would restore it.
 	stacks := build()
 	barrier := time.Duration(warmupIntervals) * spec.Interval
 	for _, st := range stacks {
@@ -100,7 +119,7 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	for _, st := range stacks {
 		st.StepTo(barrier)
 	}
-	if store != nil {
+	if store != nil && ctx.Err() == nil {
 		payloads := make([][]byte, len(stacks))
 		ok := true
 		for v, st := range stacks {
@@ -139,19 +158,55 @@ func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *ch
 	if store == nil || ns.Volumes > 1 || warmupIntervals <= 0 || warmupIntervals >= ns.Intervals {
 		return RunContext(ctx, s), o
 	}
-	cfg := ns.engineConfig()
 	stacks, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func() []*engine.Stack {
-		return []*engine.Stack{engine.New(cfg, NewGenerator(ns), NewBalancerWithThresholds(ns.Scheme, ns.Thresholds))}
+		return []*engine.Stack{ns.routedStack(0)}
 	})
 	o.Cache = cache
 	st := stacks[0]
 	st.Drain()
-	res := st.Collect()
-	res.Workload = ns.Workload
-	if ns.Scheme == SchemeArrayLB {
-		res.Scheme = SchemeArrayLB
+	return ns.label(st.Collect()), o
+}
+
+// RunSaving runs a single-volume spec to completion exactly like
+// RunContext, pausing at the saveAt-th interval barrier to hand save the
+// stack's complete encoded state (checkpoint.EncodeStack). A cancellation
+// before the barrier skips the save — a halted mid-interval state is not
+// a resumable prefix; an encode or save error ends the run.
+func RunSaving(ctx context.Context, spec Spec, saveAt int, save func(payload []byte) error) (*engine.Results, error) {
+	spec = spec.Normalize()
+	if spec.Volumes > 1 {
+		return nil, fmt.Errorf("checkpointed runs need a single volume (got %d)", spec.Volumes)
 	}
-	return res, o
+	st := spec.routedStack(0)
+	st.Start(ctx, spec.Intervals)
+	st.StepTo(time.Duration(saveAt) * spec.Interval)
+	if ctx.Err() == nil {
+		payload, err := checkpoint.EncodeStack(st)
+		if err != nil {
+			return nil, fmt.Errorf("encoding checkpoint: %w", err)
+		}
+		if err := save(payload); err != nil {
+			return nil, err
+		}
+	}
+	st.Drain()
+	return spec.label(st.Collect()), nil
+}
+
+// RunRestored resumes a single-volume spec from a payload RunSaving handed
+// out for the same spec and runs it to completion; the results are
+// byte-identical to the uninterrupted run's.
+func RunRestored(ctx context.Context, spec Spec, payload []byte) (*engine.Results, error) {
+	spec = spec.Normalize()
+	if spec.Volumes > 1 {
+		return nil, fmt.Errorf("checkpointed runs need a single volume (got %d)", spec.Volumes)
+	}
+	st := spec.routedStack(0)
+	if err := checkpoint.DecodeStack(ctx, st, payload); err != nil {
+		return nil, err
+	}
+	st.Drain()
+	return spec.label(st.Collect()), nil
 }
 
 // RunWarmSharedCached is RunWarmShared backed by a persistent checkpoint

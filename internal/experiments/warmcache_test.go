@@ -3,9 +3,13 @@ package experiments
 import (
 	"context"
 	"os"
+	"reflect"
 	"testing"
+	"time"
 
+	"lbica/internal/block"
 	"lbica/internal/checkpoint"
+	"lbica/internal/workload"
 )
 
 func openStore(t *testing.T) *checkpoint.Store {
@@ -154,37 +158,109 @@ func TestRunWarmSharedCachedDecodeFailureFallback(t *testing.T) {
 	}
 }
 
-// The cache key must separate every spec axis that shapes the prefix: a
-// store seeded for one spec must miss for a neighbouring one.
+// A sweep interrupted during a warmup must not publish the halted prefix:
+// a later invocation would restore it and silently run nothing.
+func TestCancelledWarmupIsNotPublished(t *testing.T) {
+	store := openStore(t)
+	specs := []Spec{
+		{Workload: "tpcc", Scheme: SchemeWB, Seed: 3, Intervals: 20},
+		{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 3, Intervals: 20},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, plan := RunWarmSharedCached(ctx, specs, 10, store); plan[1].Cache != "" {
+		t.Fatalf("cancelled leader reported store traffic %q", plan[1].Cache)
+	}
+	got, plan := RunWarmSharedCached(context.Background(), specs, 10, store)
+	if plan[1].Cache != WarmCacheStore {
+		t.Errorf("leader after an interrupted sweep: cache %q, want %q", plan[1].Cache, WarmCacheStore)
+	}
+	for i, s := range specs {
+		mustEqual(t, got[i], RunContext(context.Background(), s), s.Scheme+" after an interrupted sweep")
+	}
+}
+
+// The cache key must separate every spec field that shapes the prefix: a
+// store seeded for one spec must miss for a neighbouring one. The fields
+// come from reflection, so a field added to Spec fails this test until it
+// is either perturbed here (and keyed) or allowlisted as never shaping
+// simulated state.
 func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
-	base := Spec{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 11, Intervals: 40}.Normalize()
-	vary := []Spec{
-		{Workload: "mail", Scheme: SchemeLBICA, Seed: 11, Intervals: 40},
-		{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 12, Intervals: 40},
-		{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 11, Intervals: 41},
-		{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 11, Intervals: 40, RateFactor: 1.5},
-		{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 11, Intervals: 40, Volumes: 2},
+	base := Spec{Workload: "tpcc", Scheme: SchemeLBICA, Seed: 11, Intervals: 40}
+	phases := []workload.Phase{{Name: "p", Duration: time.Second, BaseIOPS: 1000, WorkingSetBlocks: 4096}}
+	phases2 := []workload.Phase{{Name: "p", Duration: time.Second, BaseIOPS: 1200, WorkingSetBlocks: 4096}}
+	reqs := []workload.Request{{At: time.Millisecond, Op: block.Read, Extent: block.Extent{LBA: 8, Sectors: 8}}}
+	reqs2 := []workload.Request{{At: time.Millisecond, Op: block.Write, Extent: block.Extent{LBA: 8, Sectors: 8}}}
+	onArray := func(s *Spec) { s.Volumes = 3 }
+	perturb := map[string]struct{ from, to func(*Spec) }{
+		"Workload":       {nil, func(s *Spec) { s.Workload = "mail" }},
+		"Seed":           {nil, func(s *Spec) { s.Seed = 12 }},
+		"Intervals":      {nil, func(s *Spec) { s.Intervals = 41 }},
+		"Interval":       {nil, func(s *Spec) { s.Interval = 100 * time.Millisecond }},
+		"RateFactor":     {nil, func(s *Spec) { s.RateFactor = 1.5 }},
+		"CacheMult":      {nil, func(s *Spec) { s.CacheMult = 0.5 }},
+		"BurstMult":      {nil, func(s *Spec) { s.BurstMult = 2 }},
+		"Volumes":        {nil, func(s *Spec) { s.Volumes = 2 }},
+		"RoutePolicy":    {onArray, func(s *Spec) { s.RoutePolicy = "hash" }},
+		"RouteSkew":      {onArray, func(s *Spec) { s.RouteSkew = 1.2 }},
+		"Thresholds":     {nil, func(s *Spec) { s.Thresholds.MinQueued = 48 }},
+		"Name":           {nil, func(s *Spec) { s.Name = "x" }},
+		"Phases":         {func(s *Spec) { s.Phases = &phases }, func(s *Spec) { s.Phases = &phases2 }},
+		"Replay":         {func(s *Spec) { s.Replay = &reqs }, func(s *Spec) { s.Replay = &reqs2 }},
+		"CacheMiB":       {nil, func(s *Spec) { s.CacheMiB = 128 }},
+		"CacheWays":      {nil, func(s *Spec) { s.CacheWays = 4 }},
+		"Replacement":    {nil, func(s *Spec) { s.Replacement = "fifo" }},
+		"DiskElevator":   {nil, func(s *Spec) { s.DiskElevator = true }},
+		"DisablePrewarm": {nil, func(s *Spec) { s.DisablePrewarm = true }},
+		"Hooks":          {nil, func(s *Spec) { s.Hooks = &Hooks{} }},
+	}
+	// Scheme is passed to the key separately (the driving balancer, below);
+	// ShardWorkers and RouteVariant are execution-only.
+	allow := map[string]func(*Spec){
+		"Scheme":       func(s *Spec) { s.Scheme = SchemeArrayLB },
+		"ShardWorkers": func(s *Spec) { s.ShardWorkers = 4 },
+		"RouteVariant": func(s *Spec) { s.Scheme, s.RouteVariant = SchemeArrayLB, "p2c" },
 	}
 	baseKey := warmCacheKey(base, SchemeLBICA, 10)
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if set, ok := allow[name]; ok {
+			s := base
+			set(&s)
+			if k := warmCacheKey(s, SchemeLBICA, 10); k != baseKey {
+				t.Errorf("allowlisted field %s moved the cache key", name)
+			}
+			continue
+		}
+		p, ok := perturb[name]
+		if !ok {
+			t.Errorf("Spec field %s is neither perturbed nor allowlisted: key it in warmCacheKey and add it here", name)
+			continue
+		}
+		from := base
+		if p.from != nil {
+			p.from(&from)
+		}
+		to := from
+		p.to(&to)
+		if warmCacheKey(from, SchemeLBICA, 10) == warmCacheKey(to, SchemeLBICA, 10) {
+			t.Errorf("perturbing %s leaves the cache key unchanged", name)
+		}
+	}
+	// A schedule or stream keys by content: equal copies share the entry.
+	a, b := base, base
+	a.Phases, b.Phases = &phases, &[]workload.Phase{phases[0]}
+	if warmCacheKey(a, SchemeLBICA, 10) != warmCacheKey(b, SchemeLBICA, 10) {
+		t.Error("equal phase schedules at different addresses key differently")
+	}
 	if k2 := warmCacheKey(base, SchemeLBICA, 11); k2 == baseKey {
 		t.Error("warmup length not part of the cache key")
-	}
-	for _, s := range vary {
-		if k := warmCacheKey(s.Normalize(), SchemeLBICA, 10); k == baseKey {
-			t.Errorf("spec %+v shares cache key with base", s)
-		}
 	}
 	// The driving scheme keys the prefix: a scratch member's private
 	// prefix (its own balancer) must never collide with the shared
 	// leader prefix (always the LBICA balancer) for the same spec.
 	if k := warmCacheKey(base, SchemeSIB, 10); k == baseKey {
 		t.Error("driving scheme not part of the cache key")
-	}
-	// The nominal member scheme is NOT the discriminator — a one-volume
-	// ARRAY-LB leader runs the same LBICA balancer and shares the entry.
-	arr := base
-	arr.Scheme = SchemeArrayLB
-	if k := warmCacheKey(arr, SchemeLBICA, 10); k != baseKey {
-		t.Error("spec scheme leaked into the cache key")
 	}
 }

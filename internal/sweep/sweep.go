@@ -569,41 +569,82 @@ func (w *WarmStats) observe(o experiments.WarmOutcome) {
 	}
 }
 
-// unitResult carries one scheduling unit's engine results (in unit-member
-// order) plus, on warm-fork sweeps, the per-member warm-plan outcomes.
-type unitResult struct {
-	res  []*engine.Results
-	warm []experiments.WarmOutcome
-}
-
 // runUnit executes one scheduling unit: a warm-fork group when
 // WarmupIntervals is set (sharing members reuse the leader's prefix —
 // restored from the checkpoint store when one is given — and outcomes
 // are recorded), plain sequential scratch runs otherwise.
-func runUnit(ctx context.Context, g Grid, store *checkpoint.Store, pts []Point, idx []int) unitResult {
-	if g.WarmupIntervals > 0 {
-		specs := make([]experiments.Spec, len(idx))
-		for k, i := range idx {
-			specs[k] = pts[i].Spec
-		}
-		rs, warm := experiments.RunWarmSharedCached(ctx, specs, g.WarmupIntervals, store)
-		return unitResult{res: rs, warm: warm}
-	}
-	rs := make([]*engine.Results, len(idx))
+func runUnit(ctx context.Context, g Grid, store *checkpoint.Store, pts []Point, idx []int) ([]*engine.Results, []experiments.WarmOutcome) {
+	specs := make([]experiments.Spec, len(idx))
 	for k, i := range idx {
+		specs[k] = pts[i].Spec
+	}
+	if g.WarmupIntervals > 0 {
+		return experiments.RunWarmSharedCached(ctx, specs, g.WarmupIntervals, store)
+	}
+	rs := make([]*engine.Results, len(specs))
+	for k, spec := range specs {
 		if ctx.Err() != nil {
 			break
 		}
-		rs[k] = experiments.RunContext(ctx, pts[i].Spec)
+		rs[k] = experiments.RunContext(ctx, spec)
 	}
-	return unitResult{res: rs}
+	return rs, nil
+}
+
+// chainResult is one chain's outcome: the point indexes of the units it
+// ran, in order, with their engine results, the warm-plan outcomes of
+// warm-fork units, and whether the chain stopped early.
+type chainResult struct {
+	idx     []int
+	res     []*engine.Results
+	warm    []experiments.WarmOutcome
+	stopped bool
+}
+
+// runChain walks one chain's units in order, reporting each finished
+// unit's run count to progress. With a CI tolerance set, a chain's units
+// are one coordinate's replicate groups, and it stops — freeing its
+// runner slot for unfinished chains — once every scheme's confidence
+// interval over the replicates so far is tight.
+func runChain(ctx context.Context, g Grid, store *checkpoint.Store, pts []Point, chain [][]int, progress func(int)) (chainResult, error) {
+	var out chainResult
+	vals := make([][]float64, len(g.Schemes))
+	for k, unit := range chain {
+		res, warm := runUnit(ctx, g, store, pts, unit)
+		if err := ctx.Err(); err != nil {
+			// The interrupted unit — and, because a job error drops the
+			// whole slot, the chain — is discarded: partial reports
+			// contain only whole runs.
+			return out, err
+		}
+		out.idx = append(out.idx, unit...)
+		out.res = append(out.res, res...)
+		out.warm = append(out.warm, warm...)
+		progress(len(unit))
+		if g.CITolerance > 0 {
+			for s, r := range res {
+				vals[s] = append(vals[s], r.CacheLoadMean()/1e3)
+			}
+			if k+1 < len(chain) && k+1 >= minCIReplicates && allTight(vals, g.CITolerance) {
+				out.stopped = true
+				break
+			}
+		}
+	}
+	return out, nil
 }
 
 // Execute expands the grid and fans the runs out across the bounded
-// runner pool. The returned Result is byte-identical for every worker
-// count (see the package comment). On cancellation the error is non-nil
-// and the Result still aggregates every run that completed — the CLI's
-// SIGINT partial report.
+// runner pool: one job per chain of scheduling units (planChains). The
+// returned Result is byte-identical for every worker count (see the
+// package comment): every job writes only its own points' slots, and an
+// early-termination decision reads only its chain's own replicate prefix,
+// in expansion order. With CITolerance set the output does NOT match the
+// tolerance-off output whenever a chain actually terminates (that is the
+// point); with no termination triggered the runs, cells and report bytes
+// are identical apart from the per-cell CI annotations. On cancellation
+// the error is non-nil and the Result still aggregates every run that
+// completed — the CLI's SIGINT partial report.
 func Execute(ctx context.Context, g Grid, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -619,56 +660,51 @@ func Execute(ctx context.Context, g Grid, opt Options) (*Result, error) {
 		return nil, err
 	}
 	pts := g.Expand()
-	if g.CITolerance > 0 {
-		return executeAdaptive(ctx, g, store, pts, opt)
-	}
-	// The unit is the scheduling granule: one point per unit in the
-	// default from-scratch mode, one warm-fork group per unit when
-	// WarmupIntervals is set (the group's members share a simulated
-	// prefix, so they must run in one job). Either way, every unit writes
-	// only its own members' slots in expansion order, so the sweep stays
-	// byte-identical for any worker count.
-	units := planUnits(g, pts)
-	ro := runner.Options{Workers: opt.Workers}
-	if opt.OnDone != nil {
-		donePts := 0
-		ro.OnDone = func(u, _, _ int) {
-			donePts += len(units[u])
-			opt.OnDone(donePts, len(pts))
+	chains := planChains(g, pts)
+	var mu sync.Mutex
+	donePts := 0
+	progress := func(n int) {
+		if opt.OnDone == nil {
+			return
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		donePts += n
+		opt.OnDone(donePts, len(pts))
 	}
-	// Slots of runs that never finished stay nil; a cancelled in-flight
-	// run returns its partial engine results but a non-nil ctx error keeps
-	// the slot empty — partial reports contain only whole runs.
-	unitRes, err := runner.Map(ctx, len(units), ro,
-		func(ctx context.Context, u int) (unitResult, error) {
-			return runUnit(ctx, g, store, pts, units[u]), ctx.Err()
+	// Slots of runs that never finished stay nil: an interrupted chain
+	// returns an error, and runner.Map drops a failed job's value.
+	chainRes, err := runner.Map(ctx, len(chains), runner.Options{Workers: opt.Workers},
+		func(ctx context.Context, c int) (chainResult, error) {
+			return runChain(ctx, g, store, pts, chains[c], progress)
 		})
 	cells := make([]*engine.Results, len(pts))
-	for u, ur := range unitRes {
-		if ur.res == nil {
-			continue
+	stopped := make(map[coordID]bool)
+	res := &Result{Grid: g, Total: len(pts), Skipped: g.SkippedCombos()}
+	if g.WarmupIntervals > 0 {
+		res.Warm = &WarmStats{}
+	}
+	for _, cr := range chainRes {
+		for k, i := range cr.idx {
+			cells[i] = cr.res[k]
 		}
-		for k, i := range units[u] {
-			cells[i] = ur.res[k]
+		if cr.stopped {
+			stopped[pointCoord(pts[cr.idx[0]])] = true
+		}
+		for _, o := range cr.warm {
+			res.Warm.observe(o)
 		}
 	}
-	res := &Result{Grid: g, Total: len(pts), Skipped: g.SkippedCombos()}
 	for i, er := range cells {
-		if er == nil {
-			continue
+		if er != nil {
+			res.Runs = append(res.Runs, newRun(pts[i], er))
 		}
-		res.Runs = append(res.Runs, newRun(pts[i], er))
 	}
 	res.Completed = len(res.Runs)
 	res.Cells = Aggregate(res.Runs)
-	res.Warm = warmStats(g, func(yield func(experiments.WarmOutcome)) {
-		for _, ur := range unitRes {
-			for _, o := range ur.warm {
-				yield(o)
-			}
-		}
-	})
+	if g.CITolerance > 0 {
+		res.annotateCI(stopped)
+	}
 	if opt.SeriesDir != "" {
 		// After the fan-out, in expansion order: the exported bytes depend
 		// only on each run's own results, never on completion order, which
@@ -693,17 +729,6 @@ func openWarmStore(g Grid) (*checkpoint.Store, error) {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	return store, nil
-}
-
-// warmStats folds every recorded warm outcome into a WarmStats summary
-// (nil when warm-fork sharing is off).
-func warmStats(g Grid, each func(yield func(experiments.WarmOutcome))) *WarmStats {
-	if g.WarmupIntervals <= 0 {
-		return nil
-	}
-	ws := &WarmStats{}
-	each(ws.observe)
-	return ws
 }
 
 // minCIReplicates is the floor below which early termination never
@@ -743,130 +768,52 @@ func pointCoord(p Point) coordID {
 	return coordID{p.Workload, p.CacheMult, p.RateFactor, p.BurstMult, p.Volumes, p.RouteSkew}
 }
 
-// planChains partitions the expanded points into coordinate chains:
-// maximal runs of consecutive points sharing a grid coordinate. Expand
-// keeps replicate and scheme the two innermost loops, so each chain is
-// one coordinate's full Replicates × Schemes block, in (replicate,
-// scheme) order — the unit the adaptive scheduler walks replicate group
-// by replicate group.
-func planChains(pts []Point) [][]int {
-	chains := make([][]int, 0)
-	for i := 0; i < len(pts); {
-		j := i + 1
-		for j < len(pts) && pointCoord(pts[j]) == pointCoord(pts[i]) {
-			j++
+// planChains partitions the expanded points into chains of scheduling
+// units; one runner job walks one chain, unit by unit. Without a CI
+// tolerance every planUnits unit is a chain of its own — the classic,
+// fully parallel sweep. With one, the unit is a replicate group (one
+// coordinate's points for one replicate, which a warm-fork sweep shares
+// as one group too) and a chain holds one coordinate's groups in
+// replicate order: Expand keeps replicate and scheme the two innermost
+// loops, so each group lists the schemes in grid order.
+func planChains(g Grid, pts []Point) [][][]int {
+	var chains [][][]int
+	if g.CITolerance <= 0 {
+		for _, u := range planUnits(g, pts) {
+			chains = append(chains, [][]int{u})
 		}
-		u := make([]int, 0, j-i)
-		for k := i; k < j; k++ {
-			u = append(u, k)
+		return chains
+	}
+	groups := spans(pts, func(a, b Point) bool {
+		return pointCoord(a) == pointCoord(b) && a.Replicate == b.Replicate
+	})
+	for _, grp := range groups {
+		if n := len(chains); n > 0 && pointCoord(pts[chains[n-1][0][0]]) == pointCoord(pts[grp[0]]) {
+			chains[n-1] = append(chains[n-1], grp)
+		} else {
+			chains = append(chains, [][]int{grp})
 		}
-		chains = append(chains, u)
-		i = j
 	}
 	return chains
 }
 
-// chainResult is one coordinate chain's outcome under the adaptive
-// scheduler: per-point engine results (nil for replicates never
-// launched), warm outcomes for the replicate groups that ran, and
-// whether the chain stopped early.
-type chainResult struct {
-	res     []*engine.Results
-	warm    []experiments.WarmOutcome
-	stopped bool
-}
-
-// executeAdaptive is the early-termination execution path (CITolerance >
-// 0): one runner job per coordinate chain, each walking its replicate
-// groups in expansion order and stopping — freeing the slot for
-// unfinished chains — once every scheme's confidence interval is tight.
-// The termination decision reads only the chain's own replicate prefix,
-// in expansion order, so the output stays byte-identical for every
-// worker count; it does NOT match the CITolerance == 0 output whenever
-// any chain actually terminates (that is the point), but with no
-// termination triggered the runs, cells, and report bytes are identical
-// apart from the per-cell CI annotations.
-func executeAdaptive(ctx context.Context, g Grid, store *checkpoint.Store, pts []Point, opt Options) (*Result, error) {
-	chains := planChains(pts)
-	nS := len(g.Schemes)
-	var mu sync.Mutex
-	donePts := 0
-	progress := func(n int) {
-		if opt.OnDone == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		donePts += n
-		opt.OnDone(donePts, len(pts))
-	}
-	chainRes, err := runner.Map(ctx, len(chains), runner.Options{Workers: opt.Workers},
-		func(ctx context.Context, c int) (chainResult, error) {
-			idx := chains[c]
-			reps := len(idx) / nS
-			out := chainResult{res: make([]*engine.Results, len(idx))}
-			vals := make([][]float64, nS)
-			for rep := 0; rep < reps; rep++ {
-				group := idx[rep*nS : (rep+1)*nS]
-				ur := runUnit(ctx, g, store, pts, group)
-				if err := ctx.Err(); err != nil {
-					// The interrupted replicate group — and, because a job
-					// error drops the whole slot, the chain — is discarded:
-					// partial reports contain only whole runs.
-					return out, err
-				}
-				copy(out.res[rep*nS:], ur.res)
-				out.warm = append(out.warm, ur.warm...)
-				for s := 0; s < nS; s++ {
-					vals[s] = append(vals[s], ur.res[s].CacheLoadMean()/1e3)
-				}
-				progress(len(group))
-				if rep+1 < reps && rep+1 >= minCIReplicates && allTight(vals, g.CITolerance) {
-					out.stopped = true
-					break
-				}
-			}
-			return out, nil
-		})
-	cells := make([]*engine.Results, len(pts))
-	stopped := make(map[coordID]bool)
-	for c, cr := range chainRes {
-		if cr.res == nil {
-			continue
-		}
-		for k, i := range chains[c] {
-			cells[i] = cr.res[k]
-		}
-		if cr.stopped {
-			stopped[pointCoord(pts[chains[c][0]])] = true
+// spans partitions the point indexes into maximal runs of consecutive
+// points that same joins.
+func spans(pts []Point, same func(a, b Point) bool) [][]int {
+	out := make([][]int, 0, len(pts))
+	for i := range pts {
+		if i > 0 && same(pts[i-1], pts[i]) {
+			out[len(out)-1] = append(out[len(out)-1], i)
+		} else {
+			out = append(out, []int{i})
 		}
 	}
-	res := &Result{Grid: g, Total: len(pts), Skipped: g.SkippedCombos()}
-	for i, er := range cells {
-		if er == nil {
-			continue
-		}
-		res.Runs = append(res.Runs, newRun(pts[i], er))
-	}
-	res.Completed = len(res.Runs)
-	res.Cells = Aggregate(res.Runs)
-	res.annotateCI(stopped)
-	res.Warm = warmStats(g, func(yield func(experiments.WarmOutcome)) {
-		for _, cr := range chainRes {
-			for _, o := range cr.warm {
-				yield(o)
-			}
-		}
-	})
-	if opt.SeriesDir != "" {
-		err = errors.Join(err, ExportSeries(opt.SeriesDir, pts, cells))
-	}
-	return res, err
+	return out
 }
 
 // annotateCI stamps every cell with its achieved confidence half-width
-// and whether its coordinate terminated early — only called on the
-// adaptive path, so tolerance-off sweeps never populate the fields.
+// and whether its coordinate terminated early — only called when
+// CITolerance is set, so tolerance-off sweeps never populate the fields.
 func (r *Result) annotateCI(stopped map[coordID]bool) {
 	for ci := range r.Cells {
 		c := &r.Cells[ci]
@@ -908,26 +855,9 @@ func warmKey(s experiments.Spec) experiments.Spec {
 // schemes adjacent (scheme is the innermost loop), so the grouping is a
 // single pass.
 func planUnits(g Grid, pts []Point) [][]int {
-	units := make([][]int, 0, len(pts))
-	if g.WarmupIntervals <= 0 {
-		for i := range pts {
-			units = append(units, []int{i})
-		}
-		return units
-	}
-	for i := 0; i < len(pts); {
-		j := i + 1
-		for j < len(pts) && warmKey(pts[j].Spec) == warmKey(pts[i].Spec) {
-			j++
-		}
-		u := make([]int, 0, j-i)
-		for k := i; k < j; k++ {
-			u = append(u, k)
-		}
-		units = append(units, u)
-		i = j
-	}
-	return units
+	return spans(pts, func(a, b Point) bool {
+		return g.WarmupIntervals > 0 && warmKey(a.Spec) == warmKey(b.Spec)
+	})
 }
 
 func newRun(pt Point, er *engine.Results) Run {

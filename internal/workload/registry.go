@@ -34,6 +34,7 @@ type family struct {
 // family prefix. The zero Registry is not usable; call NewRegistry.
 type Registry struct {
 	names    []string // exact names in registration order
+	aliases  []string // legacy alias names in registration order
 	exact    map[string]Builder
 	families []family
 }
@@ -48,6 +49,26 @@ func NewRegistry() *Registry {
 // file names), but a duplicate registration is an error: the second entry
 // would silently shadow the first.
 func (r *Registry) Register(name string, b Builder) error {
+	if err := r.add(name, b); err != nil {
+		return err
+	}
+	r.names = append(r.names, name)
+	return nil
+}
+
+// RegisterAlias adds a legacy name. It resolves exactly like a Register
+// entry but is listed by Aliases, not Names: its generator may label
+// itself differently (the legacy "mixed" stream is named "mixed-rw"), so
+// it stays outside the catalog's name-equals-label contract.
+func (r *Registry) RegisterAlias(name string, b Builder) error {
+	if err := r.add(name, b); err != nil {
+		return err
+	}
+	r.aliases = append(r.aliases, name)
+	return nil
+}
+
+func (r *Registry) add(name string, b Builder) error {
 	if name == "" {
 		return fmt.Errorf("workload: empty registry name")
 	}
@@ -58,7 +79,6 @@ func (r *Registry) Register(name string, b Builder) error {
 		return fmt.Errorf("workload: duplicate registry name %q", name)
 	}
 	r.exact[name] = b
-	r.names = append(r.names, name)
 	return nil
 }
 
@@ -100,14 +120,18 @@ func (r *Registry) Resolve(name string) (Builder, error) {
 		return b, nil
 	}
 	return nil, fmt.Errorf("workload: unknown workload %q (want one of %s, or a family %s)",
-		name, strings.Join(r.Names(), "|"), strings.Join(r.Patterns(), "|"))
+		name, strings.Join(append(r.Names(), r.Aliases()...), "|"), strings.Join(r.Patterns(), "|"))
 }
 
 // Names returns the exact entry names, sorted for stable error messages
 // and help text.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
+func (r *Registry) Names() []string { return sorted(r.names) }
+
+// Aliases returns the legacy alias names, sorted.
+func (r *Registry) Aliases() []string { return sorted(r.aliases) }
+
+func sorted(names []string) []string {
+	out := append([]string(nil), names...)
 	sort.Strings(out)
 	return out
 }
@@ -141,9 +165,7 @@ func buildDefaultRegistry() *Registry {
 	must(r.Register("mail", func(s Scale, g *sim.RNG) Generator { return MailServer(s, g) }))
 	must(r.Register("web", func(s Scale, g *sim.RNG) Generator { return WebServer(s, g) }))
 
-	// Synthetic primitives as catalog entries. synthIOPS matches the
-	// public lbica.Options synthetic default so both front doors describe
-	// the same stream.
+	// Synthetic primitives as catalog entries.
 	must(r.Register("synth-randread", synthRand("synth-randread", 1, defaultZipf)))
 	must(r.Register("synth-randwrite", synthRand("synth-randwrite", 0, defaultZipf)))
 	must(r.Register("synth-mixed", synthRand("synth-mixed", 0.5, 0.9)))
@@ -161,13 +183,21 @@ func buildDefaultRegistry() *Registry {
 	must(r.Register("burst-mix-mid", burstMix("burst-mix-mid", 4, 0.3, 0.5)))
 	must(r.Register("burst-mix-hi", burstMix("burst-mix-hi", 6, 0.45, 0.35)))
 	must(r.RegisterFamily("burst-mix-on", "burst-mix-on<mult>x-duty<frac>-read<ratio>", parseBurstMix))
+
+	// The legacy aliases of the lbica front door: the single-phase
+	// primitives over the whole run.
+	must(r.RegisterAlias("random-read", primitive(RandomRead, synthRandomWS)))
+	must(r.RegisterAlias("random-write", primitive(RandomWrite, synthRandomWS)))
+	must(r.RegisterAlias("seq-read", primitive(SequentialRead, synthSeqWS)))
+	must(r.RegisterAlias("seq-write", primitive(SequentialWrite, synthSeqWS)))
+	must(r.RegisterAlias("mixed", primitive(MixedRW, synthRandomWS)))
 	return r
 }
 
 // Synthetic catalog constants: one 4 KiB-block working set roughly 1.5×
 // the default cache for the random streams (so misses stay alive past
-// prewarm), the sequential streams over a large span, and the lbica
-// front-door's synthetic arrival rate.
+// prewarm), the sequential streams over a large span, and the synthetic
+// arrival rate.
 const (
 	synthIOPS      = 8000
 	synthRandomWS  = 96 * 1024
@@ -176,6 +206,16 @@ const (
 	burstMixBase   = 3000
 	burstMixPeriod = 200 * time.Millisecond
 )
+
+// primitive adapts a single-phase primitive constructor (RandomRead, …)
+// to a Builder: the stream spans the whole run at synthIOPS × RateFactor
+// over ws blocks.
+func primitive(build func(time.Duration, float64, int64, *sim.RNG) *PhaseGen, ws int64) Builder {
+	return func(s Scale, g *sim.RNG) Generator {
+		s = s.normalize()
+		return build(s.span(s.Intervals), synthIOPS*s.RateFactor, ws, g)
+	}
+}
 
 // synthRand builds a single-phase random stream entry.
 func synthRand(name string, readRatio, zipf float64) Builder {

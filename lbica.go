@@ -83,9 +83,20 @@
 // single-stack pipeline of the paper harness. Options.Thresholds exposes
 // LBICA's census-classifier calibration for sensitivity probes (zero
 // fields inherit the paper defaults).
+//
+// # One build path
+//
+// The facade builds no stack of its own. Run, RunAll, RunCheckpoint,
+// RunRestore and Sweep validate their options, translate them into the
+// internal experiments run description, and let that package — the one
+// place a run description becomes simulated stacks — build and run them.
+// A facade run and the matching sweep cell are therefore the same
+// simulation, and every run feature (static policies, custom phases,
+// replay, cache geometry, arrays, checkpoints) is wired exactly once.
 package lbica
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -93,14 +104,9 @@ import (
 	"strings"
 	"time"
 
-	"lbica/internal/array"
-	"lbica/internal/cache"
 	"lbica/internal/core"
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
-	"lbica/internal/ioqueue"
-	"lbica/internal/sib"
-	"lbica/internal/sim"
 	"lbica/internal/trace"
 	"lbica/internal/workload"
 )
@@ -279,17 +285,6 @@ type Thresholds struct {
 	MinQueued int
 }
 
-// coreThresholds converts to the balancer's internal representation.
-func (t Thresholds) coreThresholds() core.Thresholds {
-	return core.Thresholds{
-		DominantPair: t.DominantPair,
-		MemberMin:    t.MemberMin,
-		PromoteAlone: t.PromoteAlone,
-		ReadAlone:    t.ReadAlone,
-		MinQueued:    t.MinQueued,
-	}
-}
-
 // PolicyEvent is one write-policy decision in the run's timeline.
 type PolicyEvent struct {
 	Interval int
@@ -368,43 +363,22 @@ func Run(o Options) (*Report, error) {
 // with ctx.Err(). A cancellation arriving only after every requested
 // interval has sampled is ignored — the report is complete.
 func RunContext(ctx context.Context, o Options) (*Report, error) {
-	o, err := normalizeOptions(o)
+	s, err := toSpec(o)
 	if err != nil {
 		return nil, err
 	}
-	if o.Volumes > 1 {
-		if strings.ToLower(o.Scheme) == SchemeArrayLB {
-			return runControlledContext(ctx, o)
-		}
-		return runArrayContext(ctx, o)
-	}
-
-	gen, err := buildWorkload(o, nil)
-	if err != nil {
-		return nil, err
-	}
-	var recorded []workload.Request
-	if o.RecordTo != nil {
-		gen = workload.NewTee(gen, &recorded)
-	}
-	bal, initial, err := buildScheme(o)
-	if err != nil {
-		return nil, err
-	}
-
-	cfg, err := buildEngineConfig(o, initial)
-	if err != nil {
-		return nil, err
-	}
-
 	var bw *trace.BinaryWriter
-	if o.TraceWriter != nil {
-		bw = trace.NewBinaryWriter(o.TraceWriter)
-		cfg.Trace = bw
+	var recorded []workload.Request
+	if s.Hooks != nil {
+		if o.TraceWriter != nil {
+			bw = trace.NewBinaryWriter(o.TraceWriter)
+			s.Hooks.Trace = bw
+		}
+		if o.RecordTo != nil {
+			s.Hooks.Record = &recorded
+		}
 	}
-
-	st := engine.New(cfg, gen, bal)
-	res := st.RunContext(ctx, o.Intervals)
+	res, perVolume := experiments.RunVolumes(ctx, s)
 	// Flush/save failures are joined with (not replaced by) a
 	// cancellation, and the report survives them: on an interrupted run
 	// the partial results are the caller's only window into what
@@ -420,421 +394,102 @@ func RunContext(ctx context.Context, o Options) (*Report, error) {
 			saveErr = fmt.Errorf("lbica: saving recorded workload: %w", err)
 		}
 	}
-	// A cancellation that lands after the last requested interval has
-	// sampled changed nothing: the run is complete, not partial, and
-	// reporting ctx.Err() would mislabel a full result.
-	ctxErr := ctx.Err()
-	if ctxErr != nil && len(res.Samples) >= o.Intervals {
-		ctxErr = nil
-	}
-	return buildReport(o, res), errors.Join(ctxErr, flushErr, saveErr)
+	return buildReport(s, res, perVolume), errors.Join(runCtxErr(ctx, s, res, perVolume), flushErr, saveErr)
 }
 
-// normalizeOptions validates o and fills every defaulted field, returning
-// the effective options of the run. Zero means "use the default"; a
-// negative value is an error, never a silent rewrite — clamping it would
+// toSpec validates o and translates it into the experiments run
+// description every stack is built from. Zero means "use the default"; an
+// invalid value is an error, never a silent rewrite — clamping it would
 // run a different experiment than the one the caller asked for while
-// reporting their value nowhere.
-func normalizeOptions(o Options) (Options, error) {
-	if o.Intervals < 0 || o.IntervalLength < 0 || o.RateFactor < 0 {
-		return o, fmt.Errorf("lbica: negative Intervals/IntervalLength/RateFactor (got %d, %v, %v); zero means default",
-			o.Intervals, o.IntervalLength, o.RateFactor)
+// reporting their value nowhere. A ReplayFrom stream is read here, once:
+// every array volume routes the same recorded requests.
+func toSpec(o Options) (experiments.Spec, error) {
+	s := experiments.Spec{
+		Workload:       o.Workload,
+		Scheme:         strings.ToUpper(cmp.Or(o.Scheme, SchemeLBICA)),
+		Seed:           o.Seed,
+		Intervals:      o.Intervals,
+		Interval:       o.IntervalLength,
+		RateFactor:     o.RateFactor,
+		Volumes:        o.Volumes,
+		RoutePolicy:    o.RoutePolicy,
+		RouteSkew:      o.RouteSkew,
+		RouteVariant:   o.RouteVariant,
+		ShardWorkers:   o.ShardWorkers,
+		Thresholds:     core.Thresholds(o.Thresholds),
+		Name:           o.Name,
+		CacheMiB:       o.CacheMiB,
+		CacheWays:      o.CacheWays,
+		Replacement:    o.Replacement,
+		DiskElevator:   o.DiskElevator,
+		DisablePrewarm: o.DisablePrewarm,
 	}
-	if o.Volumes < 0 {
-		return o, fmt.Errorf("lbica: negative Volumes %d; zero means the single-stack default", o.Volumes)
-	}
-	if o.Volumes <= 1 && (o.RoutePolicy != "" || o.RouteSkew != 0) {
-		return o, fmt.Errorf("lbica: RoutePolicy %q / RouteSkew %v set on a single-volume run; routing needs Volumes > 1",
-			o.RoutePolicy, o.RouteSkew)
-	}
-	if err := o.Thresholds.coreThresholds().Validate(); err != nil {
-		return o, fmt.Errorf("lbica: %w", err)
-	}
-	if o.Workload == "" && len(o.Phases) == 0 {
-		o.Workload = WorkloadTPCC
-	}
-	if o.Scheme == "" {
-		o.Scheme = SchemeLBICA
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.IntervalLength == 0 {
-		o.IntervalLength = 200 * time.Millisecond
-	}
-	if o.RateFactor == 0 {
-		o.RateFactor = 1
-	}
-	if o.Intervals == 0 {
-		if len(o.Phases) == 0 {
-			o.Intervals = defaultIntervals(o.Workload)
-		} else {
-			o.Intervals = 200
+	if len(o.Phases) > 0 {
+		phases := make([]workload.Phase, len(o.Phases))
+		for i, p := range o.Phases {
+			phases[i] = workload.Phase(p)
 		}
-	}
-	if strings.ToLower(o.Scheme) == SchemeArrayLB {
-		if o.RoutePolicy != "" {
-			return o, fmt.Errorf("lbica: RoutePolicy %q set under scheme array-lb; the controller owns routing (RouteSkew seeds its initial weights)", o.RoutePolicy)
-		}
-		if _, err := array.ParseVariant(o.RouteVariant); err != nil {
-			return o, fmt.Errorf("lbica: %w", err)
-		}
-	} else if o.RouteVariant != "" {
-		return o, fmt.Errorf("lbica: RouteVariant %q set under scheme %q; adaptive variants apply to array-lb only", o.RouteVariant, o.Scheme)
-	}
-	return o, nil
-}
-
-func defaultIntervals(wl string) int {
-	if wl == WorkloadWeb {
-		return 175
-	}
-	return 200
-}
-
-// buildEngineConfig assembles the stack configuration from the defaulted
-// options: cache geometry, replacement policy, disk discipline, prewarm.
-// Trace wiring stays with the caller (the array path rejects it).
-func buildEngineConfig(o Options, initial cache.Policy) (engine.Config, error) {
-	cfg := engine.DefaultConfig()
-	cfg.Seed = o.Seed
-	cfg.MonitorEvery = o.IntervalLength
-	cfg.Cache.InitialPolicy = initial
-	if o.Replacement != "" {
-		repl, err := cache.ParseReplacement(o.Replacement)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		cfg.Cache.Replacement = repl
-		cfg.Cache.ReplacementSeed = o.Seed
-	}
-	if o.DiskElevator {
-		cfg.HDDDiscipline = ioqueue.LookDispatch
-		cfg.HDD.DistanceSeek = true
-	}
-	if o.CacheMiB > 0 {
-		blocks := o.CacheMiB * 1024 / 4 // 4 KiB blocks
-		ways := cfg.Cache.Ways
-		if o.CacheWays > 0 {
-			ways = o.CacheWays
-		}
-		if blocks < ways {
-			return engine.Config{}, fmt.Errorf("lbica: cache of %d MiB cannot hold %d ways", o.CacheMiB, ways)
-		}
-		cfg.Cache.Ways = ways
-		cfg.Cache.Sets = blocks / ways
-	} else if o.CacheWays > 0 {
-		total := cfg.Cache.Sets * cfg.Cache.Ways
-		cfg.Cache.Ways = o.CacheWays
-		cfg.Cache.Sets = total / o.CacheWays
-	}
-	if o.DisablePrewarm {
-		cfg.PrewarmBlocks = 0
-	} else {
-		cfg.PrewarmBlocks = cfg.Cache.Sets * cfg.Cache.Ways
-	}
-	return cfg, nil
-}
-
-// runArrayContext is RunContext's multi-volume path: each volume is a
-// full stack with its own balancer instance, fed its routed sub-stream by
-// sibling routers in lockstep over bit-identical copies of the workload,
-// sharded volume-per-core and merged order-independently. The report's
-// top-level fields are the array-level merge; per-volume reports ride in
-// Report.PerVolume.
-func runArrayContext(ctx context.Context, o Options) (*Report, error) {
-	// A shared trace or record writer would interleave the volumes'
-	// streams nondeterministically; refuse rather than emit garbage.
-	if o.TraceWriter != nil || o.RecordTo != nil {
-		return nil, fmt.Errorf("lbica: TraceWriter/RecordTo require Volumes <= 1 (per-volume streams would interleave)")
-	}
-	pol, err := array.ParsePolicy(o.RoutePolicy)
-	if err != nil {
-		return nil, fmt.Errorf("lbica: %w", err)
-	}
-	if o.RoutePolicy == "" && o.RouteSkew > 0 {
-		pol = array.Zipf
-	}
-	acfg := array.Config{Volumes: o.Volumes, Policy: pol, Skew: o.RouteSkew, Workers: o.ShardWorkers}
-	if err := acfg.Validate(); err != nil {
-		return nil, fmt.Errorf("lbica: %w", err)
-	}
-	// A replay stream is read once and shared read-only: every volume
-	// routes the same recorded requests, exactly like a generated stream.
-	var replay []workload.Request
-	if o.ReplayFrom != nil {
-		if replay, err = workload.LoadRequests(o.ReplayFrom); err != nil {
-			return nil, fmt.Errorf("lbica: loading replay stream: %w", err)
-		}
-	}
-	_, initial, err := buildScheme(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := buildEngineConfig(o, initial)
-	if err != nil {
-		return nil, err
-	}
-
-	ares, runErr := array.Run(ctx, acfg, o.Intervals, func(vol int) (*engine.Stack, error) {
-		vcfg := cfg
-		// Per-volume device/replacement streams: each volume is its own
-		// hardware. The workload copy keeps the *base* seed — every volume
-		// must replay the bit-identical stream for the routers to agree.
-		vcfg.Seed = sim.Stream(o.Seed, vol)
-		vcfg.Volume = vol
-		if o.Replacement != "" {
-			vcfg.Cache.ReplacementSeed = vcfg.Seed
-		}
-		gen, err := buildWorkload(o, replay)
-		if err != nil {
-			return nil, err
-		}
-		bal, _, err := buildScheme(o) // fresh balancer instance per volume
-		if err != nil {
-			return nil, err
-		}
-		return engine.New(vcfg, array.VolumeGen(gen, acfg.NewRouter(o.Seed), vol), bal), nil
-	})
-
-	rep := buildReport(o, ares.Merged)
-	rep.PerVolume = make([]*Report, len(ares.PerVolume))
-	complete := true
-	for v, vres := range ares.PerVolume {
-		if vres == nil {
-			complete = false
-			continue
-		}
-		rep.PerVolume[v] = buildReport(o, vres)
-		if len(vres.Samples) < o.Intervals {
-			complete = false
-		}
-	}
-	// Mirror the single-stack rule: a cancellation that arrives only
-	// after every volume sampled every requested interval changed
-	// nothing — the report is complete, not partial.
-	if runErr != nil && complete && ctx.Err() != nil && errors.Is(runErr, ctx.Err()) {
-		runErr = nil
-	}
-	return rep, runErr
-}
-
-// runControlledContext is RunContext's "array-lb" path: like
-// runArrayContext each volume is a full stack with its own LBICA
-// instance, but the stream is routed by a single controller-owned
-// adaptive router instead of lockstep static router copies. The volumes
-// advance one monitor interval per round; at each barrier the controller
-// reads every volume's closed interval sample, reweights the router from
-// measured load, and migrates the bottleneck volume's hottest clean
-// cache lines to the coldest volume (pinning their routing). Decisions
-// are made serially between rounds, so output stays byte-identical for
-// every ShardWorkers value.
-func runControlledContext(ctx context.Context, o Options) (*Report, error) {
-	if o.TraceWriter != nil || o.RecordTo != nil {
-		return nil, fmt.Errorf("lbica: TraceWriter/RecordTo require Volumes <= 1 (per-volume streams would interleave)")
-	}
-	variant, err := array.ParseVariant(o.RouteVariant)
-	if err != nil {
-		return nil, fmt.Errorf("lbica: %w", err)
-	}
-	var replay []workload.Request
-	if o.ReplayFrom != nil {
-		if replay, err = workload.LoadRequests(o.ReplayFrom); err != nil {
-			return nil, fmt.Errorf("lbica: loading replay stream: %w", err)
-		}
-	}
-	// One base stream, routed by the controller itself — unlike the static
-	// path, no per-volume bit-identical copies are needed.
-	base, err := buildWorkload(o, replay)
-	if err != nil {
-		return nil, err
-	}
-	_, initial, err := buildScheme(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := buildEngineConfig(o, initial)
-	if err != nil {
-		return nil, err
-	}
-	ccfg := array.ControllerConfig{
-		Volumes: o.Volumes,
-		Skew:    o.RouteSkew,
-		Seed:    o.Seed,
-		Variant: variant,
-		Workers: o.ShardWorkers,
-	}
-	ares, runErr := array.RunControlled(ctx, ccfg, o.Intervals, o.IntervalLength, base,
-		func(vol int, gen workload.Generator) (*engine.Stack, error) {
-			vcfg := cfg
-			// Per-volume device/replacement streams: each volume is its
-			// own hardware (same rule as the static array path).
-			vcfg.Seed = sim.Stream(o.Seed, vol)
-			vcfg.Volume = vol
-			if o.Replacement != "" {
-				vcfg.Cache.ReplacementSeed = vcfg.Seed
-			}
-			bal, _, err := buildScheme(o) // fresh balancer instance per volume
-			if err != nil {
-				return nil, err
-			}
-			return engine.New(vcfg, gen, bal), nil
-		})
-	if runErr != nil && ares == nil {
-		return nil, runErr
-	}
-
-	rep := buildReport(o, ares.Merged)
-	rep.PerVolume = make([]*Report, len(ares.PerVolume))
-	complete := true
-	for v, vres := range ares.PerVolume {
-		if vres == nil {
-			complete = false
-			continue
-		}
-		rep.PerVolume[v] = buildReport(o, vres)
-		if len(vres.Samples) < o.Intervals {
-			complete = false
-		}
-	}
-	// Same rule as the static array path: a cancellation that arrives only
-	// after every volume sampled every requested interval changed nothing.
-	if runErr != nil && complete && ctx.Err() != nil && errors.Is(runErr, ctx.Err()) {
-		runErr = nil
-	}
-	return rep, runErr
-}
-
-// buildWorkload assembles the run's generator. replay, when non-nil, is a
-// pre-loaded recorded stream (the array path reads ReplayFrom once and
-// hands every volume the same requests); otherwise ReplayFrom is read
-// here.
-func buildWorkload(o Options, replay []workload.Request) (workload.Generator, error) {
-	if replay != nil {
-		name := o.Name
-		if name == "" {
-			name = "replay"
-		}
-		return workload.NewReplay(name, replay), nil
+		s.Phases = &phases
+	} else if s.Workload == "" {
+		s.Workload = WorkloadTPCC
 	}
 	if o.ReplayFrom != nil {
 		reqs, err := workload.LoadRequests(o.ReplayFrom)
 		if err != nil {
-			return nil, fmt.Errorf("lbica: loading replay stream: %w", err)
+			return s, fmt.Errorf("lbica: loading replay stream: %w", err)
 		}
-		name := o.Name
-		if name == "" {
-			name = "replay"
-		}
-		return workload.NewReplay(name, reqs), nil
+		s.Replay = &reqs
 	}
-	g := sim.NewRNG(o.Seed, "workload:"+o.Workload+o.Name)
-	if len(o.Phases) > 0 {
-		name := o.Name
-		if name == "" {
-			name = "custom"
+	if o.TraceWriter != nil || o.RecordTo != nil {
+		s.Hooks = &experiments.Hooks{} // filled in by RunContext
+	}
+	if err := s.Validate(); err != nil {
+		return s, fmt.Errorf("lbica: %w", err)
+	}
+	return s.Normalize(), nil
+}
+
+// runCtxErr applies RunContext's partial-run rule: a cancellation that
+// lands only after every volume sampled every requested interval changed
+// nothing — the run is complete, not partial.
+func runCtxErr(ctx context.Context, s experiments.Spec, res *engine.Results, perVolume []*engine.Results) error {
+	err := ctx.Err()
+	if err == nil {
+		return nil
+	}
+	if perVolume == nil {
+		perVolume = []*engine.Results{res}
+	}
+	for _, r := range perVolume {
+		if r == nil || len(r.Samples) < s.Intervals {
+			return err
 		}
-		phases := make([]workload.Phase, len(o.Phases))
-		for i, p := range o.Phases {
-			phases[i] = workload.Phase{
-				Name:                  p.Name,
-				Duration:              p.Duration,
-				BaseIOPS:              p.BaseIOPS,
-				BurstIOPS:             p.BurstIOPS,
-				BurstOn:               p.BurstOn,
-				BurstOff:              p.BurstOff,
-				ReadRatio:             p.ReadRatio,
-				Sequential:            p.Sequential,
-				WorkingSetBlocks:      p.WorkingSetBlocks,
-				BaseBlock:             p.BaseBlock,
-				ZipfExponent:          p.ZipfExponent,
-				SizesSectors:          p.SizesSectors,
-				WriteWorkingSetBlocks: p.WriteWorkingSetBlocks,
-				WriteBaseBlock:        p.WriteBaseBlock,
-				WriteZipfExponent:     p.WriteZipfExponent,
+	}
+	return nil
+}
+
+// buildReport renders a run's results — and, for an array run, each
+// volume's own — as a Report.
+func buildReport(s experiments.Spec, res *engine.Results, perVolume []*engine.Results) *Report {
+	r := volumeReport(s, res)
+	if perVolume != nil {
+		r.PerVolume = make([]*Report, len(perVolume))
+		for v, vres := range perVolume {
+			if vres != nil {
+				r.PerVolume[v] = volumeReport(s, vres)
 			}
 		}
-		return workload.NewPhaseGen(name, phases, g), nil
 	}
-
-	scale := workload.Scale{Interval: o.IntervalLength, Intervals: o.Intervals, RateFactor: o.RateFactor}
-	dur := time.Duration(o.Intervals) * o.IntervalLength
-	iops := 8000 * o.RateFactor
-	switch strings.ToLower(o.Workload) {
-	case WorkloadTPCC:
-		return workload.TPCC(scale, g), nil
-	case WorkloadMail:
-		return workload.MailServer(scale, g), nil
-	case WorkloadWeb:
-		return workload.WebServer(scale, g), nil
-	case WorkloadRandomRead:
-		return workload.RandomRead(dur, iops, 96*1024, g), nil
-	case WorkloadRandomWrite:
-		return workload.RandomWrite(dur, iops, 96*1024, g), nil
-	case WorkloadSeqRead:
-		return workload.SequentialRead(dur, iops, 1<<20, g), nil
-	case WorkloadSeqWrite:
-		return workload.SequentialWrite(dur, iops, 1<<20, g), nil
-	case WorkloadMixed:
-		return workload.MixedRW(dur, iops, 96*1024, g), nil
-	default:
-		// Names beyond the legacy aliases resolve through the workload
-		// catalog: synth-* entries, Zipf-parameterized variants
-		// (synth-randread-zipf1.2) and the burst-mix family
-		// (burst-mix-hi, burst-mix-on6x-duty0.45-read0.35).
-		b, err := workload.Default.Resolve(strings.ToLower(o.Workload))
-		if err != nil {
-			return nil, fmt.Errorf("lbica: %w", err)
-		}
-		return b(scale, g), nil
-	}
+	return r
 }
 
-// buildScheme assembles a fresh balancer instance (array volumes each get
-// their own) plus the scheme's initial cache policy. o.Thresholds has
-// already been validated; it only reaches the LBICA classifier.
-func buildScheme(o Options) (engine.Balancer, cache.Policy, error) {
-	switch strings.ToLower(o.Scheme) {
-	case SchemeWB:
-		return nil, cache.WB, nil
-	case SchemeSIB:
-		return sib.New(sib.DefaultConfig()), cache.WTWO, nil
-	case SchemeLBICA, SchemeArrayLB:
-		// array-lb keeps the intra-volume balancer: each volume still
-		// runs LBICA; the array controller adds the cross-volume layer.
-		cfg := core.DefaultConfig()
-		cfg.Thresholds = o.Thresholds.coreThresholds().Normalize()
-		return core.New(cfg), cache.WB, nil
-	case SchemeStaticWT:
-		return nil, cache.WT, nil
-	case SchemeStaticRO:
-		return nil, cache.RO, nil
-	case SchemeStaticWO:
-		return nil, cache.WO, nil
-	case SchemeStaticWTWO:
-		return nil, cache.WTWO, nil
-	default:
-		return nil, cache.WB, fmt.Errorf("lbica: unknown scheme %q", o.Scheme)
-	}
-}
-
-func buildReport(o Options, res *engine.Results) *Report {
+func volumeReport(s experiments.Spec, res *engine.Results) *Report {
 	rows := experiments.Fig6(res)
 	r := &Report{
 		Workload:       res.Workload,
 		Scheme:         res.Scheme,
-		IntervalLength: o.IntervalLength,
+		IntervalLength: s.Interval,
 		Intervals:      make([]Interval, len(rows)),
-	}
-	if res.Scheme == "WB" && o.Scheme != SchemeWB {
-		// Static-policy runs report the policy name, not "WB".
-		r.Scheme = strings.ToUpper(o.Scheme)
-	}
-	if strings.ToLower(o.Scheme) == SchemeArrayLB {
-		// The per-volume balancer names itself LBICA; the run's scheme is
-		// the array-level controller (also at Volumes <= 1, where it
-		// degenerates to plain LBICA).
-		r.Scheme = strings.ToUpper(SchemeArrayLB)
 	}
 	for i, row := range rows {
 		r.Intervals[i] = Interval{

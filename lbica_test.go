@@ -2,9 +2,14 @@ package lbica
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"lbica/internal/experiments"
 )
 
 // quick returns small-run options so facade tests stay fast.
@@ -272,6 +277,68 @@ func TestNegativeOptionsAreErrors(t *testing.T) {
 	} {
 		if _, err := Run(o); err == nil {
 			t.Errorf("Options %+v ran instead of erroring", o)
+		}
+	}
+}
+
+// TestFacadeMatchesSpec: the facade translates options into an
+// experiments.Spec and builds no stack of its own. Over the option space
+// it shares with the sweep grid — paper and burst workloads × the four
+// compared schemes × one and three volumes × every valid routing — Run
+// reports exactly what buildReport renders from the matching hand-written
+// Spec's experiments run, per-volume reports included.
+func TestFacadeMatchesSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sixty paired runs are beyond the -short budget")
+	}
+	routes := []struct {
+		name   string
+		policy string
+		skew   float64
+	}{{"uniform", "", 0}, {"hash", "hash", 0}, {"zipf-1.2", "", 1.2}}
+	for _, wl := range []string{"tpcc", "mail", "web", "burst-mix-hi"} {
+		for _, sc := range []string{SchemeWB, SchemeSIB, SchemeLBICA, SchemeArrayLB} {
+			for _, vol := range []int{1, 3} {
+				for _, rt := range routes {
+					if (vol == 1 && rt.name != "uniform") || (sc == SchemeArrayLB && rt.policy != "") {
+						continue // routing needs an array; array-lb owns its routing
+					}
+					wl, sc, vol, rt := wl, sc, vol, rt
+					t.Run(fmt.Sprintf("%s/%s/%dvol/%s", wl, sc, vol, rt.name), func(t *testing.T) {
+						t.Parallel()
+						got, err := Run(Options{Workload: wl, Scheme: sc, Seed: 5, Intervals: 20,
+							Volumes: vol, RoutePolicy: rt.policy, RouteSkew: rt.skew})
+						if err != nil {
+							t.Fatal(err)
+						}
+						spec := experiments.Spec{Workload: wl, Scheme: strings.ToUpper(sc), Seed: 5, Intervals: 20,
+							Volumes: vol, RoutePolicy: rt.policy, RouteSkew: rt.skew}
+						res, perVolume := experiments.RunVolumes(context.Background(), spec)
+						if want := buildReport(spec.Normalize(), res, perVolume); !reflect.DeepEqual(got, want) {
+							t.Fatalf("facade report differs from the Spec run:\ngot:  %+v\nwant: %+v", got.Summary, want.Summary)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// Workload names resolve once, lower-cased: a capitalized name runs the
+// same stream as the catalog spelling, not a differently seeded one under
+// the same label.
+func TestWorkloadNamesAreCaseInsensitive(t *testing.T) {
+	for _, pair := range [][2]string{{"TPCC", "tpcc"}, {"Burst-Mix-Hi", "burst-mix-hi"}, {"Mixed", "mixed"}} {
+		a, err := Run(quick(pair[0], SchemeLBICA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(quick(pair[1], SchemeLBICA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%q and %q report differently", pair[0], pair[1])
 		}
 	}
 }
