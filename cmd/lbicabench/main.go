@@ -41,9 +41,7 @@
 // that regenerates BENCH_sweep.json. -perf-check is the CI gate around
 // the committed baselines: given a comma-separated list it reruns
 // exactly each baseline's benchmarks at its recorded scale and exits
-// non-zero on any regression beyond the tolerance band. Baselines in
-// the older before/after narrative schema (BENCH_hotpath.json) gate
-// against their "after" measurements:
+// non-zero on any regression beyond the tolerance band:
 //
 //	lbicabench -perf -perf-filter array > BENCH_array.json
 //	lbicabench -perf -perf-filter sweep > BENCH_sweep.json
@@ -60,7 +58,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -72,12 +69,8 @@ import (
 
 func main() { cli.Main("lbicabench", run) }
 
-// loadBaseline parses a committed perf baseline. Two on-disk schemas
-// exist: the perf.Report artifact `-perf` emits (BENCH_array.json,
-// BENCH_sweep.json) and the older before/after narrative
-// (BENCH_hotpath.json), whose "after" measurements are the numbers the
-// gate must hold. Both reduce to a perf.Report with the benchmark names
-// in deterministic order.
+// loadBaseline parses a committed perf baseline: the perf.Report
+// artifact `-perf` emits, the one schema every BENCH_*.json file uses.
 func loadBaseline(path string) (perf.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -86,37 +79,8 @@ func loadBaseline(path string) (perf.Report, error) {
 	var base perf.Report
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&base); err == nil {
-		return base, nil
-	}
-	var narrative struct {
-		Results map[string]struct {
-			After *struct {
-				NsPerOp     float64 `json:"ns_per_op"`
-				AllocsPerOp int64   `json:"allocs_per_op"`
-				BytesPerOp  int64   `json:"bytes_per_op"`
-			} `json:"after"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &narrative); err != nil || len(narrative.Results) == 0 {
-		return perf.Report{}, fmt.Errorf("lbicabench: baseline %s matches neither the perf report nor the before/after schema", path)
-	}
-	names := make([]string, 0, len(narrative.Results))
-	for name := range narrative.Results {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		after := narrative.Results[name].After
-		if after == nil {
-			return perf.Report{}, fmt.Errorf("lbicabench: baseline %s entry %q has no after-measurement", path, name)
-		}
-		base.Results = append(base.Results, perf.Result{
-			Name:        name,
-			NsPerOp:     after.NsPerOp,
-			AllocsPerOp: after.AllocsPerOp,
-			BytesPerOp:  after.BytesPerOp,
-		})
+	if err := dec.Decode(&base); err != nil {
+		return perf.Report{}, fmt.Errorf("lbicabench: baseline %s is not a perf report: %w", path, err)
 	}
 	return base, nil
 }
@@ -190,15 +154,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *perfCheck != "" {
 		return runPerfCheck(*perfCheck, stdout, stderr)
 	}
-	if *perfMode {
-		rep := perf.Run(*perfFilter, *intervals)
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
 
-	start := time.Now()
-	fmt.Fprintf(stderr, "running the 3 workloads × 3 schemes matrix...\n")
+	// Every matrix spec is checked before anything runs — the perf suite's
+	// matrix entries included — so a bad flag is a usage error, not a
+	// panic inside the worker pool.
+	if *fig != 0 && (*fig < 4 || *fig > 7) {
+		fmt.Fprintf(stderr, "lbicabench: -fig %d is not one of 0, 4, 5, 6, 7\n", *fig)
+		return cli.ErrUsage
+	}
 	if *volumes < 1 || *volumes > array.MaxVolumes {
 		fmt.Fprintf(stderr, "lbicabench: -volumes %d outside [1, %d]\n", *volumes, array.MaxVolumes)
 		return cli.ErrUsage
@@ -212,7 +175,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		specs[i].Intervals = *intervals
 		specs[i].Volumes = *volumes
 		specs[i].RouteSkew = *routeSkew
+		if err := specs[i].Validate(); err != nil {
+			fmt.Fprintf(stderr, "lbicabench: %v\n", err)
+			return cli.ErrUsage
+		}
 	}
+
+	if *perfMode {
+		rep := perf.Run(*perfFilter, *intervals)
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	}
+
+	start := time.Now()
+	fmt.Fprintf(stderr, "running the 3 workloads × 3 schemes matrix...\n")
 	m, err := experiments.RunSpecs(ctx, specs, *workers, func(done, total int) {
 		fmt.Fprintf(stderr, "  %d/%d runs done (%v)\n", done, total, time.Since(start).Round(time.Millisecond))
 	})

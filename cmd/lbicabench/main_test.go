@@ -160,65 +160,72 @@ func TestRunPerfCheck(t *testing.T) {
 }
 
 // -perf-check takes a comma-separated baseline list, checking each in
-// turn, and understands the before/after narrative schema
-// (BENCH_hotpath.json): the "after" measurements are the gated numbers.
-func TestRunPerfCheckMultiBaselineAndNarrative(t *testing.T) {
+// turn; every baseline must be a perf report (the one BENCH_*.json
+// schema).
+func TestRunPerfCheckMultiBaseline(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, data string) string {
+	write := func(name string, rep perf.Report) string {
 		t.Helper()
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	rep, err := json.Marshal(perf.Report{Intervals: 1, Results: []perf.Result{
+	report := write("report.json", perf.Report{Intervals: 1, Results: []perf.Result{
 		{Name: "kernel/schedule-cancel", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := write("report.json", string(rep))
-	narrative := write("narrative.json", `{
-		"benchmark": "hot-path overhaul",
-		"command": "lbicabench -perf",
-		"results": {
-			"kernel/schedule-fire": {
-				"before": {"ns_per_op": 1, "allocs_per_op": 1},
-				"after": {"ns_per_op": 1e9, "allocs_per_op": 1048576},
-				"speedup": 1.0
-			}
-		}
-	}`)
+	second := write("second.json", perf.Report{Results: []perf.Result{
+		{Name: "kernel/schedule-fire", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
+	}})
 
 	var out, errBuf strings.Builder
-	if err := run(t.Context(), []string{"-perf-check", report + "," + narrative}, &out, &errBuf); err != nil {
+	if err := run(t.Context(), []string{"-perf-check", report + "," + second}, &out, &errBuf); err != nil {
 		t.Fatalf("generous baseline list failed: %v (stderr: %s)", err, errBuf.String())
 	}
 	if got := strings.Count(errBuf.String(), "within tolerance"); got != 2 {
 		t.Errorf("want 2 pass verdicts (one per baseline), got %d:\n%s", got, errBuf.String())
 	}
 
-	// A regression in any listed baseline fails the whole gate — the
-	// narrative's unreachable "after" must breach even though the report
-	// baseline passes.
-	regressed := write("regressed.json", `{
-		"results": {
-			"kernel/schedule-fire": {
-				"before": {"ns_per_op": 1, "allocs_per_op": 1},
-				"after": {"ns_per_op": 1e-6, "allocs_per_op": 0}
-			}
-		}
-	}`)
+	// A regression in any listed baseline fails the whole gate.
+	regressed := write("regressed.json", perf.Report{Results: []perf.Result{
+		{Name: "kernel/schedule-fire", NsPerOp: 1e-6, AllocsPerOp: 0},
+	}})
 	errBuf.Reset()
 	if err := run(t.Context(), []string{"-perf-check", report + "," + regressed}, &out, &errBuf); err == nil {
-		t.Fatal("regressed narrative baseline passed the multi-baseline gate")
+		t.Fatal("regressed baseline passed the multi-baseline gate")
 	}
 
-	// A narrative entry without an after-measurement is malformed.
-	noAfter := write("no_after.json", `{"results": {"kernel/schedule-fire": {"before": {"ns_per_op": 1}}}}`)
-	if err := run(t.Context(), []string{"-perf-check", noAfter}, &out, &errBuf); err == nil {
-		t.Error("narrative baseline without after-measurements passed")
+	// A file in any other schema is an error, not an empty gate.
+	other := filepath.Join(dir, "other.json")
+	if err := os.WriteFile(other, []byte(`{"results": {"kernel/schedule-fire": {"after": {"ns_per_op": 1}}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(t.Context(), []string{"-perf-check", other}, &out, &errBuf); err == nil {
+		t.Error("a baseline that is not a perf report passed")
+	}
+}
+
+// Bad matrix flags are usage errors before anything runs — in the perf
+// suite too — and -fig only names a figure that exists.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-intervals", "-3", "-summary"},
+		{"-rate", "-1"},
+		{"-perf", "-perf-filter", "matrix", "-intervals", "-1"},
+		{"-fig", "9"},
+	} {
+		var out, errBuf strings.Builder
+		if err := run(t.Context(), append(args, "-out", t.TempDir()), &out, &errBuf); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("args %v: err = %v, want cli.ErrUsage", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: wrote to stdout:\n%s", args, out.String())
+		}
 	}
 }
 

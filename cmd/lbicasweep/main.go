@@ -35,8 +35,8 @@
 //	lbicasweep -intervals 20 -workers 1
 //
 // -warmup shares one simulated warmup prefix across all schemes of a
-// grid coordinate: the prefix runs once and each scheme's run is forked
-// from the warm state. Output bytes are identical to -warmup 0; only
+// grid coordinate: the prefix runs once and each scheme's run is
+// restored from the warm state. Output bytes are identical to -warmup 0; only
 // wall-clock time shrinks:
 //
 //	lbicasweep -warmup 50

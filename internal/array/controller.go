@@ -324,29 +324,6 @@ func (rt *adaptiveRouter) observe(loads []float64, smoothing, minShare float64) 
 	rt.rebuildCDF()
 }
 
-// clone deep-copies the router mid-run: the RNG resumes at the exact draw
-// position, every weight/estimate slice is copied, and the pin table is
-// rebuilt — afterwards the copy and the original share no mutable state,
-// so a forked controller adapts independently yet identically to a
-// from-scratch run that saw the same history.
-func (rt *adaptiveRouter) clone() *adaptiveRouter {
-	rt2 := &adaptiveRouter{
-		n:       rt.n,
-		variant: rt.variant,
-		rng:     rt.rng.Clone(),
-		weights: append([]float64(nil), rt.weights...),
-		cdf:     append([]float64(nil), rt.cdf...),
-		est:     append([]float64(nil), rt.est...),
-		primed:  rt.primed,
-		routed:  append([]uint64(nil), rt.routed...),
-		pins:    make(map[int64]int, len(rt.pins)),
-	}
-	for b, v := range rt.pins {
-		rt2.pins[b] = v
-	}
-	return rt2
-}
-
 // feedGen is the refillable per-volume generator under a controlled run:
 // the controller routes each interval's slice of the base stream into the
 // owning volume's feed before stepping it. It implements HotBlocks by
@@ -378,19 +355,6 @@ func (f *feedGen) HotBlocks(n int) []int64 {
 	return f.hot.HotBlocks(n)
 }
 
-// CloneGenerator implements workload.CloneableGenerator so
-// engine.Stack.Fork can deep-copy a controlled volume: the unconsumed
-// queue is copied, the consumed prefix dropped (Next never revisits it).
-// The prewarm delegate is shared — it is only read, and only before the
-// run starts; Controlled.Fork re-points it at the forked base stream.
-func (f *feedGen) CloneGenerator() workload.Generator {
-	return &feedGen{
-		name: f.name,
-		hot:  f.hot,
-		reqs: append([]workload.Request(nil), f.reqs[f.pos:]...),
-	}
-}
-
 func (f *feedGen) push(r workload.Request) {
 	if f.pos == len(f.reqs) {
 		// The volume consumed everything queued so far; recycle the slice
@@ -415,7 +379,7 @@ type hotCount struct {
 // interval barrier. NewControlled builds it, StepTo advances it round by
 // round, Finish runs the remainder and collects; RunControlled is the
 // one-shot composition. Between StepTo calls the whole array is parked at
-// an interval barrier — the quiescent point Fork deep-copies.
+// an interval barrier.
 //
 // Determinism contract: the controller routes requests and makes every
 // decision serially, between rounds, from state the barrier freezes —
@@ -549,67 +513,6 @@ func (c *Controlled) StepTo(ctx context.Context, interval int) error {
 		}
 	}
 	return c.runErr
-}
-
-// Fork deep-copies the whole controlled array at its current interval
-// barrier: the base stream and the adaptive router (weights, estimates,
-// RNG position, pin table) are cloned, and every volume stack is forked
-// through engine.Stack.Fork — per-volume balancer state included. The
-// fork and the original share no mutable state; finishing the fork yields
-// results byte-identical to a from-scratch run of the same length.
-//
-// The base generator must implement workload.CloneableGenerator; Fork
-// fails otherwise, or when any volume's stack cannot fork.
-func (c *Controlled) Fork(ctx context.Context) (*Controlled, error) {
-	if c.runErr != nil {
-		return nil, c.runErr
-	}
-	cg, ok := c.base.(workload.CloneableGenerator)
-	if !ok {
-		return nil, fmt.Errorf("array: base generator %q is not cloneable", c.base.Name())
-	}
-	base2 := cg.CloneGenerator()
-	if base2 == nil {
-		return nil, fmt.Errorf("array: base generator %q failed to clone", c.base.Name())
-	}
-	c2 := &Controlled{
-		cfg:          c.cfg,
-		intervals:    c.intervals,
-		monitorEvery: c.monitorEvery,
-		base:         base2,
-		rt:           c.rt.clone(),
-		feeds:        make([]*feedGen, len(c.feeds)),
-		stacks:       make([]*engine.Stack, len(c.stacks)),
-		counts:       make([]map[int64]uint64, len(c.counts)),
-		pending:      c.pending,
-		hasPending:   c.hasPending,
-		next:         c.next,
-		loads:        append([]float64(nil), c.loads...),
-	}
-	hot, _ := base2.(interface{ HotBlocks(int) []int64 })
-	for v, st := range c.stacks {
-		f, err := st.Fork(ctx, nil)
-		if err != nil {
-			return nil, fmt.Errorf("array: forking volume %d: %w", v, err)
-		}
-		fg, ok := f.Generator().(*feedGen)
-		if !ok {
-			return nil, fmt.Errorf("array: forked volume %d generator is %T, want controller feed", v, f.Generator())
-		}
-		// Re-point the cloned feed's prewarm delegate at the forked base
-		// stream so the fork holds no reference into the original's.
-		fg.hot = hot
-		c2.stacks[v] = f
-		c2.feeds[v] = fg
-	}
-	for v, m := range c.counts {
-		m2 := make(map[int64]uint64, len(m))
-		for b, n := range m {
-			m2[b] = n
-		}
-		c2.counts[v] = m2
-	}
-	return c2, nil
 }
 
 // Finish runs the remaining interval rounds, streams and drains the

@@ -175,19 +175,6 @@ func (r *Router) Route(req workload.Request) int {
 	}
 }
 
-// Clone deep-copies the router mid-stream: the copy's RNG resumes at the
-// original's exact draw position, so the clone keeps making the same
-// decisions the original would have — the property an array fork needs to
-// stay byte-identical to a from-scratch run. The Zipf CDF is immutable
-// after construction and is shared.
-func (r *Router) Clone() *Router {
-	r2 := *r
-	if r.rng != nil {
-		r2.rng = r.rng.Clone()
-	}
-	return &r2
-}
-
 // RouteBlock is the Hash policy's pure routing function on a 4 KiB block
 // number — exposed so affine prewarm filtering can ask "could this block
 // ever be routed here?" without synthesizing a request.
@@ -210,18 +197,15 @@ func (r *Router) RouteBlock(block int64) int {
 // route here, overfetched by the array width so the volume still fills
 // its quota.
 //
-// The returned generator implements workload.CloneableGenerator whenever
-// the base stream does: cloning copies the base stream and the router at
-// their exact mid-stream positions, so engine.Stack.Fork can deep-copy a
-// statically routed volume and the fork replays the identical sub-stream.
+// The returned generator is checkpointable whenever the base stream is:
+// its state is the base stream's and the router's mid-stream positions.
 func VolumeGen(gen workload.Generator, rt *Router, vol int) workload.Generator {
 	return newVolumeGen(gen, rt, vol)
 }
 
 // volumeGen is VolumeGen's concrete type: a Filter over the base stream
 // whose predicate closes over a private router copy, plus the handles
-// (base generator, router, volume index) CloneGenerator needs to rebuild
-// the same wiring around cloned state.
+// (base generator, router, volume index) its checkpoint codec walks.
 type volumeGen struct {
 	inner workload.Generator
 	rt    *Router
@@ -247,17 +231,3 @@ func (g *volumeGen) Next() (workload.Request, bool) { return g.f.Next() }
 
 // HotBlocks forwards the filtered prewarm set.
 func (g *volumeGen) HotBlocks(n int) []int64 { return g.f.HotBlocks(n) }
-
-// CloneGenerator implements workload.CloneableGenerator when the base
-// stream does (nil otherwise, the interface's "cannot fork" signal).
-func (g *volumeGen) CloneGenerator() workload.Generator {
-	cg, ok := g.inner.(workload.CloneableGenerator)
-	if !ok {
-		return nil
-	}
-	inner2 := cg.CloneGenerator()
-	if inner2 == nil {
-		return nil
-	}
-	return newVolumeGen(inner2, g.rt.Clone(), g.vol)
-}

@@ -152,9 +152,9 @@ type Request struct {
 	// OnComplete, when non-nil, runs when the device finishes the request
 	// (after timestamps are stamped). The engine uses it to chain the
 	// request lifecycle: miss fill → promote, eviction → writeback, etc.
-	// It is an interface rather than a bare func so that fork machinery
-	// can identify and re-create the callback against a cloned stack (see
-	// Cloner); ad-hoc callers adapt plain functions with CompleterFunc.
+	// It is an interface rather than a bare func so that the checkpoint
+	// codec can identify and re-create the callback against a restored
+	// stack; ad-hoc callers adapt plain functions with CompleterFunc.
 	OnComplete Completer
 
 	// Recycle marks a request owned by a request pool: after every
@@ -165,48 +165,20 @@ type Request struct {
 }
 
 // Completer receives a request's completion. Completion callbacks are
-// typed values instead of bare funcs so a fork can recognize each one and
-// rebuild it against the cloned stack: every completer the engine or
-// queue layer installs also implements ForkableCompleter.
+// typed values instead of bare funcs so the checkpoint codec can recognize
+// each one and rebuild it against a restored stack: every completer the
+// engine or queue layer installs also implements ckpt.EncodableCompleter.
 type Completer interface {
 	Complete(*Request)
 }
 
 // CompleterFunc adapts a plain function as a Completer — the convenience
-// for tests and tools. A CompleterFunc is not forkable: a stack holding
-// one in flight cannot be forked.
+// for tests and tools. A CompleterFunc is not checkpointable: a stack
+// holding one in flight cannot be encoded.
 type CompleterFunc func(*Request)
 
 // Complete calls f.
 func (f CompleterFunc) Complete(r *Request) { f(r) }
-
-// Cloner is the fork context handed to ForkableCompleter.CloneFor: it
-// deep-copies request-graph state, memoizing so that a request (or
-// completer) referenced from several places maps to a single clone.
-type Cloner interface {
-	// CloneRequest returns the clone of r, creating it on first use.
-	CloneRequest(r *Request) *Request
-	// CloneCompleter returns the clone of c (nil for nil), dispatching to
-	// c's CloneFor on first use.
-	CloneCompleter(c Completer) Completer
-	// Env maps a component of the original stack (a queue, a server, the
-	// stack itself) to its clone-side counterpart; it panics on a
-	// component the fork did not register.
-	Env(old any) any
-	// Register records old → clone in the Env map. Components whose
-	// Clone method both builds the clone and walks state referencing the
-	// component itself (a queue cloning its pending chains) register the
-	// shell before the walk.
-	Register(old, clone any)
-}
-
-// ForkableCompleter is a Completer that can re-create itself against a
-// forked stack. CloneFor must return a completer whose behavior on the
-// cloned request graph matches the original's on the original graph.
-type ForkableCompleter interface {
-	Completer
-	CloneFor(Cloner) Completer
-}
 
 // Op returns the transfer direction of the request.
 func (r *Request) Op() Op { return r.Origin.Op() }

@@ -719,19 +719,6 @@ func (c *Cache) Prewarm(blocks []int64) {
 	}
 }
 
-// Clone returns an independent deep copy of the cache: tags, line
-// metadata, statistics, tick counter and the Random-replacement xorshift
-// state all copied, so the clone's future decisions are identical to the
-// original's draw for draw. The victims scratch buffer starts fresh (it
-// is only valid between calls anyway). Part of the stack-fork machinery.
-func (c *Cache) Clone() *Cache {
-	c2 := *c
-	c2.tags = append([]int64(nil), c.tags...)
-	c2.meta = append([]lineMeta(nil), c.meta...)
-	c2.victims = nil
-	return &c2
-}
-
 // CheckInvariants validates internal consistency; tests call it after
 // random operation sequences. It returns nil when consistent.
 func (c *Cache) CheckInvariants() error {

@@ -7,8 +7,7 @@ import "lbica/internal/ckpt"
 // the Random-replacement xorshift state. Geometry (cfg, ways, setMask)
 // is excluded — it is a pure function of the configuration the restoring
 // side rebuilds from, and the array lengths cross-check it on decode.
-// The victims scratch buffer is transient per Access call and skipped,
-// exactly as Clone drops it.
+// The victims scratch buffer is transient per Access call and skipped.
 func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("cache.Cache")
 	enc.U8(uint8(c.policy))
@@ -30,9 +29,11 @@ func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 	c.stats.EncodeState(enc)
 }
 
-// DecodeState restores the cache in place. The line count must match the
-// freshly built geometry: a checkpoint for a different cache size is
-// corrupt relative to this configuration.
+// DecodeState restores the cache in place, into the tag and metadata
+// arrays the fresh build allocated. The line count must match the freshly
+// built geometry: a checkpoint for a different cache size is corrupt
+// relative to this configuration. On error the arrays may be partly
+// overwritten; the stack is discarded then.
 func (c *Cache) DecodeState(d *ckpt.Decoder) {
 	d.Section("cache.Cache")
 	policy := Policy(d.U8())
@@ -44,13 +45,11 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 		d.Failf("cache line count %d differs from geometry %d", n, len(c.tags))
 		return
 	}
-	tags := make([]int64, n)
-	for i := range tags {
-		tags[i] = d.I64()
+	for i := range c.tags {
+		c.tags[i] = d.I64()
 	}
-	meta := make([]lineMeta, n)
-	for i := range meta {
-		meta[i] = lineMeta{
+	for i := range c.meta {
+		c.meta[i] = lineMeta{
 			epoch:    d.U64(),
 			lastUse:  d.U64(),
 			loadedAt: d.U64(),
@@ -72,8 +71,6 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 		return
 	}
 	c.policy = policy
-	c.tags = tags
-	c.meta = meta
 	c.tick = tick
 	c.dirty = dirty
 	c.valid = valid

@@ -31,7 +31,7 @@ import (
 // whenever any layer's wire encoding changes (the per-package EncodeState
 // bodies, the completer payloads, or this container) so stale caches read
 // as misses instead of corrupt state.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -41,29 +41,15 @@ const magic = "LBICACK1"
 // allocation. Real warmed-stack payloads are a few MiB.
 const maxFileSize = 1 << 30
 
-// EncodeStack serializes a mid-run stack into one checkpoint payload.
-func EncodeStack(st *engine.Stack) ([]byte, error) {
-	enc := ckpt.NewEncoder()
-	st.EncodeState(enc)
-	if err := enc.Err(); err != nil {
-		return nil, err
-	}
-	return enc.Data(), nil
-}
+// EncodeStack serializes a mid-run stack into one checkpoint payload
+// (engine.Stack.Encode).
+func EncodeStack(st *engine.Stack) ([]byte, error) { return st.Encode() }
 
 // DecodeStack restores one checkpoint payload onto a freshly built,
 // not-yet-started stack (see engine.Stack.DecodeState for the contract).
 // The stack must be discarded on error.
 func DecodeStack(ctx context.Context, st *engine.Stack, payload []byte) error {
-	d := ckpt.NewDecoder(payload)
-	st.DecodeState(ctx, d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n := d.Remaining(); n > 0 {
-		return fmt.Errorf("ckpt: %d trailing bytes after stack state", n)
-	}
-	return nil
+	return st.Decode(ctx, payload)
 }
 
 // WriteFile atomically publishes a checkpoint container: the key it was

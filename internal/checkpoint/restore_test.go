@@ -3,13 +3,17 @@ package checkpoint_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"lbica/internal/array"
+	"lbica/internal/cache"
 	"lbica/internal/checkpoint"
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
+	"lbica/internal/sim"
 )
 
 func ckptSpec(wl, scheme string) experiments.Spec {
@@ -174,7 +178,10 @@ func TestRestoreWithInFlightEvictions(t *testing.T) {
 
 // TestRestoreDropBalancerFork pins the warm plan's WB trick on a restored
 // leader: while the balancer has not acted, a DropBalancer fork off a
-// restored LBICA leader is byte-identical to a from-scratch WB run.
+// restored LBICA leader is byte-identical to a from-scratch WB run. The
+// same holds for an LBICA payload decoded straight onto a WB stack, on
+// every volume of a static array. A SIB prefix, a prefix the balancer
+// acted on, and a stack pinned to another cache policy are refused.
 func TestRestoreDropBalancerFork(t *testing.T) {
 	ctx := context.Background()
 	lbSpec := ckptSpec(experiments.WorkloadTPCC, experiments.SchemeLBICA)
@@ -197,4 +204,70 @@ func TestRestoreDropBalancerFork(t *testing.T) {
 	mustEqual(t, f.Collect(), runScratch(wbSpec), "WB fork off restored leader")
 	restored.Drain()
 	mustEqual(t, restored.Collect(), runScratch(lbSpec), "restored LBICA leader")
+
+	// The same restore on every volume of a 3-volume statically routed
+	// array, the shape the sweep's array warm plan shares: each volume's
+	// LBICA payload, restored onto a WB volume stack, equals a scratch WB
+	// run of that volume.
+	acfg := array.Config{Volumes: 3, Policy: array.Zipf, Skew: 1.2}
+	volumeStack := func(spec experiments.Spec, vol int) *engine.Stack {
+		cfg := engine.DefaultConfig()
+		cfg.Seed = sim.Stream(spec.Seed, vol)
+		cfg.Volume = vol
+		cfg.MonitorEvery = spec.Interval
+		gen := array.VolumeGen(experiments.NewGenerator(spec), acfg.NewRouter(spec.Seed), vol)
+		return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
+	}
+	for vol := 0; vol < acfg.Volumes; vol++ {
+		leader := volumeStack(lbSpec, vol)
+		leader.Start(ctx, lbSpec.Intervals)
+		leader.StepTo(barrier)
+		if leader.BalancerActed() {
+			t.Fatalf("volume %d: balancer acted by %v; no shared-warmup window", vol, barrier)
+		}
+		p, err := checkpoint.EncodeStack(leader)
+		if err != nil {
+			t.Fatalf("volume %d: EncodeStack: %v", vol, err)
+		}
+		wb := volumeStack(wbSpec, vol)
+		if err := checkpoint.DecodeStack(ctx, wb, p); err != nil {
+			t.Fatalf("volume %d: DecodeStack as WB: %v", vol, err)
+		}
+		wb.Drain()
+		want := volumeStack(wbSpec, vol).RunContext(ctx, wbSpec.Intervals)
+		mustEqual(t, wb.Collect(), want, fmt.Sprintf("volume %d restored as WB", vol))
+	}
+
+	// A SIB prefix was shaped by its balancer from t=0 (the WT+WO pin and
+	// the scan periodic): restoring it without the balancer must fail
+	// instead of running a divergent WB baseline.
+	sibPayload := warmPayload(t, ckptSpec(experiments.WorkloadTPCC, experiments.SchemeSIB), barrier)
+	if err := checkpoint.DecodeStack(ctx, buildStack(wbSpec), sibPayload); err == nil {
+		t.Error("a SIB prefix restored onto a WB stack")
+	}
+	// Nor may a prefix the LBICA balancer acted on, even once its cache is
+	// back in WB (tpcc's first burst is over by interval 33).
+	late := buildStack(lbSpec)
+	late.Start(ctx, lbSpec.Intervals)
+	late.StepTo(33 * lbSpec.Interval)
+	if !late.BalancerActed() {
+		t.Fatal("the tpcc balancer has not acted by interval 33")
+	}
+	actedPayload, err := checkpoint.EncodeStack(late)
+	if err != nil {
+		t.Fatalf("EncodeStack: %v", err)
+	}
+	if err := checkpoint.DecodeStack(ctx, buildStack(wbSpec), actedPayload); err == nil {
+		t.Error("a prefix the LBICA balancer acted on restored onto a WB stack")
+	}
+	// Nor may an LBICA prefix restore onto a stack that pins another
+	// cache policy: its WB cache would silently replace the pin.
+	roCfg := engine.DefaultConfig()
+	roCfg.Seed = wbSpec.Seed
+	roCfg.MonitorEvery = wbSpec.Interval
+	roCfg.Cache.InitialPolicy = cache.RO
+	ro := engine.New(roCfg, experiments.NewGenerator(wbSpec), nil)
+	if err := checkpoint.DecodeStack(ctx, ro, payload); err == nil {
+		t.Error("an LBICA prefix restored onto a stack pinned to RO")
+	}
 }

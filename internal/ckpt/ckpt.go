@@ -3,15 +3,14 @@
 // Encoder/Decoder that serialize the shared request/completer graph a
 // warmed stack holds in flight.
 //
-// The codec mirrors the fork machinery (internal/engine/fork.go) exactly:
-// where a fork deep-copies via block.Cloner — memoized requests, completer
-// CloneFor dispatch, an Env map from components to their clone-side
-// counterparts — the encoder writes memo references, kind-tagged completer
-// payloads, and small component ids, and the decoder replays them against
-// a freshly built stack. Decoding is strictly two-phase for completers
-// (allocate a placeholder, memoize it, then fill), which is what lets the
-// request graph's cycles (an in-flight application op is the completer of
-// its own legs) round-trip.
+// It is the only code that copies mid-run state: a persistent checkpoint,
+// a warm-plan member restored from its leader's prefix, and an in-memory
+// engine.Stack.Fork all go through it. The encoder writes memo references
+// for shared requests, kind-tagged completer payloads, and small component
+// ids; the decoder replays them against a freshly built stack. Decoding is
+// strictly two-phase for completers (allocate a placeholder, memoize it,
+// then fill), which is what lets the request graph's cycles (an in-flight
+// application op is the completer of its own legs) round-trip.
 //
 // Every read is validated against the remaining input before it
 // allocates, so a truncated, bit-flipped, or hostile payload surfaces as
@@ -28,15 +27,33 @@ import (
 )
 
 // Writer accumulates a little-endian binary payload. Writes cannot fail.
+// A sizing Writer keeps no bytes and only counts them, so an encoder can
+// measure a payload before it allocates the buffer once (NewSizer).
 type Writer struct {
-	buf []byte
+	buf    []byte
+	sizing bool
+	n      int
 }
 
-// Data returns the accumulated payload.
+// Data returns the accumulated payload (nil on a sizing Writer).
 func (w *Writer) Data() []byte { return w.buf }
 
+// Len returns the number of bytes written, or counted, so far.
+func (w *Writer) Len() int {
+	if w.sizing {
+		return w.n
+	}
+	return len(w.buf)
+}
+
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) {
+	if w.sizing {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
 
 // Bool writes a boolean as one byte.
 func (w *Writer) Bool(v bool) {
@@ -49,11 +66,19 @@ func (w *Writer) Bool(v bool) {
 
 // U32 writes a fixed 32-bit value.
 func (w *Writer) U32(v uint32) {
+	if w.sizing {
+		w.n += 4
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 // U64 writes a fixed 64-bit value.
 func (w *Writer) U64(v uint64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -75,7 +100,22 @@ func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
+	if w.sizing {
+		w.n += len(s)
+		return
+	}
 	w.buf = append(w.buf, s...)
+}
+
+// Frame writes what body writes behind a u32 length prefix, so a reader
+// can step over the frame without decoding it (Reader.SkipFrame).
+func (w *Writer) Frame(body func()) {
+	at := w.Len()
+	w.U32(0)
+	body()
+	if !w.sizing {
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	}
 }
 
 // Reader consumes a payload written by Writer. The first failed read sets
@@ -171,6 +211,21 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
+// Frame reads a frame written by Writer.Frame: body decodes its content,
+// which must consume exactly the recorded length.
+func (r *Reader) Frame(body func()) {
+	n := int(r.U32())
+	start := r.off
+	body()
+	if r.err == nil && r.off-start != n {
+		r.Failf("frame of %d bytes decoded as %d", n, r.off-start)
+	}
+}
+
+// SkipFrame steps over a frame written by Writer.Frame without decoding
+// it.
+func (r *Reader) SkipFrame() { r.take(int(r.U32())) }
+
 // Count reads a u32 element count and validates it against the remaining
 // input assuming each element occupies at least elemSize bytes — the
 // guard that keeps a hostile length prefix from driving an unbounded
@@ -201,10 +256,19 @@ type Encoder struct {
 	envIDs  map[any]uint32
 }
 
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder {
+// NewEncoder returns an empty encoder whose buffer holds size bytes
+// before it has to grow.
+func NewEncoder(size int) *Encoder {
+	return newEncoder(&Writer{buf: make([]byte, 0, size)})
+}
+
+// NewSizer returns an encoder that keeps no bytes: after an encode pass,
+// Len is the exact length the same pass writes through NewEncoder.
+func NewSizer() *Encoder { return newEncoder(&Writer{sizing: true}) }
+
+func newEncoder(w *Writer) *Encoder {
 	return &Encoder{
-		Writer:  &Writer{},
+		Writer:  w,
 		reqIDs:  make(map[*block.Request]uint32),
 		compIDs: make(map[block.Completer]uint32),
 		envIDs:  make(map[any]uint32),
@@ -257,8 +321,7 @@ type StateCodec interface {
 
 // EncodableCompleter is a completion callback the codec can serialize:
 // it names its registered kind and writes its payload. Every completer
-// the engine or queue layer installs implements it, mirroring
-// block.ForkableCompleter.
+// the engine or queue layer installs implements it.
 type EncodableCompleter interface {
 	block.Completer
 	CkptKind() string
@@ -268,7 +331,7 @@ type EncodableCompleter interface {
 // Request encodes a request reference: nil, a memo back-reference, or —
 // on first encounter — the request's fields followed by its completion
 // callback. Shared requests (a queue node and a server's in-flight op
-// pointing at the same request) round-trip to a single shared clone.
+// pointing at the same request) round-trip to a single shared request.
 func (e *Encoder) Request(r *block.Request) {
 	if r == nil {
 		e.U32(0)
@@ -361,7 +424,8 @@ func NewDecoder(b []byte) *Decoder {
 // Section reads a marker written by Encoder.Section and fails if it does
 // not match.
 func (d *Decoder) Section(tag string) {
-	if got := d.String(); d.err == nil && got != tag {
+	got := d.take(int(d.U32()))
+	if d.err == nil && string(got) != tag {
 		d.Failf("section marker mismatch: want %q, got %q", tag, got)
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 // must surface the root cause, not whatever later write happened to
 // trip over the broken stream.
 func TestEncoderFailfSticky(t *testing.T) {
-	e := NewEncoder()
+	e := NewEncoder(0)
 	if e.Err() != nil {
 		t.Fatalf("fresh encoder carries error %v", e.Err())
 	}

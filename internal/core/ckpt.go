@@ -5,8 +5,8 @@ import (
 	"lbica/internal/ckpt"
 )
 
-// EncodeState serializes the balancer's classifier state — exactly the
-// plain values ForkFor struct-copies: burst/clear runs, arming, group,
+// EncodeState serializes the balancer's classifier state — all plain
+// values: burst/clear runs, arming, group,
 // decision counters, the demand EWMA, and the census-reconstruction
 // counter snapshots. cfg and the stack handle are configuration.
 func (l *LBICA) EncodeState(enc *ckpt.Encoder) {

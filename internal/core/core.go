@@ -308,17 +308,10 @@ func (l *LBICA) Attach(st *engine.Stack) {
 	st.Monitor().OnClose(l.onSample)
 }
 
-// ForkFor implements engine.ForkableBalancer: the classifier state
-// (burst runs, arming, group, EWMA, counter snapshots) is all plain
-// values, so the clone is a struct copy re-pointed at the forked stack.
-// Unlike Attach it sets no policy — the forked cache already carries
-// whatever policy this balancer last applied.
-func (l *LBICA) ForkFor(st *engine.Stack) engine.Balancer {
-	l2 := *l
-	l2.st = st
-	st.Monitor().OnClose(l2.onSample)
-	return &l2
-}
+// Fresh implements engine.FreshBalancer: an unattached balancer with this
+// one's configuration, the sibling engine.Stack.Fork decodes its state
+// onto.
+func (l *LBICA) Fresh() engine.Balancer { return New(l.cfg) }
 
 func (l *LBICA) onSample(s iostat.Sample) {
 	l.demandEWMA.Add(l.demandUtil(s))

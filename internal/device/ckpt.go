@@ -57,8 +57,7 @@ func (h *HDD) DecodeModelState(d *ckpt.Decoder) {
 
 // EncodeState serializes the server: model state, service accounting,
 // every in-flight request with its pending completion event, and every
-// pending stall slot — the same working set Clone deep-copies. The op
-// pools are behavior-invisible and excluded; the hooks are closures the
+// pending stall slot. The op pools are behavior-invisible and excluded; the hooks are closures the
 // restoring stack already wired.
 func (s *Server) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("device.Server")
@@ -84,8 +83,8 @@ func (s *Server) EncodeState(enc *ckpt.Encoder) {
 
 // DecodeState restores the server in place against its engine (already
 // restored, so every recorded completion event has a pending slot
-// awaiting rebind). Mirrors Clone: each live op is rebuilt with a fresh
-// bound callback and its event rebound by (slot, generation).
+// awaiting rebind). Each live op is rebuilt with a fresh bound callback
+// and its event rebound by (slot, generation).
 func (s *Server) DecodeState(d *ckpt.Decoder) {
 	d.Section("device.Server")
 	m, ok := s.model.(EncodableModel)

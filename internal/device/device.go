@@ -89,20 +89,6 @@ func NewSSD(cfg SSDConfig, g *sim.RNG) *SSD {
 	}
 }
 
-// CloneModel implements CloneableModel: the clone owns an RNG positioned
-// at the original's current draw point — both dists share the one cloned
-// stream, preserving the read/write draw interleaving.
-func (s *SSD) CloneModel() Model {
-	g := s.g.Clone()
-	return &SSD{
-		cfg:          s.cfg,
-		g:            g,
-		read:         sim.LogNormal{M: s.cfg.ReadBase, Sigma: s.cfg.Sigma, G: g},
-		write:        sim.LogNormal{M: s.cfg.WriteBase, Sigma: s.cfg.Sigma, G: g},
-		recentWrites: s.recentWrites,
-	}
-}
-
 // Service implements Model.
 func (s *SSD) Service(r *block.Request) time.Duration {
 	var base time.Duration
@@ -220,16 +206,6 @@ func NewHDD(cfg HDDConfig, g *sim.RNG) *HDD {
 // drain model. The engine passes its sim clock.
 func (h *HDD) SetClock(fn func() time.Duration) { h.clock = fn }
 
-// CloneModel implements CloneableModel. The clock is a closure over the
-// original engine and is NOT carried over — the forked stack must call
-// SetClock with its own engine's clock before running.
-func (h *HDD) CloneModel() Model {
-	h2 := *h
-	h2.g = h.g.Clone()
-	h2.clock = nil
-	return &h2
-}
-
 // WriteCacheRejects reports how many writes overflowed the controller
 // cache and fell through to spindle latency.
 func (h *HDD) WriteCacheRejects() uint64 { return h.wcRejects }
@@ -314,8 +290,8 @@ type Server struct {
 	onRelease  func(*block.Request)
 	freeOps    []*inflightOp
 	// live tracks dispatched-but-uncompleted ops and stalls the pending
-	// stall slots: the working set a fork must clone and rebind. Each op
-	// carries its pending event handle for exactly that purpose.
+	// stall slots: the working set a checkpoint must encode and rebind.
+	// Each op carries its pending event handle for exactly that purpose.
 	live       []*inflightOp
 	stalls     []*stallOp
 	freeStalls []*stallOp
@@ -329,7 +305,7 @@ type inflightOp struct {
 	s   *Server
 	r   *block.Request
 	idx int       // position in s.live, for swap-remove
-	ev  sim.Event // the pending completion event, for fork rebinding
+	ev  sim.Event // the pending completion event, for checkpointing
 	fn  func()    // bound to complete once, at allocation
 }
 
@@ -378,7 +354,7 @@ func (s *Server) getOp(r *block.Request) *inflightOp {
 }
 
 // stallOp is one pending Stall slot occupation, tracked like an inflight
-// op so forks can rebind its wakeup event.
+// op so a restore can rebind its wakeup event.
 type stallOp struct {
 	s   *Server
 	idx int
@@ -490,59 +466,4 @@ func (s *Server) Utilization(elapsed time.Duration) float64 {
 
 func (s *Server) String() string {
 	return fmt.Sprintf("server(%s inflight=%d done=%d)", s.model.Name(), s.inflight, s.completed)
-}
-
-// CloneableModel is a Model that can be deep-copied for a stack fork,
-// cloning any internal RNG and locality state.
-type CloneableModel interface {
-	Model
-	CloneModel() Model
-}
-
-// Model returns the server's device model (the fork machinery uses it to
-// re-attach an HDD clone's clock).
-func (s *Server) Model() Model { return s.model }
-
-// Clone deep-copies the server against a forked engine: the model's RNG
-// and locality state, every in-flight request (cloned through cl, its
-// pending completion event rebound into eng), and every pending stall
-// slot. The dispatch/done/release hooks are closures over the original
-// stack and are NOT carried over; the caller installs clone-side hooks
-// (onDone here, OnDispatch/OnRelease after). It fails if the model is not
-// cloneable or any pending event fails to rebind.
-func (s *Server) Clone(eng *sim.Engine, source Source, cl block.Cloner, onDone func(*block.Request)) (*Server, error) {
-	cm, ok := s.model.(CloneableModel)
-	if !ok {
-		return nil, fmt.Errorf("device: model %s is not cloneable", s.model.Name())
-	}
-	s2 := &Server{
-		eng:       eng,
-		model:     cm.CloneModel(),
-		source:    source,
-		inflight:  s.inflight,
-		busy:      s.busy,
-		completed: s.completed,
-		onDone:    onDone,
-	}
-	for _, op := range s.live {
-		op2 := &inflightOp{s: s2, r: cl.CloneRequest(op.r), idx: len(s2.live)}
-		op2.fn = op2.complete
-		ev, ok := eng.Rebind(op.ev, op2.fn)
-		if !ok {
-			return nil, fmt.Errorf("device: %s: in-flight completion event failed to rebind", s.model.Name())
-		}
-		op2.ev = ev
-		s2.live = append(s2.live, op2)
-	}
-	for _, op := range s.stalls {
-		op2 := &stallOp{s: s2, idx: len(s2.stalls)}
-		op2.fn = op2.fire
-		ev, ok := eng.Rebind(op.ev, op2.fn)
-		if !ok {
-			return nil, fmt.Errorf("device: %s: stall event failed to rebind", s.model.Name())
-		}
-		op2.ev = ev
-		s2.stalls = append(s2.stalls, op2)
-	}
-	return s2, nil
 }

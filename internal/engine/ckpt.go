@@ -1,18 +1,18 @@
 // Stack checkpointing: serialize a mid-run stack to bytes and restore it
-// onto a freshly built stack of the same configuration. The codec is the
-// persistent twin of Fork (fork.go): where Fork deep-copies live state
-// into a sibling process-local stack, EncodeState writes the exact same
-// state set to the wire — engine arena, cache, queues with their
-// in-flight request graphs, device servers, monitor, balancer, generator
-// — and DecodeState replays it in place, rebinding the event chains the
-// way Fork does. The determinism contract carries over verbatim: a
-// restored stack, run to completion, produces byte-identical Results to
-// the stack that was checkpointed (and therefore to an uninterrupted
-// from-scratch run).
+// onto a freshly built stack of the same configuration. It is the only
+// code that copies mid-run state — persistent checkpoints, warm-plan
+// members and Fork (fork.go) all go through it. EncodeState writes the
+// full state set — engine arena, cache, queues with their in-flight
+// request graphs, device servers, monitor, balancer, generator — and
+// DecodeState replays it in place, rebinding the event chains onto the
+// restored arena. Determinism contract: a restored stack, run to
+// completion, produces byte-identical Results to the stack that was
+// checkpointed (and therefore to an uninterrupted from-scratch run).
 package engine
 
 import (
 	"context"
+	"fmt"
 
 	"lbica/internal/block"
 	"lbica/internal/cache"
@@ -110,10 +110,42 @@ func (op *wbCompleter) CkptKind() string { return "engine.wbCompleter" }
 // EncodeCkpt implements ckpt.EncodableCompleter.
 func (op *wbCompleter) EncodeCkpt(e *ckpt.Encoder) { (*evictOp)(op).encodePayload(e) }
 
+// Encode serializes the complete stack into one payload. A sizing pass
+// counts the bytes first, so the buffer is allocated once, at its exact
+// length.
+func (st *Stack) Encode() ([]byte, error) {
+	size := ckpt.NewSizer()
+	st.EncodeState(size)
+	if err := size.Err(); err != nil {
+		return nil, err
+	}
+	enc := ckpt.NewEncoder(size.Len())
+	st.EncodeState(enc)
+	if err := enc.Err(); err != nil {
+		return nil, err
+	}
+	return enc.Data(), nil
+}
+
+// Decode restores a payload written by Encode onto this freshly built,
+// not-yet-started stack (see DecodeState), which must consume all of it.
+// The stack must be discarded on error.
+func (st *Stack) Decode(ctx context.Context, payload []byte) error {
+	d := ckpt.NewDecoder(payload)
+	st.DecodeState(ctx, d)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := d.Remaining(); n > 0 {
+		return fmt.Errorf("ckpt: %d trailing bytes after stack state", n)
+	}
+	return nil
+}
+
 // EncodeState serializes the complete stack. It fails (sticky encoder
-// error, stack untouched) in exactly the cases Fork refuses: a traced
-// run, a generator or balancer without checkpoint support, or an
-// in-flight completer the codec does not know.
+// error, stack untouched) on a traced run, a generator or balancer
+// without checkpoint support, or an in-flight completer the codec does
+// not know.
 func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("engine.Stack")
 	if st.rec != trace.Discard {
@@ -175,6 +207,8 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 	st.ssd.EncodeState(enc)
 	st.hdd.EncodeState(enc)
 
+	// The balancer's state is framed, so a balancer-less stack can step
+	// over it (see DecodeState).
 	enc.Section("engine.balancer")
 	enc.String(st.schemeName())
 	enc.Bool(st.bal != nil)
@@ -184,7 +218,7 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 			enc.Failf("engine: balancer %q is not checkpointable", st.bal.Name())
 			return
 		}
-		bc.EncodeState(enc)
+		enc.Frame(func() { bc.EncodeState(enc) })
 	}
 	enc.U32(uint32(len(st.periodics)))
 	for i := range st.periodics {
@@ -203,6 +237,13 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 // where the checkpointed one was: StepTo/Drain/Collect/Fork all continue
 // from the restored state. On failure the decoder carries the error and
 // the stack must be discarded (it may be partially overwritten).
+//
+// A stack built without a balancer may also restore a checkpoint that
+// has one, dropping it: this is how a WB run resumes an LBICA leader's
+// warmup prefix. The balancer's state is skipped, and the restore is
+// refused unless the run is one the balancer never shaped — it has not
+// acted (BalancerActed), registered no periodic task (SIB's scans), and
+// left the cache in the policy this stack pins.
 //
 // ctx provides the cooperative-cancellation channel Start would have
 // installed; nil means background.
@@ -286,8 +327,7 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	st.pumpReq.Extent.Sectors = d.I64()
 	st.pumpStopped = d.Bool()
 
-	// Rebind the self-rescheduling chains onto the restored arena, the
-	// same claim pass Fork runs on a clone.
+	// Rebind the self-rescheduling chains onto the restored arena.
 	st.ctxDone = ctx.Done()
 	st.bindChainFns()
 	rebind := func(fn func(), what string) sim.Event {
@@ -325,17 +365,31 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if scheme != st.schemeName() || hasBal != (st.bal != nil) {
-		d.Failf("engine: checkpoint is for scheme %q, stack runs %q", scheme, st.schemeName())
-		return
-	}
-	if st.bal != nil {
+	if st.bal == nil {
+		if hasBal {
+			d.SkipFrame()
+		}
+		switch {
+		case d.Err() != nil:
+			return
+		case st.acted():
+			d.Failf("engine: the %s balancer already acted on this checkpoint, so it cannot be dropped", scheme)
+			return
+		case st.cch.Policy() != st.cfg.Cache.InitialPolicy:
+			d.Failf("engine: checkpoint's cache runs %s, this stack pins %s", st.cch.Policy(), st.cfg.Cache.InitialPolicy)
+			return
+		}
+	} else {
+		if scheme != st.schemeName() || !hasBal {
+			d.Failf("engine: checkpoint is for scheme %q, stack runs %q", scheme, st.schemeName())
+			return
+		}
 		bc, ok := st.bal.(ckpt.StateCodec)
 		if !ok {
 			d.Failf("engine: balancer %q is not checkpointable", st.bal.Name())
 			return
 		}
-		bc.DecodeState(d)
+		d.Frame(func() { bc.DecodeState(d) })
 	}
 	nPer := d.Count(9)
 	if d.Err() != nil {
@@ -370,8 +424,7 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	st.freeAppOps = nil
 	st.freeEvictOps = nil
 
-	// Every pending event must have found its owner above — the same
-	// closing invariant Fork enforces on a clone.
+	// Every pending event must have found its owner above.
 	if n := st.eng.UnboundEvents(); n > 0 {
 		d.Failf("engine: %d pending events were not rebound after restore", n)
 	}

@@ -257,8 +257,8 @@ type Stack struct {
 
 	// Pending event handles for the self-rescheduling chains (arrival
 	// pump, monitor tick, flusher). Each chain stores the handle of its
-	// next scheduled link so Fork can locate and rebind it on the cloned
-	// engine; a handle whose event already fired is simply stale and
+	// next scheduled link so a checkpoint can locate it and a restore
+	// rebind it; a handle whose event already fired is simply stale and
 	// ignored. The chain step bodies live in named methods, with the
 	// method values bound once (tickFn/flushFn) so rescheduling does not
 	// allocate.
@@ -281,7 +281,7 @@ type periodicTask struct {
 	every time.Duration
 	fn    func()
 	runFn func()    // chain step closure, created once when armed
-	ev    sim.Event // handle of the next scheduled link, for Fork rebinding
+	ev    sim.Event // handle of the next scheduled link, for checkpointing
 }
 
 // appOp tracks one application request from admission to completion: the
@@ -315,15 +315,6 @@ func (op *appOp) Complete(r *block.Request) {
 		p.ParentID = r.ID
 		st.pushSSD(p)
 	}
-}
-
-// CloneFor implements block.ForkableCompleter. The memoizing cloner
-// guarantees a write-through fan-out's two legs resolve to one cloned op,
-// preserving the legs countdown.
-func (op *appOp) CloneFor(cl block.Cloner) block.Completer {
-	op2 := *op
-	op2.st = cl.Env(op.st).(*Stack)
-	return &op2
 }
 
 func (st *Stack) newAppOp(arrival time.Duration) *appOp {
@@ -373,13 +364,6 @@ func (op *evictOp) Complete(r *block.Request) {
 	st.pushHDD(wb)
 }
 
-// CloneFor implements block.ForkableCompleter.
-func (op *evictOp) CloneFor(cl block.Cloner) block.Completer {
-	op2 := *op
-	op2.st = cl.Env(op.st).(*Stack)
-	return &op2
-}
-
 // wbCompleter is the writeback-leg view of an evictOp: the same
 // allocation under a second type, so both legs stay pooled together while
 // dispatching to different completion paths. Only one leg is ever in
@@ -393,13 +377,6 @@ func (op *wbCompleter) Complete(*block.Request) {
 	st := e.st
 	st.cch.MarkClean(e.blockNum, e.epoch)
 	st.releaseEvictOp(e)
-}
-
-// CloneFor implements block.ForkableCompleter.
-func (op *wbCompleter) CloneFor(cl block.Cloner) block.Completer {
-	e2 := *(*evictOp)(op)
-	e2.st = cl.Env(e2.st).(*Stack)
-	return (*wbCompleter)(&e2)
 }
 
 func (st *Stack) newEvictOp(ext block.Extent) *evictOp {
@@ -552,11 +529,6 @@ func (st *Stack) HDDQueue() *ioqueue.Queue { return st.hddQ }
 
 // Monitor returns the iostat monitor.
 func (st *Stack) Monitor() *iostat.Monitor { return st.mon }
-
-// Generator returns the stack's workload generator — after a Fork, the
-// handle an array-level controller needs to re-own the cloned stack's
-// per-volume feed.
-func (st *Stack) Generator() workload.Generator { return st.gen }
 
 // SSDLatency returns the Eq. 1 SSD service-latency constant.
 func (st *Stack) SSDLatency() time.Duration { return st.ssdLatency }
@@ -916,7 +888,7 @@ func (st *Stack) Start(ctx context.Context, intervals int) {
 }
 
 // bindChainFns creates the pump/tick/flush chain closures once per stack.
-// Fork calls it on the clone before rebinding the pending chain events.
+// DecodeState calls it before rebinding the pending chain events.
 func (st *Stack) bindChainFns() {
 	if st.pumpFn == nil {
 		st.pumpFn = func() {

@@ -1,346 +1,93 @@
-// Stack forking: deep-copy a mid-run stack — engine, cache, queues,
-// device servers, monitor, balancer, generator — so several scheme
-// variants can share one warm-up prefix.
+// Stack forking: a sibling stack that continues from this one's exact
+// mid-run state, so several scheme variants can share one warm-up prefix.
 //
-// Determinism contract: a forked stack, run to completion, produces
-// byte-identical Results to a stack built fresh and run uninterrupted
-// with the same configuration. The guarantee is structural, not
-// statistical: the cloned event heap is a verbatim copy of the
-// original's (same slots, sequence numbers and generation counters, so
-// the firing order is identical by construction), every RNG clone
-// replays its source to the exact draw position, and every in-flight
-// request graph is deep-copied with its completion callbacks re-bound to
-// the clone. Anything that breaks this equivalence — a non-cloneable
-// generator or device model, an in-flight completer without fork
-// support, a pending event the clone cannot account for — fails the
-// fork with an error rather than producing a silently divergent copy.
+// Fork runs on the checkpoint codec (ckpt.go): it encodes the stack,
+// builds a fresh sibling from the same configuration, and decodes onto
+// it, so the codec is the only code that copies mid-run state. The
+// determinism contract is the codec's: the sibling, run to completion,
+// produces byte-identical Results to a stack built fresh and run
+// uninterrupted with the same configuration. The only per-type hooks are
+// the Fresh constructors that build the sibling's unstarted generator and
+// unattached balancer.
 package engine
 
 import (
 	"context"
 	"fmt"
 
-	"lbica/internal/block"
-	"lbica/internal/cache"
-	"lbica/internal/device"
-	"lbica/internal/iostat"
-	"lbica/internal/sim"
-	"lbica/internal/trace"
 	"lbica/internal/workload"
 )
 
-// ForkableBalancer is a Balancer whose mid-run state can be carried into
-// a forked stack. ForkFor returns a balancer continuing this one's
-// decision state on the clone, registering its monitor hooks and
-// periodic tasks on st directly — it must NOT re-run Attach side effects
-// (initial SetPolicy, NotePolicy) that already happened on the original.
-type ForkableBalancer interface {
-	Balancer
-	ForkFor(st *Stack) Balancer
-}
+// FreshGenerator is a generator Fork can rebuild: Fresh returns an
+// unstarted generator with the receiver's configuration.
+type FreshGenerator interface{ Fresh() workload.Generator }
+
+// FreshBalancer is a balancer Fork can rebuild: Fresh returns an
+// unattached balancer with the receiver's configuration.
+type FreshBalancer interface{ Fresh() Balancer }
 
 // DropBalancer is the balFor argument that gives the fork no balancer —
-// the WB baseline. Only sound when the original's balancer has not yet
-// influenced the run (no policy changes, no bypasses); callers guard
-// that, the fork itself cannot tell.
+// the WB baseline. The decode refuses it once the balancer has acted on
+// the run (BalancerActed), since the prefixes have diverged by then.
 func DropBalancer(*Stack) Balancer { return nil }
 
-// forkPanic carries a fork failure out of the Cloner callbacks (which
-// have no error returns) up to Fork's recover.
-type forkPanic struct{ err error }
-
-// forkCtx implements block.Cloner: the memoizing deep-copy context for
-// one fork. Requests and completers referenced from several places (a
-// write-through fan-out's two legs, a merge chain's absorbed request)
-// resolve to a single clone.
-type forkCtx struct {
-	reqs  map[*block.Request]*block.Request
-	comps map[block.Completer]block.Completer
-	env   map[any]any
-}
-
-func newForkCtx() *forkCtx {
-	return &forkCtx{
-		reqs:  make(map[*block.Request]*block.Request),
-		comps: make(map[block.Completer]block.Completer),
-		env:   make(map[any]any),
-	}
-}
-
-// CloneRequest implements block.Cloner.
-func (f *forkCtx) CloneRequest(r *block.Request) *block.Request {
-	if r == nil {
-		return nil
-	}
-	if r2, ok := f.reqs[r]; ok {
-		return r2
-	}
-	r2 := new(block.Request)
-	*r2 = *r
-	// Register before recursing into the completer so any back-reference
-	// to this request resolves to the clone instead of looping.
-	f.reqs[r] = r2
-	r2.OnComplete = f.CloneCompleter(r.OnComplete)
-	return r2
-}
-
-// CloneCompleter implements block.Cloner.
-func (f *forkCtx) CloneCompleter(c block.Completer) block.Completer {
-	if c == nil {
-		return nil
-	}
-	if c2, ok := f.comps[c]; ok {
-		return c2
-	}
-	fc, ok := c.(block.ForkableCompleter)
-	if !ok {
-		panic(forkPanic{fmt.Errorf("engine: in-flight completer %T is not forkable", c)})
-	}
-	c2 := fc.CloneFor(f)
-	f.comps[c] = c2
-	return c2
-}
-
-// Env implements block.Cloner.
-func (f *forkCtx) Env(old any) any {
-	v, ok := f.env[old]
-	if !ok {
-		panic(forkPanic{fmt.Errorf("engine: fork references unregistered component %T", old)})
-	}
-	return v
-}
-
-// Register implements block.Cloner.
-func (f *forkCtx) Register(old, clone any) { f.env[old] = clone }
-
-// Fork deep-copies the running stack. The clone continues from the
-// original's exact state — virtual clock, pending events, queued and
-// in-flight requests, cache contents, RNG positions, accumulated
-// statistics — and running it to completion yields byte-identical
-// Results to an uninterrupted from-scratch run (see the package comment
-// above for what enforces this).
+// Fork returns a sibling stack that continues from this one's exact state:
+// virtual clock, pending events, queued and in-flight requests, cache
+// contents, RNG positions and accumulated statistics. The original is not
+// modified and remains runnable; Fork may be called repeatedly at
+// different points.
 //
-// balFor selects the clone's balancer, called with the clone after its
-// monitor is wired so hook registration order matches New's: nil keeps
-// the original's scheme (via ForkableBalancer; an error if the balancer
-// does not support forking), DropBalancer installs none (the WB
-// baseline), and any other function receives the clone and returns the
-// balancer to install. The original stack is not modified and remains
-// runnable; Fork may be called repeatedly at different points.
+// balFor selects the sibling's balancer: nil keeps the original's scheme,
+// DropBalancer installs none (the WB baseline). No other value is
+// accepted.
 //
-// Forking fails (with the original untouched) when the generator or a
-// device model is not cloneable, a non-forkable completer is in flight,
-// or the run is traced — a trace recorder is an external sink the clone
-// cannot share without interleaving two runs' events.
-func (st *Stack) Fork(ctx context.Context, balFor func(*Stack) Balancer) (fst *Stack, err error) {
-	if st.rec != trace.Discard {
-		return nil, fmt.Errorf("engine: cannot fork a traced stack")
-	}
-	cg, ok := st.gen.(workload.CloneableGenerator)
+// Forking fails when the generator or balancer has no Fresh constructor,
+// or the state cannot be encoded or decoded (a traced run, a completer the
+// codec does not know, a dropped balancer that already acted).
+func (st *Stack) Fork(ctx context.Context, balFor func(*Stack) Balancer) (*Stack, error) {
+	gen, ok := st.gen.(FreshGenerator)
 	if !ok {
-		return nil, fmt.Errorf("engine: generator %q is not cloneable", st.gen.Name())
+		return nil, fmt.Errorf("engine: generator %q cannot be rebuilt for a fork", st.gen.Name())
 	}
-	gen2 := cg.CloneGenerator()
-	if gen2 == nil {
-		return nil, fmt.Errorf("engine: generator %q failed to clone", st.gen.Name())
-	}
-	if balFor == nil {
-		if st.bal == nil {
-			balFor = DropBalancer
-		} else {
-			fb, ok := st.bal.(ForkableBalancer)
-			if !ok {
-				return nil, fmt.Errorf("engine: balancer %q is not forkable", st.bal.Name())
-			}
-			balFor = func(c *Stack) Balancer { return fb.ForkFor(c) }
+	var bal Balancer
+	switch {
+	case balFor != nil:
+		if balFor(st) != nil {
+			return nil, fmt.Errorf("engine: Fork takes a nil balFor or DropBalancer")
 		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			fp, ok := r.(forkPanic)
-			if !ok {
-				panic(r)
-			}
-			fst, err = nil, fp.err
-		}
-	}()
-
-	eng2 := st.eng.CloneCore()
-	c := &Stack{
-		cfg:          st.cfg,
-		eng:          eng2,
-		cch:          st.cch.Clone(),
-		gen:          gen2,
-		rec:          trace.Discard,
-		ids:          st.ids,
-		appSubmitted: st.appSubmitted,
-		appCompleted: st.appCompleted,
-		bypassed:     st.bypassed,
-		cancelled:    st.cancelled,
-		ssdWrSectors: st.ssdWrSectors,
-		hddWrSectors: st.hddWrSectors,
-		appLat:       st.appLat.Clone(),
-		timeline:     append([]PolicyChange(nil), st.timeline...),
-		cacheStatsAt: append([]cache.Stats(nil), st.cacheStatsAt...),
-		ssdLatency:   st.ssdLatency,
-		hddLatency:   st.hddLatency,
-		flushing:     st.flushing,
-		ticks:        st.ticks,
-		maxTicks:     st.maxTicks,
-		pumpReq:      st.pumpReq,
-		pumpStopped:  st.pumpStopped,
-		ctxDone:      ctx.Done(),
-	}
-
-	fc := newForkCtx()
-	fc.Register(st, c)
-
-	// Queues first: they register themselves in the fork env before
-	// walking pending requests, whose merge-chain completers resolve
-	// their queue through it.
-	c.ssdQ = st.ssdQ.Clone(fc)
-	c.hddQ = st.hddQ.Clone(fc)
-	c.mon = st.mon.Clone(c.ssdQ, c.hddQ)
-
-	// Servers, with the same hook bodies New installs — over the clone.
-	c.ssd, err = st.ssd.Clone(eng2, c.ssdQ, fc, func(r *block.Request) {
-		c.mon.NoteCompletion(iostat.SSD, r)
-		c.rec.Record(trace.Event{At: eng2.Now(), Kind: trace.Completed, Dev: trace.SSD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.hdd, err = st.hdd.Clone(eng2, c.hddQ, fc, func(r *block.Request) {
-		c.mon.NoteCompletion(iostat.HDD, r)
-		c.rec.Record(trace.Event{At: eng2.Now(), Kind: trace.Completed, Dev: trace.HDD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.hddM = c.hdd.Model().(*device.HDD)
-	c.hddM.SetClock(eng2.Now)
-	c.ssd.OnDispatch(func(r *block.Request) {
-		c.mon.NoteDepth(iostat.SSD, eng2.Now())
-		c.rec.Record(trace.Event{At: eng2.Now(), Kind: trace.Dispatched, Dev: trace.SSD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
-	})
-	c.hdd.OnDispatch(func(r *block.Request) {
-		c.mon.NoteDepth(iostat.HDD, eng2.Now())
-		c.rec.Record(trace.Event{At: eng2.Now(), Kind: trace.Dispatched, Dev: trace.HDD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
-	})
-	c.ssd.OnRelease(c.recycleReq)
-	c.hdd.OnRelease(c.recycleReq)
-	c.ssdQ.OnRecycle(c.recycleReq)
-	c.hddQ.OnRecycle(c.recycleReq)
-
-	// Monitor close hooks, in New's registration order: the stack's
-	// cache-stats snapshot first, the balancer's (below) second.
-	c.mon.OnClose(func(iostat.Sample) {
-		c.cacheStatsAt = append(c.cacheStatsAt, c.cch.Stats())
-	})
-
-	// Rebind the self-rescheduling chains' pending links. A handle that
-	// is no longer pending belongs to a chain that legitimately ended
-	// (or was never armed) and needs nothing.
-	c.bindChainFns()
-	rebind := func(ev sim.Event, fn func(), what string) (sim.Event, error) {
-		ev2, ok := eng2.Rebind(ev, fn)
+	case st.bal != nil:
+		fb, ok := st.bal.(FreshBalancer)
 		if !ok {
-			return sim.Event{}, fmt.Errorf("engine: fork: %s event failed to rebind", what)
+			return nil, fmt.Errorf("engine: balancer %q cannot be rebuilt for a fork", st.bal.Name())
 		}
-		return ev2, nil
+		bal = fb.Fresh()
 	}
-	if st.pumpEv.Pending() {
-		if c.pumpEv, err = rebind(st.pumpEv, c.pumpFn, "arrival pump"); err != nil {
-			return nil, err
-		}
+	payload, err := st.Encode()
+	if err != nil {
+		return nil, err
 	}
-	if st.tickEv.Pending() {
-		if c.tickEv, err = rebind(st.tickEv, c.tickFn, "monitor tick"); err != nil {
-			return nil, err
-		}
+	sib := New(st.cfg, gen.Fresh(), bal)
+	if err := sib.Decode(ctx, payload); err != nil {
+		return nil, err
 	}
-	if st.flushEv.Pending() {
-		if c.flushEv, err = rebind(st.flushEv, c.flushFn, "flusher"); err != nil {
-			return nil, err
-		}
-	}
-
-	// Balancer last, as in New. ForkFor registers the clone balancer's
-	// monitor hooks and periodic tasks on c; then each original periodic
-	// chain's pending link is rebound to the clone's same-index task.
-	c.bal = balFor(c)
-	for i := range st.periodics {
-		if !st.periodics[i].ev.Pending() {
-			continue
-		}
-		if i >= len(c.periodics) {
-			return nil, fmt.Errorf("engine: fork: original periodic task %d has a pending event but the clone's balancer registered only %d tasks", i, len(c.periodics))
-		}
-		c.bindPeriodic(i)
-		if c.periodics[i].ev, err = rebind(st.periodics[i].ev, c.periodics[i].runFn, "balancer periodic"); err != nil {
-			return nil, err
-		}
-	}
-
-	// Every pending event in the clone must have been claimed by exactly
-	// one owner above; an unbound remainder means a pending callback the
-	// fork does not know about, which would silently vanish from the
-	// clone's future.
-	if n := eng2.UnboundEvents(); n > 0 {
-		return nil, fmt.Errorf("engine: fork: %d pending events were not rebound", n)
-	}
-	return c, nil
+	return sib, nil
 }
 
 // BalancerActed reports whether the attached balancer has observably
 // influenced the run so far: any policy-timeline entry, balancer-routed
 // bypass, shadow cancellation, cache policy switch, or recorded bypass
 // counter. While it returns false, the run's state is bit-identical to
-// what a balancer-less (WB) run would have produced, so a fork taken
-// with DropBalancer is a valid shared-warmup WB baseline; once it
-// returns true the schemes have diverged and a WB variant must run from
-// scratch. Always false when no balancer is attached.
-func (st *Stack) BalancerActed() bool {
-	if st.bal == nil {
-		return false
-	}
+// what a balancer-less (WB) run would have produced, so restoring the
+// state with the balancer dropped is a valid shared-warmup WB baseline;
+// once it returns true the schemes have diverged and a WB variant must
+// run from scratch. Always false when no balancer is attached.
+func (st *Stack) BalancerActed() bool { return st.bal != nil && st.acted() }
+
+// acted is BalancerActed's evidence, read off the run's state alone.
+func (st *Stack) acted() bool {
 	if len(st.timeline) > 0 || st.bypassed > 0 || st.cancelled > 0 {
 		return true
 	}
 	cs := st.cch.Stats()
 	return cs.PolicySwitches > 0 || cs.BypassedReads > 0 || cs.BypassedWr > 0
-}
-
-// Snapshot captures the stack's complete state as an inert deep copy
-// that later forks branch from, leaving the original free to continue.
-// Each Fork from the snapshot is independent; the snapshot itself is
-// never run. The snapshot keeps the original's balancer state (cloned
-// via ForkableBalancer), so forks that keep the scheme need no special
-// handling and forks that drop it pass DropBalancer as usual.
-type Snapshot struct {
-	st *Stack
-}
-
-// Snapshot clones the current state for later forking. It is Fork with
-// the same balancer, held instead of run.
-func (st *Stack) Snapshot(ctx context.Context) (*Snapshot, error) {
-	c, err := st.Fork(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{st: c}, nil
-}
-
-// Fork branches a runnable stack off the snapshot; see Stack.Fork for
-// the balFor contract.
-func (s *Snapshot) Fork(ctx context.Context, balFor func(*Stack) Balancer) (*Stack, error) {
-	return s.st.Fork(ctx, balFor)
 }

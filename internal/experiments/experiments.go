@@ -4,10 +4,10 @@
 // matrix.
 //
 // It is also the repository's single run builder. Spec describes one run
-// — the paper matrix cells, sweep grid points, warm-fork groups and every
+// — the paper matrix cells, sweep grid points, warm-shared groups and every
 // lbica facade option alike — and this package alone turns a Spec into
 // engine stacks: volumeConfig derives a volume's engine configuration,
-// newStack builds the stack, and RunVolumes, the warm-fork planner and
+// newStack builds the stack, and RunVolumes, the warm planner and
 // the single-run checkpoint functions all go through them.
 package experiments
 
@@ -78,7 +78,7 @@ var Workloads = []string{WorkloadTPCC, WorkloadMail, WorkloadWeb}
 var Schemes = []string{SchemeWB, SchemeSIB, SchemeLBICA}
 
 // Spec describes one run. It is the single run description every stack is
-// built from — the paper matrix, sweep grids, warm-fork groups and the
+// built from — the paper matrix, sweep grids, warm-shared groups and the
 // lbica facade alike — and it stays comparable (the sweep groups specs
 // with ==), so variable-length inputs ride behind pointers.
 type Spec struct {
@@ -462,6 +462,15 @@ func (s Spec) routedStack(vol int) *engine.Stack {
 	return s.newStack(vol, gen)
 }
 
+// routedStacks builds every volume of a statically routed spec.
+func (s Spec) routedStacks() []*engine.Stack {
+	sts := make([]*engine.Stack, s.Volumes)
+	for v := range sts {
+		sts[v] = s.routedStack(v)
+	}
+	return sts
+}
+
 // label stamps the spec's scheme on a run's results: an ARRAY-LB volume
 // runs LBICA, and a static-policy stack has no balancer (which names
 // itself WB), so the stack's own name is not the run's.
@@ -510,7 +519,13 @@ func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Resu
 		// hardware still draws from its own volume seed. The config was
 		// validated in Normalize, so only a cancellation can fail — and
 		// a cancelled run returns the partial results that exist.
-		c, err := newControlled(ctx, spec)
+		variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
+		ccfg := array.ControllerConfig{Volumes: spec.Volumes, Skew: spec.RouteSkew, Seed: spec.Seed,
+			Variant: variant, Workers: spec.ShardWorkers}
+		c, err := array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec),
+			func(vol int, gen workload.Generator) (*engine.Stack, error) {
+				return spec.newStack(vol, gen), nil
+			})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
@@ -527,24 +542,6 @@ func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Resu
 		}
 	}
 	return spec.label(ares.Merged), ares.PerVolume
-}
-
-// newControlled assembles the ARRAY-LB controlled array for a normalized
-// spec — shared by RunVolumes and the fork property tests, so a forked
-// controller faces exactly the volumes a scratch run builds.
-func newControlled(ctx context.Context, spec Spec) (*array.Controlled, error) {
-	variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
-	ccfg := array.ControllerConfig{
-		Volumes: spec.Volumes,
-		Skew:    spec.RouteSkew,
-		Seed:    spec.Seed,
-		Variant: variant,
-		Workers: spec.ShardWorkers,
-	}
-	return array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec),
-		func(vol int, gen workload.Generator) (*engine.Stack, error) {
-			return spec.newStack(vol, gen), nil
-		})
 }
 
 // Matrix holds the 3×3 evaluation results indexed [workload][scheme].

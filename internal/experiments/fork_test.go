@@ -36,9 +36,10 @@ func mustEqual(t *testing.T, got, want *engine.Results, what string) {
 
 // TestForkEquivalence is the tentpole's determinism property: a stack
 // forked mid-run and drained produces results identical to a stack that
-// ran start-to-finish, for every scheme × paper workload — including a
-// fork taken off another fork, and the original (leader) run staying
-// unperturbed by having been forked.
+// ran start-to-finish, for every scheme × paper workload — including two
+// independent forks taken from one state, a fork taken off another fork,
+// and the original (leader) run staying unperturbed by having been
+// forked.
 func TestForkEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, wl := range Workloads {
@@ -58,6 +59,12 @@ func TestForkEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Fork at %v: %v", barrier, err)
 				}
+				// A second fork from the same state, drained only after the
+				// leader finished: the branches share nothing.
+				g1, err := leader.Fork(ctx, nil)
+				if err != nil {
+					t.Fatalf("second Fork at %v: %v", barrier, err)
+				}
 
 				// Fork-of-fork: step the first fork to a later barrier and
 				// branch again before draining anything.
@@ -74,6 +81,8 @@ func TestForkEquivalence(t *testing.T) {
 				mustEqual(t, f2.Collect(), want, "fork of fork")
 				leader.Drain()
 				mustEqual(t, leader.Collect(), want, "leader after forking")
+				g1.Drain()
+				mustEqual(t, g1.Collect(), want, "second fork from one state")
 			})
 		}
 	}
@@ -110,32 +119,5 @@ func TestForkDropBalancerIsWBBaseline(t *testing.T) {
 			leader.Drain()
 			mustEqual(t, leader.Collect(), runScratch(lbSpec), "LBICA leader")
 		})
-	}
-}
-
-// TestForkSnapshot drives the Snapshot wrapper: branch twice off one
-// inert snapshot, each branch equal to the uninterrupted run.
-func TestForkSnapshot(t *testing.T) {
-	ctx := context.Background()
-	spec := forkSpec(WorkloadTPCC, SchemeLBICA)
-	want := runScratch(spec)
-
-	leader := buildStack(spec)
-	leader.Start(ctx, spec.Intervals)
-	leader.StepTo(10 * spec.Interval)
-	snap, err := leader.Snapshot(ctx)
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	// The leader drains first: the snapshot must be unaffected.
-	leader.Drain()
-	mustEqual(t, leader.Collect(), want, "leader")
-	for i := 0; i < 2; i++ {
-		f, err := snap.Fork(ctx, nil)
-		if err != nil {
-			t.Fatalf("snapshot fork %d: %v", i, err)
-		}
-		f.Drain()
-		mustEqual(t, f.Collect(), want, "snapshot fork")
 	}
 }

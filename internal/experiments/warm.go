@@ -14,8 +14,8 @@ const (
 	// WarmLeader simulated the shared warmup prefix itself and then ran
 	// to completion.
 	WarmLeader = "leader"
-	// WarmForked was deep-copied from the leader at the warmup barrier
-	// and ran only the remainder.
+	// WarmForked was restored from the leader's checkpoint payload at the
+	// warmup barrier and ran only the remainder.
 	WarmForked = "forked"
 	// WarmScratch ran from scratch; WarmOutcome.Reason says why.
 	WarmScratch = "scratch"
@@ -24,7 +24,7 @@ const (
 // Scratch fallback reasons (WarmOutcome.Reason; empty for leader/forked
 // members).
 const (
-	// WarmReasonNoLeader: the group has no forkable leader scheme, the
+	// WarmReasonNoLeader: the group has no leader scheme, the
 	// warmup is zero or not shorter than the run, or the group is a
 	// single spec — nothing to share.
 	WarmReasonNoLeader = "no-leader"
@@ -40,8 +40,9 @@ const (
 	// routing at every interval barrier, so its prefix diverges from the
 	// statically routed leader's from the first barrier on.
 	WarmReasonMultiVolume = "multi-volume"
-	// WarmReasonForkError: the fork itself failed (non-cloneable
-	// generator); the member ran from scratch instead.
+	// WarmReasonForkError: the leader's prefix could not be encoded or
+	// restored onto the member (a traced run, a generator without a
+	// checkpoint codec); the member ran from scratch instead.
 	WarmReasonForkError = "fork-error"
 )
 
@@ -53,7 +54,8 @@ type WarmOutcome struct {
 	Kind   string
 	Reason string
 	// Cache is the run's persistent-store traffic ("" without a store,
-	// and for forked members, which copy in-memory state): WarmCacheHit,
+	// and for forked members, which restore the leader's prefix):
+	// WarmCacheHit,
 	// WarmCacheStore, or WarmCacheCorrupt. Orthogonal to Kind — both the
 	// group leader's shared prefix and a scratch member's private one go
 	// through the store.
@@ -62,7 +64,7 @@ type WarmOutcome struct {
 
 // warmLeaderIndex picks the group's warmup leader, or -1 when the group
 // cannot share: sharing needs at least two specs, a warmup strictly
-// shorter than the run, and a forkable leader scheme. A plain LBICA
+// shorter than the run, and a leader scheme. A plain LBICA
 // member is preferred — at one volume ARRAY-LB runs as LBICA relabeled
 // and may lead too, but then the relabel stays the special case rather
 // than the leader's. A multi-volume ARRAY-LB cannot lead (or share): its
@@ -88,8 +90,8 @@ func warmLeaderIndex(specs []Spec, warmupIntervals int) int {
 }
 
 // CanShareWarmup reports whether a group of specs differing only by
-// scheme can share one simulated warmup prefix of warmupIntervals via
-// stack forking (see RunWarmShared).
+// scheme can share one simulated warmup prefix of warmupIntervals (see
+// RunWarmShared).
 func CanShareWarmup(specs []Spec, warmupIntervals int) bool {
 	return warmLeaderIndex(specs, warmupIntervals) >= 0
 }
@@ -97,24 +99,23 @@ func CanShareWarmup(specs []Spec, warmupIntervals int) bool {
 // RunWarmShared executes a group of specs that differ only by scheme,
 // simulating their common warmup prefix once: a leader (LBICA — or
 // ARRAY-LB, which at one volume is LBICA relabeled) runs to the warmup
-// barrier, each other scheme's run is forked from it there, and every
-// branch then runs to completion independently. At Volumes > 1 the
+// barrier, each other scheme's run is restored from its state there, and
+// every branch then runs to completion independently. At Volumes > 1 the
 // leader is the full statically routed array — all N volume stacks step
-// to the barrier and are forked together, atomically from the sibling's
-// point of view (no stack advances between the per-volume forks).
-// Results are returned in spec order and are byte-identical to running
-// each spec from scratch:
+// to the barrier and are captured together, so a member restores one
+// array-wide snapshot. Results are returned in spec order and are
+// byte-identical to running each spec from scratch:
 //
-//   - An LBICA member (or at one volume an ARRAY-LB member) forks the
+//   - An LBICA member (or at one volume an ARRAY-LB member) restores the
 //     leader's balancer state — identical by construction, since the
 //     schemes share the same per-volume balancer and the whole prefix.
-//   - A WB member forks with the balancer dropped, valid only while no
+//   - A WB member restores with the balancer dropped, valid only while no
 //     leader balancer has observably acted (engine.BalancerActed); a
 //     balancer that already bypassed or switched policy means the
 //     prefixes diverged, and the WB cell falls back to a scratch run.
 //   - SIB members, multi-volume ARRAY-LB members (the adaptive
 //     controller diverges from static routing at the first barrier),
-//     and any fork failure fall back to a scratch run.
+//     and any failed restore fall back to a scratch run.
 //
 // When the group cannot share at all (CanShareWarmup false) every member
 // runs from scratch, making RunWarmShared a drop-in replacement for
@@ -124,77 +125,23 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 	return RunWarmSharedCached(ctx, specs, warmupIntervals, nil)
 }
 
-// runWarmSingle is the single-stack warm plan: one leader stack (from
-// the checkpoint store when possible), one fork per sharing sibling, and
-// a store-backed private prefix for every member the fork planner must
-// exclude (runMemberCached).
-func runWarmSingle(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	lead := spec
-	lead.Scheme, lead.RouteVariant = SchemeLBICA, ""
-	leaders, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
-		return []*engine.Stack{lead.routedStack(0)}
-	})
-	leader := leaders[0]
-
-	finish := func(st *engine.Stack, s Spec) *engine.Results {
-		st.Drain()
-		return s.label(st.Collect())
-	}
-
-	for i, s := range specs {
-		if i == leaderIdx {
-			continue
-		}
-		switch s.Scheme {
-		case SchemeWB:
-			if leader.BalancerActed() {
-				out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonBalancerActed)
-				continue
-			}
-			if f, err := leader.Fork(ctx, engine.DropBalancer); err == nil {
-				out[i] = finish(f, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonForkError)
-		case SchemeLBICA, SchemeArrayLB:
-			if f, err := leader.Fork(ctx, nil); err == nil {
-				out[i] = finish(f, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonForkError)
-		default:
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonSIB)
-		}
-	}
-	out[leaderIdx] = finish(leader, specs[leaderIdx])
-	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
-}
-
-// runWarmArray is the multi-volume warm plan: the leader is the full
-// statically routed LBICA array. All N volume stacks (wired exactly as
-// RunContext wires them, via routedStack, or restored together from one
-// store entry) step to the warmup barrier; a sharing sibling forks every
-// volume there before any stack advances further, so the sibling sees one
-// atomic array-wide snapshot.
-func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	stacks, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
-		sts := make([]*engine.Stack, spec.Volumes)
-		for v := range sts {
-			sts[v] = spec.routedStack(v)
-		}
-		return sts
-	})
-	acted := false
-	for _, st := range stacks {
-		if st.BalancerActed() {
-			acted = true
-			break
-		}
-	}
-
+// runWarmPlan is the warm plan over the leader's volume stacks — one at
+// Volumes == 1, the full statically routed LBICA array otherwise. All of
+// the leader's stacks step to the warmup barrier together (or are
+// restored together from one store entry), and the prefix is shared as
+// their checkpoint payloads: loaded from the store, or encoded once at the
+// barrier. The leader then runs to completion before any member is built,
+// so only one run's stacks are live at a time. Each sharing member builds
+// its own stacks through the single builder and decodes the payloads onto
+// them — a WB member with the leader's balancer dropped — which is the
+// path a store hit takes. The payloads are dropped once the last member
+// has decoded them, before the scratch members run.
+func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
 	finish := func(sts []*engine.Stack, s Spec) *engine.Results {
+		if len(sts) == 1 {
+			sts[0].Drain()
+			return s.label(sts[0].Collect())
+		}
 		per := make([]*engine.Results, len(sts))
 		for v, st := range sts {
 			st.Drain()
@@ -211,52 +158,62 @@ func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmu
 		return s.label(array.Merge(per))
 	}
 
-	forkAll := func(balFor func(*engine.Stack) engine.Balancer) ([]*engine.Stack, error) {
-		forked := make([]*engine.Stack, len(stacks))
-		for v, st := range stacks {
-			f, err := st.Fork(ctx, balFor)
-			if err != nil {
-				return nil, err
-			}
-			forked[v] = f
-		}
-		return forked, nil
+	lead := spec
+	lead.Scheme, lead.RouteVariant = SchemeLBICA, ""
+	stacks, payloads, lcache := prepareWarmStacks(ctx, lead, SchemeLBICA, warmupIntervals, store, lead.routedStacks)
+	acted := false
+	for _, st := range stacks {
+		acted = acted || st.BalancerActed()
 	}
-
+	// Decided at the barrier: which members restore from the prefix.
+	shared := 0
 	for i, s := range specs {
 		if i == leaderIdx {
 			continue
 		}
-		switch s.Scheme {
-		case SchemeWB:
-			if acted {
-				out[i] = RunContext(ctx, s)
-				plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonBalancerActed}
-				continue
-			}
-			if forked, err := forkAll(engine.DropBalancer); err == nil {
-				out[i] = finish(forked, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
-		case SchemeLBICA:
-			if forked, err := forkAll(nil); err == nil {
-				out[i] = finish(forked, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
-		case SchemeArrayLB:
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
-		default:
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB}
+		if plan[i] = memberOutcome(s, spec.Volumes, acted); plan[i].Kind == WarmForked {
+			shared++
 		}
+	}
+	if shared > 0 && payloads == nil {
+		payloads = encodeStacks(stacks)
 	}
 	out[leaderIdx] = finish(stacks, specs[leaderIdx])
 	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
+
+	for i, s := range specs {
+		if i == leaderIdx || plan[i].Kind != WarmForked {
+			continue
+		}
+		sts := s.Normalize().routedStacks()
+		err := decodeStacks(ctx, sts, payloads)
+		if shared--; shared == 0 {
+			payloads = nil // the last member has decoded them
+		}
+		if err != nil {
+			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
+			continue
+		}
+		out[i] = finish(sts, s)
+	}
+	for i, s := range specs {
+		if i != leaderIdx && plan[i].Kind == WarmScratch {
+			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, plan[i].Reason)
+		}
+	}
+}
+
+// memberOutcome is how a non-leader member can run against the leader's
+// prefix: restored from it (WarmForked) or from scratch, with the reason.
+func memberOutcome(s Spec, volumes int, acted bool) WarmOutcome {
+	switch {
+	case s.Scheme == SchemeWB && acted:
+		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonBalancerActed}
+	case s.Scheme == SchemeWB, s.Scheme == SchemeLBICA, s.Scheme == SchemeArrayLB && volumes == 1:
+		return WarmOutcome{Kind: WarmForked}
+	case s.Scheme == SchemeArrayLB:
+		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
+	default:
+		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB}
+	}
 }

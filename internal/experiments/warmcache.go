@@ -73,11 +73,13 @@ func contentDigest[T any](p *[]T) string {
 // constructed, not-yet-started stacks (one per volume); the scratch path
 // starts them and steps them to the barrier, the hit path restores them
 // in place. Restore failures of any kind fall back to the scratch path
-// and overwrite the entry. The returned annotation is the run's cache
-// traffic (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore,
-// WarmCacheCorrupt, or "" when the store held nothing usable and the
-// publish failed too (or there is no store at all).
-func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, string) {
+// and overwrite the entry. It also returns the prefix's payloads, one per
+// stack, when it has them — loaded on a hit, encoded for the store on a
+// publish — and nil otherwise. The annotation is the run's cache traffic
+// (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore, WarmCacheCorrupt, or
+// "" when the store held nothing usable and the publish failed too (or
+// there is no store at all).
+func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, [][]byte, string) {
 	corrupt := false
 	var key string
 	if store != nil {
@@ -88,21 +90,10 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 			corrupt = true
 		case payloads != nil:
 			stacks := build()
-			if len(payloads) != len(stacks) {
-				corrupt = true
-				break
+			if decodeStacks(ctx, stacks, payloads) == nil {
+				return stacks, payloads, WarmCacheHit
 			}
-			ok := true
-			for v, st := range stacks {
-				if err := checkpoint.DecodeStack(ctx, st, payloads[v]); err != nil {
-					corrupt = true
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return stacks, WarmCacheHit
-			}
+			corrupt = true
 		}
 	}
 
@@ -119,25 +110,45 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	for _, st := range stacks {
 		st.StepTo(barrier)
 	}
-	if store != nil && ctx.Err() == nil {
-		payloads := make([][]byte, len(stacks))
-		ok := true
-		for v, st := range stacks {
-			p, err := checkpoint.EncodeStack(st)
-			if err != nil {
-				ok = false
-				break
-			}
-			payloads[v] = p
+	if store == nil || ctx.Err() != nil {
+		return stacks, nil, ""
+	}
+	payloads := encodeStacks(stacks)
+	switch {
+	case payloads == nil || store.Save(key, payloads) != nil:
+		return stacks, payloads, ""
+	case corrupt:
+		return stacks, payloads, WarmCacheCorrupt
+	default:
+		return stacks, payloads, WarmCacheStore
+	}
+}
+
+// encodeStacks encodes one payload per stack, or returns nil when any
+// stack cannot be encoded.
+func encodeStacks(stacks []*engine.Stack) [][]byte {
+	payloads := make([][]byte, len(stacks))
+	for v, st := range stacks {
+		p, err := checkpoint.EncodeStack(st)
+		if err != nil {
+			return nil
 		}
-		if ok && store.Save(key, payloads) == nil {
-			if corrupt {
-				return stacks, WarmCacheCorrupt
-			}
-			return stacks, WarmCacheStore
+		payloads[v] = p
+	}
+	return payloads
+}
+
+// decodeStacks restores payloads onto freshly built stacks, one each.
+func decodeStacks(ctx context.Context, stacks []*engine.Stack, payloads [][]byte) error {
+	if len(payloads) != len(stacks) {
+		return fmt.Errorf("checkpoint holds %d payloads for %d stacks", len(payloads), len(stacks))
+	}
+	for v, st := range stacks {
+		if err := checkpoint.DecodeStack(ctx, st, payloads[v]); err != nil {
+			return err
 		}
 	}
-	return stacks, ""
+	return nil
 }
 
 // runMemberCached runs one scratch member — a run that cannot reuse its
@@ -146,21 +157,19 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 // checkpoint exists and simulated-then-published when not. Sharing
 // within an invocation needs cross-scheme prefix equality, but sharing
 // across invocations only needs same-spec determinism, so even the
-// schemes the fork planner must exclude (an acted balancer, SIB's
-// scans, a group with no forkable leader) amortize their prefixes over
-// repeated sweeps. Falls back to plain RunContext — outcome unchanged —
-// when there is no store, the warmup is not strictly inside the run, or
-// the member is multi-volume (the adaptive controller's wiring has no
-// checkpoint codec, and static arrays fork from the leader instead).
+// schemes the warm plan must exclude (an acted balancer, SIB's scans, a
+// group with no leader) amortize their prefixes over repeated sweeps.
+// Falls back to plain RunContext — outcome unchanged — when there is no
+// store, the warmup is not strictly inside the run, or the member is
+// multi-volume (the adaptive controller's wiring has no checkpoint codec,
+// and static arrays restore from the leader instead).
 func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *checkpoint.Store, reason string) (*engine.Results, WarmOutcome) {
 	o := WarmOutcome{Kind: WarmScratch, Reason: reason}
 	ns := s.Normalize()
 	if store == nil || ns.Volumes > 1 || warmupIntervals <= 0 || warmupIntervals >= ns.Intervals {
 		return RunContext(ctx, s), o
 	}
-	stacks, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func() []*engine.Stack {
-		return []*engine.Stack{ns.routedStack(0)}
-	})
+	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, ns.routedStacks)
 	o.Cache = cache
 	st := stacks[0]
 	st.Drain()
@@ -231,11 +240,6 @@ func RunWarmSharedCached(ctx context.Context, specs []Spec, warmupIntervals int,
 		}
 		return out, plan
 	}
-	spec := specs[leaderIdx].Normalize()
-	if spec.Volumes <= 1 {
-		runWarmSingle(ctx, specs, spec, leaderIdx, warmupIntervals, store, out, plan)
-	} else {
-		runWarmArray(ctx, specs, spec, leaderIdx, warmupIntervals, store, out, plan)
-	}
+	runWarmPlan(ctx, specs, specs[leaderIdx].Normalize(), leaderIdx, warmupIntervals, store, out, plan)
 	return out, plan
 }

@@ -81,10 +81,10 @@ func decodeHash(d *ckpt.Decoder, nodes []*node) map[int64]*node {
 
 // EncodeState serializes the queue: pending requests in list order (via
 // the shared request-graph encoder, so a request also held by a server op
-// round-trips to one clone), the census and cumulative counters, the
+// round-trips to one request), the census and cumulative counters, the
 // dispatch-discipline state, and both elevator hashes. The node/chain
 // pools are behavior-invisible (pooled objects fully reset on reuse) and
-// excluded, exactly as Clone excludes them.
+// excluded.
 func (q *Queue) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("ioqueue.Queue")
 	enc.String(q.name)

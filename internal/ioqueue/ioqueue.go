@@ -56,17 +56,6 @@ func (c *chain) Complete(head *block.Request) {
 	q.freeChains = append(q.freeChains, c)
 }
 
-// CloneFor implements block.ForkableCompleter: the cloned chain targets
-// the forked queue (via the cloner's environment) and the cloned absorbed
-// request, recursing into any earlier link of the merge chain.
-func (c *chain) CloneFor(cl block.Cloner) block.Completer {
-	return &chain{
-		q:        cl.Env(c.q).(*Queue),
-		prev:     cl.CloneCompleter(c.prev),
-		absorbed: cl.CloneRequest(c.absorbed),
-	}
-}
-
 // Queue is a single device's pending-request queue. The zero value is not
 // usable; call New.
 type Queue struct {
@@ -426,55 +415,4 @@ func (q *Queue) ExtractTail(keep int) []*block.Request {
 // Eq. 1 applied to a single queue position, the quantity SIB ranks by.
 func EstimatedWait(pos int, svc time.Duration) time.Duration {
 	return time.Duration(pos) * svc
-}
-
-// Clone returns a deep copy of the queue for a stack fork: counters,
-// census and discipline state copied, every pending request cloned
-// through cl in list order, and the elevator hashes rebuilt against the
-// cloned nodes — so the clone's merge candidates and overwrite history
-// match the original's exactly (every hash value always references a
-// currently-queued node, which is what makes the map copy sufficient).
-// The node/chain pools start empty (pooled objects are fully reset on
-// reuse, so pool population is invisible to behavior) and the recycle
-// hook is not copied: the forked stack re-registers its own.
-func (q *Queue) Clone(cl block.Cloner) *Queue {
-	q2 := &Queue{
-		name:            q.name,
-		size:            q.size,
-		census:          q.census,
-		backHash:        make(map[int64]*node, len(q.backHash)),
-		frontHash:       make(map[int64]*node, len(q.frontHash)),
-		maxMergeSectors: q.maxMergeSectors,
-		discipline:      q.discipline,
-		headPos:         q.headPos,
-		sweepUp:         q.sweepUp,
-		pushed:          q.pushed,
-		popped:          q.popped,
-		merges:          q.merges,
-		bypassed:        q.bypassed,
-		depthPeak:       q.depthPeak,
-		arrivals:        q.arrivals,
-	}
-	// Register the shell before walking pending requests: their chain
-	// completers resolve this queue through cl.Env.
-	cl.Register(q, q2)
-	nodes := make(map[*node]*node, q.size)
-	for n := q.head; n != nil; n = n.next {
-		n2 := &node{req: cl.CloneRequest(n.req)}
-		nodes[n] = n2
-		if q2.tail == nil {
-			q2.head, q2.tail = n2, n2
-		} else {
-			n2.prev = q2.tail
-			q2.tail.next = n2
-			q2.tail = n2
-		}
-	}
-	for k, n := range q.backHash {
-		q2.backHash[k] = nodes[n]
-	}
-	for k, n := range q.frontHash {
-		q2.frontHash[k] = nodes[n]
-	}
-	return q2
 }

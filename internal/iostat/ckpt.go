@@ -80,8 +80,7 @@ func decodeCensus(d *ckpt.Decoder) block.Census {
 }
 
 // EncodeState serializes the monitor: every closed sample plus the full
-// open-interval accumulator set — the same state Clone deep-copies. The
-// queue readers and OnClose hooks are wiring the restoring stack already
+// open-interval accumulator set. The queue readers and OnClose hooks are wiring the restoring stack already
 // has.
 func (m *Monitor) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("iostat.Monitor")

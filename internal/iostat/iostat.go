@@ -256,20 +256,6 @@ func (m *Monitor) Tick(now time.Duration) Sample {
 // Samples returns all closed samples.
 func (m *Monitor) Samples() []Sample { return m.samples }
 
-// Clone returns a deep copy of the monitor bound to the clone-side queue
-// readers: closed samples (deep-copied — Results aliases the slice),
-// every open-interval accumulator, and the arrival snapshot. OnClose
-// hooks are closures over the original stack and are NOT carried over;
-// the fork re-registers clone-side hooks in the original registration
-// order, which is what keeps the per-tick callback order identical.
-func (m *Monitor) Clone(ssdQ, hddQ QueueReader) *Monitor {
-	m2 := *m
-	m2.ssdQ, m2.hddQ = ssdQ, hddQ
-	m2.samples = append([]Sample(nil), m.samples...)
-	m2.onClose = nil
-	return &m2
-}
-
 // QueueTime is Eq. 1: pending requests × calibrated service latency.
 func QueueTime(depth int, svc time.Duration) time.Duration {
 	return time.Duration(depth) * svc

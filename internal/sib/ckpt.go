@@ -2,8 +2,8 @@ package sib
 
 import "lbica/internal/ckpt"
 
-// EncodeState serializes the scan counters — the plain values ForkFor
-// struct-copies. The scan periodic itself lives in the engine arena and
+// EncodeState serializes the scan counters, all plain values. The scan
+// periodic itself lives in the engine arena and
 // rides with the engine section.
 func (s *SIB) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("sib.SIB")

@@ -83,16 +83,10 @@ func (s *SIB) Attach(st *engine.Stack) {
 	st.Periodic(s.cfg.ScanEvery, s.scan)
 }
 
-// ForkFor implements engine.ForkableBalancer: counters are plain values,
-// so the clone is a struct copy re-pointed at the forked stack. The scan
-// periodic is re-registered (the fork rebinds its pending chain event);
-// no policy is set — the forked cache already carries WT+WO.
-func (s *SIB) ForkFor(st *engine.Stack) engine.Balancer {
-	s2 := *s
-	s2.st = st
-	st.Periodic(s2.cfg.ScanEvery, s2.scan)
-	return &s2
-}
+// Fresh implements engine.FreshBalancer: an unattached balancer with this
+// one's configuration, the sibling engine.Stack.Fork decodes its state
+// onto.
+func (s *SIB) Fresh() engine.Balancer { return New(s.cfg) }
 
 // scan is one estimation pass: if the SSD queue time exceeds the disk's,
 // move the over-threshold tail to the disk subsystem.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-
-	"lbica/internal/ckpt"
-)
+import "lbica/internal/ckpt"
 
 // maxRNGReplay caps the draw count a checkpoint may ask a stream to
 // replay. Restoring an RNG is O(draws so far), so a hostile count would
@@ -15,7 +11,7 @@ const maxRNGReplay = 1 << 27
 // EncodeState serializes the kernel: clock, sequence counter, firing
 // count, the slot arena (generations and lifecycle states — callbacks
 // are closures and never serialized; owners re-install them through
-// Rebind after decode, exactly as after CloneCore), the free-list, and
+// Rebind after decode), the free-list, and
 // the heap entries byte for byte. Because the heap's (time, seq, slot,
 // generation) tuples round-trip exactly, the restored engine's firing
 // order is identical by construction.
@@ -142,10 +138,10 @@ func (g *RNG) EncodeState(enc *ckpt.Encoder) {
 }
 
 // DecodeState restores the stream in place by reseeding a fresh source
-// and replaying the recorded draw count — the serialization twin of
-// Clone. The checkpoint must name the same stream with the same derived
-// seed as the freshly built instance; a mismatch means the checkpoint
-// was written for a different configuration and fails the decode.
+// and replaying the recorded draw count. The checkpoint must name the
+// same stream with the same derived seed as the freshly built instance; a
+// mismatch means the checkpoint was written for a different configuration
+// and fails the decode.
 func (g *RNG) DecodeState(d *ckpt.Decoder) {
 	name := d.String()
 	seed := d.I64()
@@ -161,11 +157,9 @@ func (g *RNG) DecodeState(d *ckpt.Decoder) {
 		d.Failf("rng stream %q replay count %d exceeds cap %d", name, n, uint64(maxRNGReplay))
 		return
 	}
-	src := &countingSource{src: rand.NewSource(g.seed)}
+	*g = *newStream(g.name, g.seed)
 	for i := uint64(0); i < n; i++ {
-		src.src.Int63()
+		g.src.src.Int63()
 	}
-	src.n = n
-	g.src = src
-	g.r = rand.New(src)
+	g.src.n = n
 }

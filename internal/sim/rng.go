@@ -18,8 +18,8 @@ type RNG struct {
 }
 
 // countingSource wraps a rand.Source and counts raw Int63 draws, which is
-// what makes RNG.Clone possible: a clone reseeds a fresh source and
-// fast-forwards it by replaying the recorded draw count. The wrapper
+// what makes a stream checkpointable: DecodeState reseeds a fresh source
+// and fast-forwards it by replaying the recorded draw count. The wrapper
 // deliberately does NOT implement rand.Source64 — rand.Rand routes every
 // method this package uses (Float64, Intn, Int63n, NormFloat64,
 // ExpFloat64, Perm) through src.Int63() alone, and keeping Uint64 off the
@@ -44,25 +44,17 @@ func (c *countingSource) Seed(seed int64) {
 func NewRNG(seed int64, name string) *RNG {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	derived := seed ^ int64(h.Sum64())
+	return newStream(name, seed^int64(h.Sum64()))
+}
+
+// newStream starts the stream name from its derived source seed.
+func newStream(name string, derived int64) *RNG {
 	src := &countingSource{src: rand.NewSource(derived)}
 	return &RNG{name: name, seed: derived, src: src, r: rand.New(src)}
 }
 
-// Clone returns an independent RNG positioned at exactly this stream's
-// current point: the clone's future draws match the original's draw for
-// draw, and advancing either side never perturbs the other. It works by
-// reseeding a fresh source with the stream's derived seed and replaying
-// the recorded raw draw count, so cloning is O(draws so far) but needs no
-// access to math/rand internals.
-func (g *RNG) Clone() *RNG {
-	src := &countingSource{src: rand.NewSource(g.seed)}
-	for i := uint64(0); i < g.src.n; i++ {
-		src.src.Int63()
-	}
-	src.n = g.src.n
-	return &RNG{name: g.name, seed: g.seed, src: src, r: rand.New(src)}
-}
+// Fresh returns this stream restarted: same name and seed, no draws yet.
+func (g *RNG) Fresh() *RNG { return newStream(g.name, g.seed) }
 
 // Stream splits a base seed into the seed for run runIndex of a batch.
 // The result depends only on (seed, runIndex) — never on scheduling
@@ -136,11 +128,6 @@ func NewZipf(g *RNG, n int, s float64) *Zipfian {
 	}
 	return &Zipfian{g: g, cdf: cdf}
 }
-
-// WithRNG returns a Zipfian over the same precomputed CDF drawing from g —
-// the cloning hook: the CDF is immutable and safely shared, so cloning a
-// generator that owns a Zipfian is WithRNG(clonedRNG).
-func (z *Zipfian) WithRNG(g *RNG) *Zipfian { return &Zipfian{g: g, cdf: z.cdf} }
 
 // Next draws a rank.
 func (z *Zipfian) Next() int {

@@ -93,7 +93,8 @@ func (e Event) Time() time.Duration { return e.at }
 
 // Pending reports whether the event is still scheduled on its engine —
 // false for the zero Event and for events that already fired or were
-// cancelled. Fork uses it to decide which chain handles need rebinding.
+// cancelled. The checkpoint codec uses it to decide which chain handles
+// need rebinding.
 func (e Event) Pending() bool {
 	if e.eng == nil || e.slot < 0 || int(e.slot) >= len(e.eng.slots) {
 		return false
@@ -322,37 +323,11 @@ func (e *Engine) Run(horizon time.Duration) uint64 {
 // RunUntilIdle executes all pending events with no horizon.
 func (e *Engine) RunUntilIdle() uint64 { return e.Run(0) }
 
-// CloneCore returns a structural copy of the engine: clock, sequence
-// counter, free-list, heap and arena copied entry for entry — except that
-// every pending slot's callback is nil. Callbacks are closures over the
-// owning components and cannot be copied mechanically; each owner of a
-// pending event must re-install a clone-local callback through Rebind.
-// Because the heap bytes (time, seq, slot, generation) are identical to
-// the original's, the clone's firing order is identical by construction —
-// the foundation of the fork determinism contract. UnboundEvents reports
-// how many pending slots still await their Rebind; a fork is valid only
-// when it returns zero.
-func (e *Engine) CloneCore() *Engine {
-	c := &Engine{
-		now:   e.now,
-		seq:   e.seq,
-		dead:  e.dead,
-		fired: e.fired,
-		slots: make([]slot, len(e.slots)),
-		free:  append([]int32(nil), e.free...),
-		heap:  append([]heapEnt(nil), e.heap...),
-	}
-	for i := range e.slots {
-		c.slots[i] = slot{gen: e.slots[i].gen, state: e.slots[i].state}
-	}
-	return c
-}
-
-// Rebind installs fn as the callback of the clone-local slot matching ev,
-// an Event handle that was issued by the engine this clone was copied
-// from, and returns the clone-local handle. It reports false — installing
-// nothing — if the slot is not pending under ev's generation or already
-// has a callback (a double rebind).
+// Rebind installs fn as the callback of the restored slot matching ev, an
+// Event handle decoded from a checkpoint (DecodeEvent), and returns the
+// bound handle. It reports false — installing nothing — if the slot is not
+// pending under ev's generation or already has a callback (a double
+// rebind).
 func (e *Engine) Rebind(ev Event, fn func()) (Event, bool) {
 	if ev.slot < 0 || int(ev.slot) >= len(e.slots) || fn == nil {
 		return Event{}, false
@@ -365,10 +340,10 @@ func (e *Engine) Rebind(ev Event, fn func()) (Event, bool) {
 	return Event{eng: e, at: ev.at, slot: ev.slot, gen: ev.gen}, true
 }
 
-// UnboundEvents counts pending slots with no callback — on a clone, the
-// events whose owners have not yet called Rebind. A completed fork must
-// report zero; a non-zero count means some component scheduled an event
-// the fork machinery does not know how to re-bind.
+// UnboundEvents counts pending slots with no callback — after a decode,
+// the events whose owners have not yet called Rebind. A completed restore
+// must report zero; a non-zero count means some component scheduled an
+// event the codec does not know how to re-bind.
 func (e *Engine) UnboundEvents() int {
 	n := 0
 	for i := range e.slots {

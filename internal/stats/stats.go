@@ -137,13 +137,6 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]uint64, histBucketCount())}
 }
 
-// Clone returns an independent deep copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	h2 := *h
-	h2.counts = append([]uint64(nil), h.counts...)
-	return &h2
-}
-
 func histIndex(d time.Duration) int {
 	if d < 1 {
 		d = 1

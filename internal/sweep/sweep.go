@@ -92,12 +92,12 @@ type Grid struct {
 	// the schemes of one controlled comparison — cells identical on every
 	// axis except the scheme — share a single simulated prefix of this
 	// many monitor intervals. One leader run (LBICA) executes the prefix,
-	// the sibling cells fork its complete state at the barrier
-	// (engine.Fork: engine, cache, queues, devices, RNG positions), and
-	// every branch runs to completion independently. Results are
-	// byte-identical to the default from-scratch execution; cells that
-	// cannot share (multi-volume arrays, SIB, groups without a forkable
-	// leader, a leader whose balancer already acted before the barrier)
+	// the sibling cells restore its complete checkpointed state at the
+	// barrier (engine, cache, queues, devices, RNG positions), and every
+	// branch runs to completion independently. Results are byte-identical
+	// to the default from-scratch execution; cells that cannot share
+	// (multi-volume array-lb, SIB, groups without a leader, a leader
+	// whose balancer already acted before the barrier)
 	// silently fall back to scratch runs. Anything that distinguishes the
 	// warmup prefix — workload, cache geometry, rate factor, burst
 	// multiplier, volume count, route skew, replicate seed — keys the
@@ -518,8 +518,8 @@ type Result struct {
 // regression to 0% sharing is visible instead of a silent slowdown.
 type WarmStats struct {
 	// Leaders ran (or restored) the shared warmup prefix themselves;
-	// Forked reused a leader's prefix via a deep-copy fork; Scratch ran
-	// from scratch.
+	// Forked restored a leader's checkpointed prefix; Scratch ran from
+	// scratch.
 	Leaders int
 	Forked  int
 	Scratch int

@@ -97,9 +97,9 @@ type RecorderFunc func(Event)
 // Record implements Recorder.
 func (f RecorderFunc) Record(e Event) { f(e) }
 
-// discard is Discard's comparable concrete type: the engine's fork path
-// tests rec == Discard to refuse forking a traced stack, which panics on
-// interfaces holding func values.
+// discard is Discard's comparable concrete type: the engine's checkpoint
+// codec tests rec == Discard to refuse encoding a traced stack, which
+// panics on interfaces holding func values.
 type discard struct{}
 
 // Record implements Recorder by dropping the event.

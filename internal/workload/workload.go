@@ -37,15 +37,6 @@ type Generator interface {
 	Next() (r Request, ok bool)
 }
 
-// CloneableGenerator is a Generator whose mid-stream state can be
-// deep-copied for a forked run. CloneGenerator must return a generator
-// that emits exactly the sequence the original would emit from this point
-// on, without disturbing the original.
-type CloneableGenerator interface {
-	Generator
-	CloneGenerator() Generator
-}
-
 // Phase is one segment of a workload schedule.
 type Phase struct {
 	// Name labels the phase in traces and logs.
@@ -208,21 +199,9 @@ func (p *PhaseGen) HotBlocks(n int) []int64 {
 	return out
 }
 
-// CloneGenerator implements CloneableGenerator. The phase schedule is
-// shared (immutable after construction); the RNG and the lazily built
-// Zipf distributions are re-bound to a cloned RNG so the copy's draw
-// stream continues exactly where the original's stands.
-func (p *PhaseGen) CloneGenerator() Generator {
-	p2 := *p
-	p2.g = p.g.Clone()
-	if p.zipf != nil {
-		p2.zipf = p.zipf.WithRNG(p2.g)
-	}
-	if p.wzipf != nil {
-		p2.wzipf = p.wzipf.WithRNG(p2.g)
-	}
-	return &p2
-}
+// Fresh returns an unstarted generator over the same schedule and
+// stream: the sibling engine.Stack.Fork decodes this one's state onto.
+func (p *PhaseGen) Fresh() Generator { return NewPhaseGen(p.name, p.phases, p.g.Fresh()) }
 
 // rate returns the arrival rate in effect at the cursor, advancing the
 // ON/OFF state machine as needed.
@@ -326,13 +305,6 @@ func NewReplay(name string, reqs []Request) *Replay {
 // Name implements Generator.
 func (r *Replay) Name() string { return r.name }
 
-// CloneGenerator implements CloneableGenerator; the recorded stream is
-// shared read-only, only the position is per-copy.
-func (r *Replay) CloneGenerator() Generator {
-	r2 := *r
-	return &r2
-}
-
 // Next implements Generator.
 func (r *Replay) Next() (Request, bool) {
 	if r.pos >= len(r.reqs) {
@@ -377,21 +349,6 @@ func NewLimit(inner Generator, n int) *Limit { return &Limit{inner: inner, left:
 
 // Name implements Generator.
 func (l *Limit) Name() string { return l.inner.Name() }
-
-// CloneGenerator implements CloneableGenerator when the inner generator
-// is itself cloneable; it returns nil otherwise (callers treat nil as
-// "cannot fork").
-func (l *Limit) CloneGenerator() Generator {
-	cg, ok := l.inner.(CloneableGenerator)
-	if !ok {
-		return nil
-	}
-	inner2 := cg.CloneGenerator()
-	if inner2 == nil {
-		return nil
-	}
-	return &Limit{inner: inner2, left: l.left}
-}
 
 // Next implements Generator.
 func (l *Limit) Next() (Request, bool) {

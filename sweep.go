@@ -61,7 +61,7 @@ type GridSpec struct {
 	// scheme share one simulated warmup prefix of that many intervals:
 	// the prefix is simulated once — for multi-volume cells, across the
 	// whole statically routed array — and every sibling scheme's run is
-	// forked from the warm state (falling back to a scratch run whenever
+	// restored from the warm state (falling back to a scratch run whenever
 	// sharing would change the output). Results stay byte-identical to a
 	// WarmupIntervals == 0 sweep; only wall-clock time changes. The plan's
 	// outcomes land in SweepResult.Warm. Negative values are an error.
@@ -181,9 +181,8 @@ type SweepResult struct {
 
 // SweepWarmStats counts a warm-fork sweep's per-run plan outcomes.
 type SweepWarmStats struct {
-	// Leaders ran the shared warmup prefix themselves; Forked reused a
-	// leader's prefix via a deep-copy state fork; Scratch ran from
-	// scratch.
+	// Leaders ran the shared warmup prefix themselves; Forked restored a
+	// leader's checkpointed prefix; Scratch ran from scratch.
 	Leaders int
 	Forked  int
 	Scratch int
