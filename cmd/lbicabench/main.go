@@ -17,13 +17,14 @@
 //	lbicabench -workers 1      # serial baseline
 //
 // With -perf it instead runs the hot-path benchmark suite (kernel
-// schedule/fire, cache hit/miss, queue push/merge, full-matrix end-to-end)
-// and emits machine-readable JSON — the command that regenerates
-// BENCH_hotpath.json:
+// schedule/fire, generator Zipf draw and tpcc request, cache hit/miss,
+// queue push/merge, full-matrix end-to-end) and emits machine-readable
+// JSON — the command that regenerates BENCH_hotpath.json:
 //
-//	lbicabench -perf                       # full suite, paper-scale matrix
-//	lbicabench -perf -perf-filter kernel   # kernel microbenchmarks only
-//	lbicabench -perf -intervals 20         # coarse, fast matrix scale
+//	lbicabench -perf                          # full suite, paper-scale matrix
+//	lbicabench -perf -perf-filter kernel      # kernel microbenchmarks only
+//	lbicabench -perf -perf-filter generator   # generator microbenchmarks only
+//	lbicabench -perf -intervals 20            # coarse, fast matrix scale
 //
 // -volumes runs the whole evaluation over a sharded multi-volume array
 // (optionally with -route-skew for skewed routing), and

@@ -45,7 +45,6 @@ package array
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"lbica/internal/sim"
@@ -104,7 +103,7 @@ type Router struct {
 	n      int
 	policy Policy
 	rng    *sim.RNG
-	cdf    []float64 // Zipf volume-popularity CDF
+	zipf   *sim.Zipfian // Zipf volume popularity, drawing from rng
 }
 
 // NewRouter builds a router over n volumes. skew is the Zipf exponent of
@@ -120,15 +119,7 @@ func NewRouter(seed int64, n int, policy Policy, skew float64) *Router {
 		r.rng = sim.NewRNG(seed, "array:router")
 	}
 	if policy == Zipf {
-		r.cdf = make([]float64, n)
-		sum := 0.0
-		for v := 0; v < n; v++ {
-			sum += 1 / math.Pow(float64(v+1), skew)
-			r.cdf[v] = sum
-		}
-		for v := range r.cdf {
-			r.cdf[v] /= sum
-		}
+		r.zipf = sim.NewZipf(r.rng, n, skew)
 	}
 	return r
 }
@@ -159,17 +150,7 @@ func (r *Router) Route(req workload.Request) int {
 		// HotBlocks block number and on a request agree.
 		return r.RouteBlock(req.Extent.LBA / workload.BlockSectors)
 	case Zipf:
-		u := r.rng.Float64()
-		lo, hi := 0, r.n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if r.cdf[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
+		return r.zipf.Next()
 	default:
 		return r.rng.Intn(r.n)
 	}

@@ -48,6 +48,34 @@ func TestCodecAllocations(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesZipfTable: a stack decoded while the stack that wrote
+// the checkpoint is live shares its generator's Zipf table instead of
+// rebuilding it, so the decode allocates less than one tpcc CDF (147,456
+// float64 ranks). Not parallel, for the same reason as above.
+func TestDecodeSharesZipfTable(t *testing.T) {
+	ctx := context.Background()
+	spec := experiments.Spec{Workload: experiments.WorkloadTPCC, Scheme: experiments.SchemeLBICA, Seed: 1, Intervals: 20}.Normalize()
+	leader := buildStack(spec)
+	leader.Start(ctx, spec.Intervals)
+	leader.StepTo(10 * spec.Interval)
+	payload, err := checkpoint.EncodeStack(leader)
+	if err != nil {
+		t.Fatalf("EncodeStack: %v", err)
+	}
+	fresh := buildStack(spec)
+	dec := allocated(func() {
+		if err := checkpoint.DecodeStack(ctx, fresh, payload); err != nil {
+			t.Fatalf("DecodeStack: %v", err)
+		}
+	})
+	runtime.KeepAlive(leader)
+	const cdfBytes = 144 * 1024 * 8
+	t.Logf("decode allocates %d B beside a live leader (one tpcc CDF is %d B)", dec, cdfBytes)
+	if dec >= cdfBytes {
+		t.Errorf("DecodeStack allocated %d B with the leader live, want less than one %d B CDF", dec, cdfBytes)
+	}
+}
+
 // allocated reports the heap bytes allocated while f runs.
 func allocated(f func()) uint64 {
 	var m0, m1 runtime.MemStats

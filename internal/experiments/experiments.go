@@ -243,6 +243,10 @@ func (s Spec) normalize() (Spec, error) {
 		if _, err := workload.Default.Resolve(s.Workload); err != nil {
 			return s, err
 		}
+	case s.Phases != nil:
+		if err := workload.ValidatePhases(*s.Phases); err != nil {
+			return s, err
+		}
 	}
 	if s.Replacement != "" {
 		if _, err := cache.ParseReplacement(s.Replacement); err != nil {

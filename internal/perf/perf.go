@@ -19,6 +19,7 @@ import (
 	"lbica/internal/ioqueue"
 	"lbica/internal/sim"
 	"lbica/internal/sweep"
+	"lbica/internal/workload"
 )
 
 // Result is one benchmark measurement.
@@ -59,6 +60,8 @@ func Suite(intervals int) []Bench {
 		{"cache/miss-evict", BenchCacheMissEvict},
 		{"queue/push-pop", BenchQueuePushPop},
 		{"queue/merge", BenchQueueMerge},
+		{"generator/zipf-next", BenchZipfNext},
+		{"generator/tpcc-next", BenchPhaseGenNext},
 		{"matrix/serial", func(b *testing.B) { BenchMatrixSerial(b, intervals) }},
 		{"shard/volumes4-serial", func(b *testing.B) { BenchShard(b, intervals, 4, 1) }},
 		{"shard/volumes4-parallel", func(b *testing.B) { BenchShard(b, intervals, 4, 0) }},
@@ -240,6 +243,29 @@ func BenchQueueMerge(b *testing.B) {
 			Extent: block.Extent{LBA: next, Sectors: 8}}
 		next += 8
 		q.Push(r, 0)
+	}
+}
+
+// BenchZipfNext measures one rank draw from tpcc's address distribution
+// (147,456 ranks, exponent 0.85).
+func BenchZipfNext(b *testing.B) {
+	z := sim.NewZipf(sim.NewRNG(1, "bench"), 144*1024, 0.85)
+	b.ReportAllocs()
+	for b.Loop() {
+		z.Next()
+	}
+}
+
+// BenchPhaseGenNext measures one request from the tpcc schedule: the
+// arrival gap, burst state, op, size and address draws. The run is
+// stretched to 2^20 intervals so no benchmark exhausts it.
+func BenchPhaseGenNext(b *testing.B) {
+	gen := workload.TPCC(workload.Scale{Intervals: 1 << 20}, sim.NewRNG(1, "bench"))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := gen.Next(); !ok {
+			b.Fatal("tpcc stream ended")
+		}
 	}
 }
 

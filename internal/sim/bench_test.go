@@ -6,8 +6,10 @@ import (
 	"lbica/internal/perf"
 )
 
-// The kernel benchmarks delegate to internal/perf so `go test -bench` and
-// `lbicabench -perf` measure the exact same bodies.
+// The kernel and generator benchmarks delegate to internal/perf so
+// `go test -bench` and `lbicabench -perf` measure the exact same bodies.
 
 func BenchmarkEngineScheduleFire(b *testing.B)   { perf.BenchKernelScheduleFire(b) }
 func BenchmarkEngineScheduleCancel(b *testing.B) { perf.BenchKernelScheduleCancel(b) }
+func BenchmarkZipfNext(b *testing.B)             { perf.BenchZipfNext(b) }
+func BenchmarkPhaseGenNext(b *testing.B)         { perf.BenchPhaseGenNext(b) }

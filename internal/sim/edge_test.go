@@ -132,7 +132,7 @@ func TestRNGHelpers(t *testing.T) {
 	if g.Name() != "helpers" {
 		t.Errorf("Name() = %q", g.Name())
 	}
-	if z := g.Zipf(100, 1.1); z < 0 || z >= 100 {
+	if z := NewZipf(g, 100, 1.1).Next(); z < 0 || z >= 100 {
 		t.Errorf("Zipf out of range: %d", z)
 	}
 }

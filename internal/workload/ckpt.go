@@ -8,8 +8,8 @@ import (
 // EncodeState serializes the generator's mid-stream position: RNG, phase
 // cursor, ON/OFF burst state, and sequential-run registers. The phase
 // schedule itself is immutable configuration the restoring side rebuilds
-// from, and the lazily built Zipf distributions are pure draw-free
-// functions of (phase, index) reconstructed on decode.
+// from, and the lazily built Zipf samplers are pure draw-free functions
+// of (phase, index) reconstructed on decode.
 func (p *PhaseGen) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("workload.PhaseGen")
 	enc.String(p.name)
@@ -29,9 +29,10 @@ func (p *PhaseGen) EncodeState(enc *ckpt.Encoder) {
 
 // DecodeState restores the generator in place. The checkpoint must have
 // been written by a generator over the same schedule; the name and index
-// ranges cross-check that, and the Zipf distributions are rebuilt from
-// the recorded phase indices (CDF construction consumes no RNG draws, so
-// the rebuild is invisible to the stream).
+// ranges cross-check that, and the Zipf samplers are rebuilt from the
+// recorded phase indices (NewZipf consumes no RNG draws, so the rebuild is
+// invisible to the stream, and it shares the CDF table of any live
+// generator over the same distribution, the checkpoint's writer included).
 func (p *PhaseGen) DecodeState(d *ckpt.Decoder) {
 	d.Section("workload.PhaseGen")
 	name := d.String()

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lbica/internal/block"
@@ -77,6 +78,47 @@ type Phase struct {
 
 // writeRegion reports whether writes use a separate address region.
 func (p *Phase) writeRegion() bool { return p.WriteWorkingSetBlocks > 0 }
+
+// ValidatePhases reports the first phase of a schedule that PhaseGen
+// cannot run as written. Zero keeps its documented meaning (an idle
+// phase, uniform references, 4 KiB requests, no write region); a
+// negative, non-finite or out-of-range value is an error, never clamped.
+func ValidatePhases(phases []Phase) error {
+	for i := range phases {
+		if err := phases[i].validate(); err != nil {
+			return fmt.Errorf("workload: phase %d (%q): %w", i, phases[i].Name, err)
+		}
+	}
+	return nil
+}
+
+func (p *Phase) validate() error {
+	// active reports whether the phase can generate a request at all.
+	active := p.Duration > 0 && (p.BaseIOPS > 0 || (p.BurstIOPS > 0 && p.BurstOn > 0))
+	switch {
+	case p.Duration < 0 || p.BurstOn < 0 || p.BurstOff < 0:
+		return fmt.Errorf("negative duration (phase %v, burst on %v, off %v)", p.Duration, p.BurstOn, p.BurstOff)
+	case !finiteNonNeg(p.BaseIOPS) || !finiteNonNeg(p.BurstIOPS):
+		return fmt.Errorf("IOPS must be finite and non-negative (base %v, burst %v)", p.BaseIOPS, p.BurstIOPS)
+	case !(p.ReadRatio >= 0 && p.ReadRatio <= 1) || !(p.Sequential >= 0 && p.Sequential <= 1):
+		return fmt.Errorf("read ratio %v and sequential fraction %v must lie in [0, 1]", p.ReadRatio, p.Sequential)
+	case !finiteNonNeg(p.ZipfExponent) || !finiteNonNeg(p.WriteZipfExponent):
+		return fmt.Errorf("exponents must be finite and non-negative (Zipf %v, write Zipf %v)", p.ZipfExponent, p.WriteZipfExponent)
+	case p.WorkingSetBlocks < 0 || p.WorkingSetBlocks > math.MaxInt32 ||
+		p.WriteWorkingSetBlocks < 0 || p.WriteWorkingSetBlocks > math.MaxInt32:
+		return fmt.Errorf("working sets of %d and %d blocks outside [0, %d]", p.WorkingSetBlocks, p.WriteWorkingSetBlocks, math.MaxInt32)
+	case active && p.WorkingSetBlocks == 0:
+		return fmt.Errorf("generates requests over an empty working set")
+	}
+	for _, size := range p.SizesSectors {
+		if size <= 0 {
+			return fmt.Errorf("request size of %d sectors", size)
+		}
+	}
+	return nil
+}
+
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // BlockSectors is the addressing granularity phases are defined in
 // (8 sectors = 4 KiB). Exported because the array router's block-affine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,6 +112,55 @@ func TestCustomPhases(t *testing.T) {
 	}
 	if r.Summary.Requests == 0 {
 		t.Error("custom workload produced nothing")
+	}
+}
+
+// TestInvalidPhasesAreErrors: a custom schedule is validated at the run
+// boundary. Each case used to panic inside the generator or run on
+// degenerate requests; zero fields keep their default meaning and run.
+func TestInvalidPhasesAreErrors(t *testing.T) {
+	base := Phase{Name: "p", Duration: time.Second, BaseIOPS: 100, ReadRatio: 1, WorkingSetBlocks: 1024}
+	for _, c := range []struct {
+		name string
+		edit func(*Phase)
+		ok   bool
+	}{
+		{"empty working set", func(p *Phase) { p.WorkingSetBlocks = 0 }, false},
+		{"empty working set, bursts only", func(p *Phase) {
+			p.BaseIOPS, p.BurstIOPS, p.BurstOn, p.WorkingSetBlocks = 0, 500, time.Millisecond, 0
+		}, false},
+		{"negative working set", func(p *Phase) { p.WorkingSetBlocks = -5 }, false},
+		{"negative write working set", func(p *Phase) { p.WriteWorkingSetBlocks = -1 }, false},
+		{"negative duration", func(p *Phase) { p.Duration = -time.Second }, false},
+		{"negative burst period", func(p *Phase) { p.BurstOff = -time.Millisecond }, false},
+		{"negative IOPS", func(p *Phase) { p.BaseIOPS = -100 }, false},
+		{"NaN burst IOPS", func(p *Phase) { p.BurstIOPS = math.NaN() }, false},
+		{"NaN exponent", func(p *Phase) { p.ZipfExponent = math.NaN() }, false},
+		{"negative exponent", func(p *Phase) { p.ZipfExponent = -1 }, false},
+		{"infinite write exponent", func(p *Phase) { p.WriteZipfExponent = math.Inf(1) }, false},
+		{"read ratio above 1", func(p *Phase) { p.ReadRatio = 1.5 }, false},
+		{"negative read ratio", func(p *Phase) { p.ReadRatio = -0.1 }, false},
+		{"sequential above 1", func(p *Phase) { p.Sequential = 2 }, false},
+		{"zero request size", func(p *Phase) { p.SizesSectors = []int64{8, 0} }, false},
+		{"negative request size", func(p *Phase) { p.SizesSectors = []int64{-8} }, false},
+		{"valid", func(p *Phase) {}, true},
+		{"zero fields keep defaults", func(p *Phase) { p.ZipfExponent, p.ReadRatio = 0, 0 }, true},
+		{"idle phase needs no working set", func(p *Phase) { p.BaseIOPS, p.WorkingSetBlocks = 0, 0 }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := base
+			c.edit(&p)
+			// An idle phase 0 is followed by a live one so the run has work.
+			_, err := Run(Options{Scheme: "WB", Intervals: 3, Phases: []Phase{p, base}})
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("valid phase rejected: %v", err)
+			case !c.ok && err == nil:
+				t.Fatalf("phase %+v ran instead of erroring", p)
+			case !c.ok && !strings.Contains(err.Error(), "phase 0"):
+				t.Errorf("error %q does not name the phase", err)
+			}
+		})
 	}
 }
 
