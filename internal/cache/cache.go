@@ -90,14 +90,26 @@ func equalFold(a, b string) bool {
 // find touches only the tag array; metadata is loaded just for the way
 // that hits.
 
-// lineMeta is the non-tag state of one way of one set.
+// lineMeta is the non-tag state of one way of one set. The dirty and
+// flushing flags share a word with the write epoch, so a line's metadata
+// is 24 bytes rather than 32: the metadata array is the largest one a
+// stack holds.
 type lineMeta struct {
-	epoch    uint64 // bumped on every dirtying write; guards MarkClean
+	state    uint64 // write epoch × lineEpoch | lineFlushing | lineDirty
 	lastUse  uint64 // global LRU tick
 	loadedAt uint64 // tick at allocation (FIFO replacement)
-	dirty    bool
-	flushing bool
 }
+
+// lineMeta.state bits.
+const (
+	lineDirty    uint64 = 1 << iota // the line holds data the disk lacks
+	lineFlushing                    // a writeback of the line is in flight
+	lineEpoch                       // one write epoch: bumped on every dirtying write; guards MarkClean
+)
+
+func (m *lineMeta) dirty() bool    { return m.state&lineDirty != 0 }
+func (m *lineMeta) flushing() bool { return m.state&lineFlushing != 0 }
+func (m *lineMeta) epoch() uint64  { return m.state / lineEpoch }
 
 // Victim identifies an evicted block. Dirty victims cost an SSD read (E)
 // plus an HDD write (writeback); clean victims are metadata-only.
@@ -352,7 +364,7 @@ func (c *Cache) Contains(blockNum int64) bool { return c.find(blockNum) >= 0 }
 func (c *Cache) DirtyIn(e block.Extent) bool {
 	first, last := c.blocksOf(e)
 	for b := first; b <= last; b++ {
-		if i := c.find(b); i >= 0 && c.meta[i].dirty {
+		if i := c.find(b); i >= 0 && c.meta[i].dirty() {
 			return true
 		}
 	}
@@ -387,10 +399,10 @@ func (c *Cache) allocate(blockNum int64) (idx int, evicted bool) {
 	if choice < 0 {
 		choice = c.pickVictim(base)
 		m := &c.meta[choice]
-		v := Victim{Block: c.tags[choice], Dirty: m.dirty && !m.flushing, Epoch: m.epoch}
+		v := Victim{Block: c.tags[choice], Dirty: m.dirty() && !m.flushing(), Epoch: m.epoch()}
 		c.victims = append(c.victims, v)
 		evicted = true
-		if m.dirty {
+		if m.dirty() {
 			c.dirty--
 			if v.Dirty {
 				c.stats.DirtyEvicts++
@@ -404,9 +416,7 @@ func (c *Cache) allocate(blockNum int64) (idx int, evicted bool) {
 	}
 	c.tags[choice] = blockNum
 	m := &c.meta[choice]
-	m.dirty = false
-	m.flushing = false
-	m.epoch = 0
+	m.state = 0
 	c.valid++
 	c.touch(choice)
 	m.loadedAt = c.tick
@@ -440,7 +450,7 @@ func (c *Cache) pickVictim(base int) int {
 		if bestAny < 0 || s < bestAnyScore {
 			bestAny, bestAnyScore = i, s
 		}
-		if !m.flushing && (best < 0 || s < bestScore) {
+		if !m.flushing() && (best < 0 || s < bestScore) {
 			best, bestScore = i, s
 		}
 	}
@@ -453,12 +463,10 @@ func (c *Cache) pickVictim(base int) int {
 // markDirty transitions a line to dirty.
 func (c *Cache) markDirty(i int) {
 	m := &c.meta[i]
-	if !m.dirty {
-		m.dirty = true
+	if !m.dirty() {
 		c.dirty++
 	}
-	m.flushing = false
-	m.epoch++
+	m.state = (m.state|lineDirty)&^lineFlushing + lineEpoch
 }
 
 // Access applies the current policy to one application request and returns
@@ -554,14 +562,13 @@ func (c *Cache) write(e block.Extent) Decision {
 		for b := first; b <= last; b++ {
 			i, ev := c.allocate(b)
 			m := &c.meta[i]
-			if m.dirty {
+			if m.dirty() {
 				// A through-write over a previously dirty line cleans it:
 				// the disk leg persists the latest data.
-				m.dirty = false
-				m.flushing = false
+				m.state &^= lineDirty | lineFlushing
 				c.dirty--
 			}
-			m.epoch++
+			m.state += lineEpoch
 			anyVictim = anyVictim || ev
 		}
 		if anyVictim {
@@ -579,12 +586,11 @@ func (c *Cache) invalidate(blockNum int64) {
 		return
 	}
 	m := &c.meta[i]
-	if m.dirty {
+	if m.dirty() {
 		c.dirty--
 	}
 	c.tags[i] = -1
-	m.dirty = false
-	m.flushing = false
+	m.state &^= lineDirty | lineFlushing
 	c.valid--
 	c.stats.Invalidations++
 }
@@ -626,10 +632,10 @@ func (c *Cache) CollectDirty(max int) []DirtyBlock {
 	out := make([]DirtyBlock, 0, max)
 	for i, tag := range c.tags {
 		m := &c.meta[i]
-		if tag >= 0 && m.dirty && !m.flushing {
-			m.flushing = true
+		if tag >= 0 && m.dirty() && !m.flushing() {
+			m.state |= lineFlushing
 			c.stats.FlushesStarted++
-			out = append(out, DirtyBlock{Block: tag, Epoch: m.epoch})
+			out = append(out, DirtyBlock{Block: tag, Epoch: m.epoch()})
 			if len(out) == max {
 				return out
 			}
@@ -642,16 +648,15 @@ func (c *Cache) CollectDirty(max int) []DirtyBlock {
 // rewritten (epoch advanced) or replaced since CollectDirty.
 func (c *Cache) MarkClean(blockNum int64, epoch uint64) {
 	i := c.find(blockNum)
-	if i < 0 || c.meta[i].epoch != epoch {
+	if i < 0 || c.meta[i].epoch() != epoch {
 		return
 	}
 	m := &c.meta[i]
-	if m.dirty {
-		m.dirty = false
+	if m.dirty() {
 		c.dirty--
 		c.stats.Flushed++
 	}
-	m.flushing = false
+	m.state &^= lineDirty | lineFlushing
 }
 
 // NeedsFlush reports whether the dirty ratio exceeds the high watermark.
@@ -678,11 +683,11 @@ func (c *Cache) ExtractClean(blockNum int64) bool {
 		return false
 	}
 	m := &c.meta[i]
-	if m.dirty || m.flushing {
+	if m.dirty() || m.flushing() {
 		return false
 	}
 	c.tags[i] = -1
-	m.epoch = 0
+	m.state = 0
 	c.valid--
 	c.stats.MigratedOut++
 	return true
@@ -728,7 +733,7 @@ func (c *Cache) CheckInvariants() error {
 		s := i / c.ways
 		m := &c.meta[i]
 		if tag == -1 {
-			if m.dirty || m.flushing {
+			if m.dirty() || m.flushing() {
 				return fmt.Errorf("invalid line with dirty/flushing state in set %d", s)
 			}
 			continue
@@ -741,7 +746,7 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("block %d in wrong set %d (want %d)", tag, s, want)
 		}
 		valid++
-		if m.dirty {
+		if m.dirty() {
 			dirty++
 		}
 	}

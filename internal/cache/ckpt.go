@@ -1,6 +1,10 @@
 package cache
 
-import "lbica/internal/ckpt"
+import (
+	"math"
+
+	"lbica/internal/ckpt"
+)
 
 // EncodeState serializes the cache's mutable state: write policy, the
 // tag/metadata arrays, the LRU tick, occupancy counters, statistics and
@@ -16,11 +20,11 @@ func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 		enc.I64(t)
 	}
 	for _, m := range c.meta {
-		enc.U64(m.epoch)
+		enc.U64(m.epoch())
 		enc.U64(m.lastUse)
 		enc.U64(m.loadedAt)
-		enc.Bool(m.dirty)
-		enc.Bool(m.flushing)
+		enc.Bool(m.dirty())
+		enc.Bool(m.flushing())
 	}
 	enc.U64(c.tick)
 	enc.Int(c.dirty)
@@ -49,13 +53,19 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 		c.tags[i] = d.I64()
 	}
 	for i := range c.meta {
-		c.meta[i] = lineMeta{
-			epoch:    d.U64(),
-			lastUse:  d.U64(),
-			loadedAt: d.U64(),
-			dirty:    d.Bool(),
-			flushing: d.Bool(),
+		epoch, lastUse, loadedAt := d.U64(), d.U64(), d.U64()
+		state := epoch * lineEpoch
+		if d.Bool() {
+			state |= lineDirty
 		}
+		if d.Bool() {
+			state |= lineFlushing
+		}
+		if state/lineEpoch != epoch {
+			d.Failf("cache line %d has write epoch %d, beyond the %d a line holds", i, epoch, math.MaxUint64/lineEpoch)
+			return
+		}
+		c.meta[i] = lineMeta{state: state, lastUse: lastUse, loadedAt: loadedAt}
 	}
 	tick := d.U64()
 	dirty := d.Int()

@@ -84,8 +84,8 @@ func NewSSD(cfg SSDConfig, g *sim.RNG) *SSD {
 	return &SSD{
 		cfg:   cfg,
 		g:     g,
-		read:  sim.LogNormal{M: cfg.ReadBase, Sigma: cfg.Sigma, G: g},
-		write: sim.LogNormal{M: cfg.WriteBase, Sigma: cfg.Sigma, G: g},
+		read:  sim.NewLogNormal(cfg.ReadBase, cfg.Sigma, g),
+		write: sim.NewLogNormal(cfg.WriteBase, cfg.Sigma, g),
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"lbica/internal/perf"
 )
 
-// The push/pop and merge benchmarks delegate to internal/perf so `go test
-// -bench` and `lbicabench -perf` measure the exact same bodies.
+// The push/pop, merge and deep push/pop benchmarks delegate to internal/perf
+// so `go test -bench` and `lbicabench -perf` measure the exact same bodies.
 
-func BenchmarkQueuePushPop(b *testing.B) { perf.BenchQueuePushPop(b) }
-func BenchmarkQueueMerge(b *testing.B)   { perf.BenchQueueMerge(b) }
+func BenchmarkQueuePushPop(b *testing.B)     { perf.BenchQueuePushPop(b) }
+func BenchmarkQueueMerge(b *testing.B)       { perf.BenchQueueMerge(b) }
+func BenchmarkQueueDeepPushPop(b *testing.B) { perf.BenchQueueDeepPushPop(b) }
 
 // BenchmarkQueueCensusSnapshot measures the monitor-side reads.
 func BenchmarkQueueCensusSnapshot(b *testing.B) {

@@ -41,48 +41,64 @@ func (c *chain) EncodeCkpt(e *ckpt.Encoder) {
 	e.Request(c.absorbed)
 }
 
-// encodeHash writes an elevator hash as sorted (boundary key, node list
-// position) pairs. The maps cannot be rebuilt from the node list alone:
+// encodeIndex writes an elevator index as sorted (boundary key, node list
+// position) pairs. The index cannot be rebuilt from the node list alone:
 // an entry overwritten by a later arrival and then vacated stays absent
 // even though a queued node carries that boundary, and merge-candidate
 // lookups observe the difference.
-func encodeHash(enc *ckpt.Encoder, h map[int64]*node, pos map[*node]int) {
-	keys := make([]int64, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.I64(k)
-		enc.Int(pos[h[k]])
+func encodeIndex(enc *ckpt.Encoder, x *sectorIndex, pos map[*node]int) {
+	entries := make([]slot, 0, x.n)
+	x.each(func(k int64, n *node) { entries = append(entries, slot{key: k, node: n}) })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	enc.U32(uint32(len(entries)))
+	for _, e := range entries {
+		enc.I64(e.key)
+		enc.Int(pos[e.node])
 	}
 }
 
-// decodeHash reads a hash written by encodeHash against the decoded node
-// list.
-func decodeHash(d *ckpt.Decoder, nodes []*node) map[int64]*node {
+// decodeIndex reads an index written by encodeIndex against the decoded
+// node list. It accepts only what a live queue can hold: at most one entry
+// per node, keys strictly ascending, and each key the current boundary of
+// the node it names (End for the back index, LBA for the front). A node
+// named twice would need the same key twice, so the order check rejects
+// it.
+func decodeIndex(d *ckpt.Decoder, nodes []*node, which string, boundary func(block.Extent) int64) sectorIndex {
+	var x sectorIndex
 	n := d.Count(16)
-	h := make(map[int64]*node, n)
+	if n > len(nodes) {
+		d.Failf("%s index has %d entries for %d queued nodes", which, n, len(nodes))
+		return x
+	}
+	var prev int64
 	for i := 0; i < n; i++ {
 		k := d.I64()
 		p := d.Int()
 		if d.Err() != nil {
-			return h
+			return x
 		}
 		if p < 0 || p >= len(nodes) {
-			d.Failf("hash entry %d references node position %d (queue depth %d)", i, p, len(nodes))
-			return h
+			d.Failf("%s index entry %d references node position %d (queue depth %d)", which, i, p, len(nodes))
+			return x
 		}
-		h[k] = nodes[p]
+		if i > 0 && k <= prev {
+			d.Failf("%s index entry %d has key %d, not above the previous key %d", which, i, k, prev)
+			return x
+		}
+		prev = k
+		if b := boundary(nodes[p].req.Extent); k != b {
+			d.Failf("%s index entry %d has key %d, node %d's boundary is %d", which, i, k, p, b)
+			return x
+		}
+		x.put(k, nodes[p])
 	}
-	return h
+	return x
 }
 
 // EncodeState serializes the queue: pending requests in list order (via
 // the shared request-graph encoder, so a request also held by a server op
 // round-trips to one request), the census and cumulative counters, the
-// dispatch-discipline state, and both elevator hashes. The node/chain
+// dispatch-discipline state, and both elevator indexes. The node/chain
 // pools are behavior-invisible (pooled objects fully reset on reuse) and
 // excluded.
 func (q *Queue) EncodeState(enc *ckpt.Encoder) {
@@ -99,8 +115,8 @@ func (q *Queue) EncodeState(enc *ckpt.Encoder) {
 	for _, c := range q.census {
 		enc.Int(c)
 	}
-	encodeHash(enc, q.backHash, pos)
-	encodeHash(enc, q.frontHash, pos)
+	encodeIndex(enc, &q.back, pos)
+	encodeIndex(enc, &q.front, pos)
 	enc.I64(q.maxMergeSectors)
 	enc.U8(uint8(q.discipline))
 	enc.I64(q.headPos)
@@ -155,8 +171,8 @@ func (q *Queue) DecodeState(d *ckpt.Decoder) {
 	for i := range census {
 		census[i] = d.Int()
 	}
-	backHash := decodeHash(d, nodes)
-	frontHash := decodeHash(d, nodes)
+	back := decodeIndex(d, nodes, "back", block.Extent.End)
+	front := decodeIndex(d, nodes, "front", func(e block.Extent) int64 { return e.LBA })
 	maxMergeSectors := d.I64()
 	discipline := Discipline(d.U8())
 	headPos := d.I64()
@@ -182,8 +198,8 @@ func (q *Queue) DecodeState(d *ckpt.Decoder) {
 	q.freeNodes = nil
 	q.freeChains = nil
 	q.census = census
-	q.backHash = backHash
-	q.frontHash = frontHash
+	q.back = back
+	q.front = front
 	q.maxMergeSectors = maxMergeSectors
 	q.discipline = discipline
 	q.headPos = headPos

@@ -73,11 +73,11 @@ type Queue struct {
 
 	census block.Census
 
-	// Elevator hashes: boundary sector → most recent queued node with that
-	// boundary, per origin. backHash keys on Extent.End() (back-merge
-	// candidates); frontHash keys on Extent.LBA (front-merge candidates).
-	backHash  map[int64]*node
-	frontHash map[int64]*node
+	// Elevator indexes: boundary sector → most recent queued node with that
+	// boundary, whatever its origin (canMerge checks the origin). back keys
+	// on Extent.End() (back-merge candidates); front keys on Extent.LBA
+	// (front-merge candidates).
+	back, front sectorIndex
 
 	// maxMergeSectors caps a merged request's size, mirroring the block
 	// layer's max_sectors_kb. 0 disables merging.
@@ -133,8 +133,6 @@ const DefaultMaxMergeSectors = 1024
 func New(name string, opts ...Option) *Queue {
 	q := &Queue{
 		name:            name,
-		backHash:        make(map[int64]*node),
-		frontHash:       make(map[int64]*node),
 		maxMergeSectors: DefaultMaxMergeSectors,
 		sweepUp:         true,
 	}
@@ -189,12 +187,12 @@ func (q *Queue) Push(r *block.Request, now time.Duration) (merged bool) {
 	q.arrivals[r.Origin]++
 	r.Submit = now
 	if q.maxMergeSectors > 0 {
-		if n, ok := q.backHash[r.Extent.LBA]; ok && q.canMerge(n.req, r) {
-			q.absorb(n, r, true)
+		if n := q.back.get(r.Extent.LBA); n != nil && q.canMerge(n.req, r) {
+			q.absorb(n, r)
 			return true
 		}
-		if n, ok := q.frontHash[r.Extent.End()]; ok && q.canMerge(n.req, r) {
-			q.absorb(n, r, false)
+		if n := q.front.get(r.Extent.End()); n != nil && q.canMerge(n.req, r) {
+			q.absorb(n, r)
 			return true
 		}
 	}
@@ -230,8 +228,8 @@ func (q *Queue) canMerge(a, b *block.Request) bool {
 	return a.Extent.Sectors+b.Extent.Sectors <= q.maxMergeSectors
 }
 
-// absorb folds r into queued node n. back=true means r extends n's end.
-func (q *Queue) absorb(n *node, r *block.Request, back bool) {
+// absorb folds r into queued node n, at either end.
+func (q *Queue) absorb(n *node, r *block.Request) {
 	q.merges++
 	q.unindex(n)
 	n.req.Extent = n.req.Extent.Union(r.Extent)
@@ -243,7 +241,6 @@ func (q *Queue) absorb(n *node, r *block.Request, back bool) {
 	c.absorbed = r
 	n.req.OnComplete = c
 	q.index(n)
-	_ = back
 }
 
 // getChain pops a pooled merge-chain link, allocating on pool miss.
@@ -278,17 +275,14 @@ func (q *Queue) putNode(n *node) {
 }
 
 func (q *Queue) index(n *node) {
-	q.backHash[n.req.Extent.End()] = n
-	q.frontHash[n.req.Extent.LBA] = n
+	q.back.put(n.req.Extent.End(), n)
+	q.front.put(n.req.Extent.LBA, n)
 }
 
+// unindex drops n's boundary entries, leaving any a later node overwrote.
 func (q *Queue) unindex(n *node) {
-	if q.backHash[n.req.Extent.End()] == n {
-		delete(q.backHash, n.req.Extent.End())
-	}
-	if q.frontHash[n.req.Extent.LBA] == n {
-		delete(q.frontHash, n.req.Extent.LBA)
-	}
+	q.back.deleteIf(n.req.Extent.End(), n)
+	q.front.deleteIf(n.req.Extent.LBA, n)
 }
 
 // Pop removes and returns the next request per the dispatch discipline,

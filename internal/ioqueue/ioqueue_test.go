@@ -326,15 +326,3 @@ func TestMergeExtentProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkPushPop(b *testing.B) {
-	q := New("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(req(uint64(i), block.AppWrite, int64(i%4096)*16, 8), time.Duration(i))
-		if q.Depth() > 256 {
-			for q.Pop() != nil {
-			}
-		}
-	}
-}

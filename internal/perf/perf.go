@@ -60,6 +60,7 @@ func Suite(intervals int) []Bench {
 		{"cache/miss-evict", BenchCacheMissEvict},
 		{"queue/push-pop", BenchQueuePushPop},
 		{"queue/merge", BenchQueueMerge},
+		{"queue/deep-push-pop", BenchQueueDeepPushPop},
 		{"generator/zipf-next", BenchZipfNext},
 		{"generator/tpcc-next", BenchPhaseGenNext},
 		{"matrix/serial", func(b *testing.B) { BenchMatrixSerial(b, intervals) }},
@@ -243,6 +244,55 @@ func BenchQueueMerge(b *testing.B) {
 			Extent: block.Extent{LBA: next, Sectors: 8}}
 		next += 8
 		q.Push(r, 0)
+	}
+}
+
+// BenchQueueDeepPushPop measures one push, and the dispatch that keeps
+// the depth steady, at burst depth: about 5,400 queued requests (the peak
+// of burst-write's SSD queue), so the elevator indexes hold thousands of
+// boundaries. Sectors are scattered, and every eighth request extends the
+// one before it, so one push in eight back-merges. Requests come from a
+// preallocated ring and dispatched heads complete, so list nodes and merge
+// links recycle and the operation allocates nothing.
+func BenchQueueDeepPushPop(b *testing.B) {
+	const (
+		depth = 5400
+		// A request stays referenced until its head dispatches, about
+		// depth × 8/7 pushes later; the ring is well past that.
+		ring = 1 << 14
+	)
+	exts := make([]block.Extent, ring)
+	g := sim.NewRNG(1, "bench")
+	for i := range exts {
+		exts[i] = block.Extent{LBA: g.Int63n(1<<30) &^ 7, Sectors: 8}
+		if i%8 == 7 {
+			exts[i].LBA = exts[i-1].End()
+		}
+	}
+	reqs := make([]block.Request, ring)
+	q := ioqueue.New("bench")
+	next := 0
+	op := func() {
+		r := &reqs[next%ring]
+		*r = block.Request{ID: uint64(next), Origin: block.AppWrite, Extent: exts[next%ring]}
+		next++
+		q.Push(r, 0)
+		if q.Depth() > depth {
+			h := q.Pop()
+			if h.OnComplete != nil {
+				h.OnComplete.Complete(h)
+			}
+		}
+	}
+	for next < 2*ring {
+		op()
+	}
+	if q.Depth() != depth {
+		b.Fatalf("warm-up reached depth %d, want %d", q.Depth(), depth)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
 	}
 }
 

@@ -68,18 +68,25 @@ func (e Exponential) String() string { return fmt.Sprintf("exp(%v)", e.M) }
 
 // LogNormal draws log-normally, parameterized by the desired mean and a
 // shape sigma (sigma of the underlying normal). Real device latencies are
-// right-skewed; lognormal is the conventional stand-in.
+// right-skewed; lognormal is the conventional stand-in. Build one with
+// NewLogNormal.
 type LogNormal struct {
-	M     time.Duration
-	Sigma float64
-	G     *RNG
+	m     time.Duration
+	sigma float64
+	mu    float64 // location of the underlying normal, fixed by m and sigma
+	g     *RNG
+}
+
+// NewLogNormal returns a log-normal distribution with mean m and shape
+// sigma, drawing from g.
+func NewLogNormal(m time.Duration, sigma float64, g *RNG) LogNormal {
+	// E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); solve mu for mean m.
+	return LogNormal{m: m, sigma: sigma, mu: math.Log(float64(m)) - sigma*sigma/2, g: g}
 }
 
 // Sample implements Dist.
 func (l LogNormal) Sample() time.Duration {
-	// E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); solve mu for mean M.
-	mu := math.Log(float64(l.M)) - l.Sigma*l.Sigma/2
-	v := math.Exp(mu + l.Sigma*l.G.NormFloat64())
+	v := math.Exp(l.mu + l.sigma*l.g.NormFloat64())
 	if v < 0 {
 		v = 0
 	}
@@ -87,9 +94,9 @@ func (l LogNormal) Sample() time.Duration {
 }
 
 // Mean implements Dist.
-func (l LogNormal) Mean() time.Duration { return l.M }
+func (l LogNormal) Mean() time.Duration { return l.m }
 
-func (l LogNormal) String() string { return fmt.Sprintf("lognormal(%v,σ=%.2f)", l.M, l.Sigma) }
+func (l LogNormal) String() string { return fmt.Sprintf("lognormal(%v,σ=%.2f)", l.m, l.sigma) }
 
 // BoundedPareto draws from a Pareto tail truncated to [Lo, Hi], exponent
 // Alpha. Used for heavy-tailed burst gaps.

@@ -152,7 +152,7 @@ func TestDistStrings(t *testing.T) {
 		Deterministic{V: time.Second},
 		Uniform{Lo: 1, Hi: 2, G: g},
 		Exponential{M: time.Millisecond, G: g},
-		LogNormal{M: time.Millisecond, Sigma: 0.3, G: g},
+		NewLogNormal(time.Millisecond, 0.3, g),
 		BoundedPareto{Lo: 1, Hi: 10, Alpha: 1.5, G: g},
 	} {
 		if d.String() == "" {

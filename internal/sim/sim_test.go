@@ -228,7 +228,7 @@ func TestDistMeans(t *testing.T) {
 		{Deterministic{V: time.Millisecond}, 0},
 		{Uniform{Lo: time.Millisecond, Hi: 3 * time.Millisecond, G: g}, 0.05},
 		{Exponential{M: 2 * time.Millisecond, G: g}, 0.05},
-		{LogNormal{M: time.Millisecond, Sigma: 0.5, G: g}, 0.05},
+		{NewLogNormal(time.Millisecond, 0.5, g), 0.05},
 	}
 	const n = 100000
 	for _, c := range cases {
