@@ -132,6 +132,8 @@ func TestRunRejectsSilentClampCandidates(t *testing.T) {
 		{"-burst-mult", "0"},
 		{"-burst-mult", "-1"},
 		{"-cache-mult", "0"},
+		{"-cache-mult", "1e-9"},
+		{"-cache-mult", "512", "-volumes", "1,2"},
 		{"-warmup", "-1"},
 		{"-ci-tol", "-0.5"},
 		{"-ci-tol", "NaN"},

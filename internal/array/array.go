@@ -18,6 +18,11 @@ import (
 // let a typo allocate hundreds of caches before the first event fires.
 const MaxVolumes = 256
 
+// MaxCacheLines bounds a run's cache lines summed over its volumes. 2^25
+// lines is the sweep grid's 512× cache multiplier at one volume: a 128 GiB
+// cache at 4 KiB blocks, whose line arrays alone take 1 GiB.
+const MaxCacheLines = 1 << 25
+
 // MaxSkew bounds the Zipf routing exponent; at 16 essentially every
 // request already lands on volume 0, so larger values only differ in
 // label.
@@ -83,7 +88,9 @@ type BuildFunc func(vol int) (*engine.Stack, error)
 // byte-identical for every worker count. On cancellation the error is
 // non-nil and Results covers the volumes that completed — volumes stopped
 // mid-run are dropped (partial arrays contain only whole volumes,
-// mirroring the sweep's partial-report rule).
+// mirroring the sweep's partial-report rule). Each volume's stack is
+// released (engine.Stack.Release) once its results are collected, so the
+// next volume built reuses its cache line arrays.
 func Run(ctx context.Context, cfg Config, intervals int, build BuildFunc) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -95,6 +102,7 @@ func Run(ctx context.Context, cfg Config, intervals int, build BuildFunc) (*Resu
 				return nil, fmt.Errorf("array: building volume %d: %w", v, err)
 			}
 			res := st.RunContext(ctx, intervals)
+			st.Release()
 			res.Volume = v
 			// A cancellation that lands only after this volume sampled
 			// every requested interval changed nothing for it: keep the

@@ -519,7 +519,8 @@ func (c *Controlled) StepTo(ctx context.Context, interval int) error {
 // remainder past the last interval (it lands in no sample but still
 // executes, matching RunContext), and collects the merged results. The
 // per-volume results land in Results.PerVolume exactly as for Run; on
-// cancellation only whole volumes are kept.
+// cancellation only whole volumes are kept. Finish releases every volume
+// stack (engine.Stack.Release): the run cannot step or finish again.
 func (c *Controlled) Finish(ctx context.Context) (*Results, error) {
 	c.StepTo(ctx, c.intervals)
 	runErr := c.runErr
@@ -542,6 +543,7 @@ func (c *Controlled) Finish(ctx context.Context) (*Results, error) {
 	per := make([]*engine.Results, len(c.stacks))
 	for v, st := range c.stacks {
 		res := st.Collect()
+		st.Release()
 		res.Volume = v
 		// Same partial rule as Run: a cancellation that still let the
 		// volume close every interval changed nothing; volumes stopped

@@ -253,7 +253,9 @@ type Cache struct {
 	victims []Victim
 }
 
-// New builds a cache. Invalid geometry panics: the caller controls config.
+// New builds a cache, on the line arrays of a released cache (Release)
+// with the same line count when one is free. Invalid geometry panics: the
+// caller controls config.
 func New(cfg Config) *Cache {
 	if cfg.BlockSectors <= 0 {
 		cfg.BlockSectors = 8
@@ -268,8 +270,13 @@ func New(cfg Config) *Cache {
 		cfg.DirtyLowWatermark = 0.5
 	}
 	c := &Cache{cfg: cfg, policy: cfg.InitialPolicy, ways: cfg.Ways, rndSt: uint64(cfg.ReplacementSeed)*2654435761 + 0x9e3779b97f4a7c15}
-	c.tags = make([]int64, cfg.Sets*cfg.Ways)
-	c.meta = make([]lineMeta, cfg.Sets*cfg.Ways)
+	n := cfg.Sets * cfg.Ways
+	if l := takeLines(n); l != nil {
+		c.tags, c.meta = l.tags, l.meta
+		clear(c.meta)
+	} else {
+		c.tags, c.meta = make([]int64, n), make([]lineMeta, n)
+	}
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
@@ -292,7 +299,10 @@ func (c *Cache) SetPolicy(p Policy) {
 }
 
 // Stats returns a copy of the cumulative statistics.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats {
+	c.mustLive()
+	return c.stats
+}
 
 // Capacity returns total capacity in blocks.
 func (c *Cache) Capacity() int { return c.cfg.Sets * c.cfg.Ways }
@@ -305,6 +315,7 @@ func (c *Cache) DirtyCount() int { return c.dirty }
 
 // DirtyRatio returns dirty blocks over capacity.
 func (c *Cache) DirtyRatio() float64 {
+	c.mustLive()
 	return float64(c.dirty) / float64(c.Capacity())
 }
 
@@ -619,29 +630,29 @@ type DirtyBlock struct {
 }
 
 // CollectDirty picks up to max dirty, non-flushing lines (oldest first
-// within each set scan) and marks them flushing. The engine issues an SSD
-// read (Evict) + HDD write (Writeback) per block and calls MarkClean when
-// the writeback completes.
-func (c *Cache) CollectDirty(max int) []DirtyBlock {
-	if max <= 0 {
-		return nil
+// within each set scan), marks them flushing and appends them to dst,
+// returning the extended slice; a caller that passes the previous round's
+// buffer resliced to zero collects without allocating. The engine issues
+// an SSD read (Evict) + HDD write (Writeback) per block and calls
+// MarkClean when the writeback completes.
+func (c *Cache) CollectDirty(dst []DirtyBlock, max int) []DirtyBlock {
+	c.mustLive()
+	if max <= 0 || c.dirty == 0 {
+		return dst
 	}
-	if c.dirty == 0 {
-		return nil
-	}
-	out := make([]DirtyBlock, 0, max)
+	n := 0
 	for i, tag := range c.tags {
 		m := &c.meta[i]
 		if tag >= 0 && m.dirty() && !m.flushing() {
 			m.state |= lineFlushing
 			c.stats.FlushesStarted++
-			out = append(out, DirtyBlock{Block: tag, Epoch: m.epoch()})
-			if len(out) == max {
-				return out
+			dst = append(dst, DirtyBlock{Block: tag, Epoch: m.epoch()})
+			if n++; n == max {
+				return dst
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // MarkClean completes a flush: the line becomes clean unless it was
@@ -718,6 +729,7 @@ func (c *Cache) InsertClean(blockNum int64) []Victim {
 // Prewarm installs the given blocks as valid and clean without generating
 // I/O — the paper's "workload has passed its warm-up interval" assumption.
 func (c *Cache) Prewarm(blocks []int64) {
+	c.mustLive()
 	c.victims = c.victims[:0]
 	for _, b := range blocks {
 		c.allocate(b)
@@ -727,6 +739,7 @@ func (c *Cache) Prewarm(blocks []int64) {
 // CheckInvariants validates internal consistency; tests call it after
 // random operation sequences. It returns nil when consistent.
 func (c *Cache) CheckInvariants() error {
+	c.mustLive()
 	valid, dirty := 0, 0
 	seen := make(map[int64]bool)
 	for i, tag := range c.tags {

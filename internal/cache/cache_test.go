@@ -207,12 +207,12 @@ func TestFlusherLifecycle(t *testing.T) {
 	if !c.NeedsFlush() {
 		t.Fatalf("dirty ratio %.2f should exceed high watermark", c.DirtyRatio())
 	}
-	batch := c.CollectDirty(4)
+	batch := c.CollectDirty(nil, 4)
 	if len(batch) != 4 {
 		t.Fatalf("collected %d, want 4", len(batch))
 	}
 	// Collecting again must not return the same (now flushing) blocks.
-	again := c.CollectDirty(100)
+	again := c.CollectDirty(nil, 100)
 	for _, a := range again {
 		for _, b := range batch {
 			if a.Block == b.Block {
@@ -234,7 +234,7 @@ func TestFlusherLifecycle(t *testing.T) {
 func TestMarkCleanRespectsRewriteEpoch(t *testing.T) {
 	c := small()
 	c.Access(block.Write, ext(0, 8), 0)
-	batch := c.CollectDirty(1)
+	batch := c.CollectDirty(nil, 1)
 	if len(batch) != 1 {
 		t.Fatal("collect failed")
 	}
@@ -249,7 +249,7 @@ func TestMarkCleanRespectsRewriteEpoch(t *testing.T) {
 func TestMarkCleanOnEvictedLineIsNoop(t *testing.T) {
 	c := New(Config{BlockSectors: 8, Sets: 1, Ways: 1})
 	c.Access(block.Write, ext(0, 8), 0)
-	batch := c.CollectDirty(1)
+	batch := c.CollectDirty(nil, 1)
 	c.Access(block.Write, ext(8, 8), 0) // evicts block 0
 	c.MarkClean(batch[0].Block, batch[0].Epoch)
 	if err := c.CheckInvariants(); err != nil {
@@ -312,7 +312,7 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			case 0:
 				c.SetPolicy(policies[r.Intn(len(policies))])
 			case 1:
-				inflight = append(inflight, c.CollectDirty(1+r.Intn(3))...)
+				inflight = append(inflight, c.CollectDirty(nil, 1+r.Intn(3))...)
 			case 2:
 				if len(inflight) > 0 {
 					b := inflight[0]

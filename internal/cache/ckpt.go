@@ -13,6 +13,7 @@ import (
 // side rebuilds from, and the array lengths cross-check it on decode.
 // The victims scratch buffer is transient per Access call and skipped.
 func (c *Cache) EncodeState(enc *ckpt.Encoder) {
+	c.mustLive()
 	enc.Section("cache.Cache")
 	enc.U8(uint8(c.policy))
 	enc.U32(uint32(len(c.tags)))
@@ -39,6 +40,7 @@ func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 // relative to this configuration. On error the arrays may be partly
 // overwritten; the stack is discarded then.
 func (c *Cache) DecodeState(d *ckpt.Decoder) {
+	c.mustLive()
 	d.Section("cache.Cache")
 	policy := Policy(d.U8())
 	n := d.Count(8)

@@ -18,7 +18,7 @@ func TestCodecLineStateAndEpochRange(t *testing.T) {
 		c.Access(block.Write, ext(i*8, 8), 0)
 	}
 	c.Access(block.Write, ext(0, 8), 0) // epoch 2 on block 0
-	flushing := c.CollectDirty(2)
+	flushing := c.CollectDirty(nil, 2)
 
 	enc := ckpt.NewEncoder(0)
 	c.EncodeState(enc)

@@ -56,7 +56,7 @@ func TestDirtyInHelper(t *testing.T) {
 func TestCollectDirtyZeroMax(t *testing.T) {
 	c := New(Config{BlockSectors: 8, Sets: 4, Ways: 2})
 	c.Access(block.Write, ext(0, 8), 0)
-	if got := c.CollectDirty(0); got != nil {
+	if got := c.CollectDirty(nil, 0); got != nil {
 		t.Errorf("CollectDirty(0) = %v", got)
 	}
 }

@@ -47,7 +47,7 @@ func TestExtractCleanSemantics(t *testing.T) {
 func TestExtractCleanRefusesFlushing(t *testing.T) {
 	c := New(Config{BlockSectors: 8, Sets: 4, Ways: 2})
 	c.Access(block.Write, ext(0, 8), 0)
-	flush := c.CollectDirty(1)
+	flush := c.CollectDirty(nil, 1)
 	if len(flush) != 1 {
 		t.Fatalf("CollectDirty = %v, want one block", flush)
 	}

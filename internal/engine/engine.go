@@ -9,6 +9,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"lbica/internal/block"
@@ -236,6 +237,8 @@ type Stack struct {
 	ticks     int
 	maxTicks  int
 	periodics []periodicTask
+	// flushBuf is the flusher's collect buffer, reused every round.
+	flushBuf []cache.DirtyBlock
 
 	// Recycling pools. Requests flow queue → device → completion and are
 	// returned by the servers' OnRelease hook; the op structs carry the
@@ -789,7 +792,8 @@ func (st *Stack) flushTick() {
 	if !st.flushing {
 		return
 	}
-	for _, db := range st.cch.CollectDirty(st.cfg.FlushBatch) {
+	st.flushBuf = st.cch.CollectDirty(st.flushBuf[:0], st.cfg.FlushBatch)
+	for _, db := range st.flushBuf {
 		op := st.newEvictOp(st.cch.BlockExtent(db.Block))
 		op.blockNum, op.epoch = db.Block, db.Epoch
 		op.markClean = true
@@ -864,6 +868,9 @@ func (st *Stack) Start(ctx context.Context, intervals int) {
 	}
 	st.maxTicks = intervals
 	st.ctxDone = ctx.Done() // nil for Background: halted() then never fires
+	// One entry per interval in the per-interval series, reserved up front.
+	st.mon.Reserve(intervals)
+	st.cacheStatsAt = slices.Grow(st.cacheStatsAt, intervals)
 
 	// Arrival pump: schedule one arrival ahead. A single reused closure
 	// fires every arrival; the next request parks in pumpReq (only one
@@ -1018,6 +1025,12 @@ func (st *Stack) Collect() *Results {
 		HDDWrittenSectors: st.hddWrSectors,
 	}
 }
+
+// Release hands the stack's cache line arrays to the next stack built with
+// the same cache line count (cache.Cache.Release). Call it once the run's
+// Results are collected: the stack cannot run or collect again, and any
+// later use of its cache panics. Releasing twice is a no-op.
+func (st *Stack) Release() { st.cch.Release() }
 
 func (st *Stack) schemeName() string {
 	if st.bal == nil {

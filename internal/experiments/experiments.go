@@ -282,11 +282,19 @@ func (s Spec) normalize() (Spec, error) {
 }
 
 // cacheGeometry resolves CacheMiB and CacheWays against the default
-// 256 MiB, 8-way cache (CacheMult scales the result in volumeConfig).
+// 256 MiB, 8-way cache and scales the set count by CacheMult: the one
+// place a spec's cache geometry is computed, checked by normalize and
+// read by volumeConfig. A cache that rounds below one set, or whose lines
+// over all volumes exceed array.MaxCacheLines, is an error, never a clamp:
+// a clamped cache is not the one the spec labels, and an unbounded one
+// fails to allocate.
 func (s Spec) cacheGeometry() (sets, ways int, err error) {
 	d := cache.DefaultConfig()
 	blocks, ways := d.Sets*d.Ways, d.Ways
 	if s.CacheMiB > 0 {
+		if s.CacheMiB > math.MaxInt/256 {
+			return 0, 0, fmt.Errorf("cache of %d MiB overflows the block count", s.CacheMiB)
+		}
 		blocks = s.CacheMiB * 1024 / 4 // 4 KiB blocks
 	}
 	if s.CacheWays > 0 {
@@ -295,7 +303,18 @@ func (s Spec) cacheGeometry() (sets, ways int, err error) {
 	if blocks < ways {
 		return 0, 0, fmt.Errorf("cache of %d MiB cannot hold %d ways", blocks*4/1024, ways)
 	}
-	return blocks / ways, ways, nil
+	f := float64(blocks / ways)
+	if mult := cmp.Or(s.CacheMult, 1); mult != 1 {
+		f = math.Round(f * mult)
+	}
+	if !(f >= 1) {
+		return 0, 0, fmt.Errorf("cache multiplier %v leaves %.0f sets; a cache needs at least 1", s.CacheMult, f)
+	}
+	if lines := f * float64(ways) * float64(s.Volumes); lines > array.MaxCacheLines {
+		return 0, 0, fmt.Errorf("cache of %.0f sets × %d ways × %d volumes = %.0f lines exceeds the %d-line bound",
+			f, ways, s.Volumes, lines, array.MaxCacheLines)
+	}
+	return int(f), ways, nil
 }
 
 // ValidateWorkload reports whether name resolves in the workload catalog
@@ -421,14 +440,6 @@ func (s Spec) volumeConfig(vol int) engine.Config {
 		cfg.HDD.DistanceSeek = true
 	}
 	cfg.Cache.Sets, cfg.Cache.Ways, _ = s.cacheGeometry() // validated in Normalize
-	if s.CacheMult != 1 {
-		// Clamped in float space before the int conversion: an absurd
-		// multiplier would otherwise overflow to min-int and silently
-		// become the smallest possible cache. 1<<22 sets is a 128 GiB
-		// cache at the default geometry — past any meaningful sweep.
-		f := math.Round(float64(cfg.Cache.Sets) * s.CacheMult)
-		cfg.Cache.Sets = int(math.Min(math.Max(f, 1), 1<<22))
-	}
 	cfg.PrewarmBlocks = cfg.Cache.Sets * cfg.Cache.Ways
 	if s.DisablePrewarm {
 		cfg.PrewarmBlocks = 0
@@ -475,6 +486,16 @@ func (s Spec) routedStacks() []*engine.Stack {
 	return sts
 }
 
+// finishStack drains a started stack, collects its results and releases
+// it (engine.Stack.Release), so the next stack built reuses its cache line
+// arrays.
+func finishStack(st *engine.Stack) *engine.Results {
+	st.Drain()
+	res := st.Collect()
+	st.Release()
+	return res
+}
+
 // label stamps the spec's scheme on a run's results: an ARRAY-LB volume
 // runs LBICA, and a static-policy stack has no balancer (which names
 // itself WB), so the stack's own name is not the run's.
@@ -517,7 +538,9 @@ func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Resu
 		// stays byte-identical to the paper harness's goldens. ARRAY-LB
 		// with one volume has nothing to balance across: it runs as plain
 		// LBICA and is relabeled.
-		return spec.label(spec.routedStack(0).RunContext(ctx, spec.Intervals)), nil
+		st := spec.routedStack(0)
+		st.Start(ctx, spec.Intervals)
+		return spec.label(finishStack(st)), nil
 	case spec.Scheme == SchemeArrayLB:
 		// One base stream, routed by the controller itself; per-volume
 		// hardware still draws from its own volume seed. The config was

@@ -139,13 +139,11 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
 	finish := func(sts []*engine.Stack, s Spec) *engine.Results {
 		if len(sts) == 1 {
-			sts[0].Drain()
-			return s.label(sts[0].Collect())
+			return s.label(finishStack(sts[0]))
 		}
 		per := make([]*engine.Results, len(sts))
 		for v, st := range sts {
-			st.Drain()
-			res := st.Collect()
+			res := finishStack(st)
 			res.Volume = v
 			// Same partial rule as array.Run: a cancellation that still let
 			// the volume close every interval changed nothing; volumes

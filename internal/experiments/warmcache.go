@@ -171,9 +171,7 @@ func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *ch
 	}
 	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, ns.routedStacks)
 	o.Cache = cache
-	st := stacks[0]
-	st.Drain()
-	return ns.label(st.Collect()), o
+	return ns.label(finishStack(stacks[0])), o
 }
 
 // RunSaving runs a single-volume spec to completion exactly like
@@ -198,8 +196,7 @@ func RunSaving(ctx context.Context, spec Spec, saveAt int, save func(payload []b
 			return nil, err
 		}
 	}
-	st.Drain()
-	return spec.label(st.Collect()), nil
+	return spec.label(finishStack(st)), nil
 }
 
 // RunRestored resumes a single-volume spec from a payload RunSaving handed
@@ -214,8 +211,7 @@ func RunRestored(ctx context.Context, spec Spec, payload []byte) (*engine.Result
 	if err := checkpoint.DecodeStack(ctx, st, payload); err != nil {
 		return nil, err
 	}
-	st.Drain()
-	return spec.label(st.Collect()), nil
+	return spec.label(finishStack(st)), nil
 }
 
 // RunWarmSharedCached is RunWarmShared backed by a persistent checkpoint

@@ -14,6 +14,7 @@ package iostat
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -252,6 +253,10 @@ func (m *Monitor) Tick(now time.Duration) Sample {
 	}
 	return s
 }
+
+// Reserve makes room for n more samples, so a run that knows its
+// interval count appends them without growing the series.
+func (m *Monitor) Reserve(n int) { m.samples = slices.Grow(m.samples, n) }
 
 // Samples returns all closed samples.
 func (m *Monitor) Samples() []Sample { return m.samples }

@@ -242,9 +242,7 @@ func (g Grid) Validate() error {
 	// through a `<= 0` check (both comparisons are false) and hang the
 	// simulation, and a finite-but-absurd multiplier overflows the set
 	// count downstream. The cache ceiling of 512× (a 128 GiB cache) is
-	// exactly where experiments.RunContext's set-count clamp saturates at
-	// the default geometry — above it, distinct multipliers would run
-	// byte-identical simulations labeled as different cells.
+	// array.MaxCacheLines at the default geometry and one volume.
 	for _, cm := range g.CacheMults {
 		if !(cm > 0 && cm <= 512) {
 			return fmt.Errorf("sweep: cache multiplier %v outside (0, 512]", cm)
@@ -273,6 +271,17 @@ func (g Grid) Validate() error {
 	for _, rs := range g.RouteSkews {
 		if !(rs >= 0 && rs <= array.MaxSkew) {
 			return fmt.Errorf("sweep: route skew %v outside [0, %v]", rs, array.MaxSkew)
+		}
+	}
+	// The run builder bounds the cache each multiplier builds at each
+	// width (at least one set, at most array.MaxCacheLines over the
+	// volumes): check every pair here, before any cell runs.
+	for _, cm := range g.CacheMults {
+		for _, v := range g.Volumes {
+			spec := experiments.Spec{Workload: g.Workloads[0], Scheme: experiments.SchemeWB, CacheMult: cm, Volumes: v}
+			if err := spec.Validate(); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
 		}
 	}
 	for _, axis := range []struct{ name, dup string }{

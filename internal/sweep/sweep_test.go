@@ -136,6 +136,10 @@ func TestValidateRejectsBadAxes(t *testing.T) {
 		{CacheMults: []float64{math.NaN()}},
 		{CacheMults: []float64{math.Inf(1)}},
 		{CacheMults: []float64{1e18}},
+		// In range, but the cache it builds is not: below one set, or past
+		// the line bound once the width multiplies it.
+		{CacheMults: []float64{1e-9}},
+		{CacheMults: []float64{512}, Volumes: []int{1, 2}},
 		{RateFactors: []float64{math.NaN()}},
 		{RateFactors: []float64{math.Inf(1)}},
 		{RateFactors: []float64{1e9}},

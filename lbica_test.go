@@ -331,6 +331,34 @@ func TestNegativeOptionsAreErrors(t *testing.T) {
 	}
 }
 
+// TestBadCacheSizeIsAnError: a cache too large to build — a terabyte of
+// MiB, or a size whose lines over several volumes pass the line bound — is
+// an error, never a panic in the cache build. Options and JSON configs
+// take the same path.
+func TestBadCacheSizeIsAnError(t *testing.T) {
+	fromJSON, err := LoadOptions(strings.NewReader(`{"cache_mib": 1099511627776}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Options{
+		{CacheMiB: 1 << 40},
+		{CacheMiB: math.MaxInt},
+		{CacheMiB: 64 << 10, Volumes: 3},
+		fromJSON,
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Options %+v panicked: %v", o, p)
+				}
+			}()
+			if _, err := Run(o); err == nil {
+				t.Errorf("Options %+v ran instead of erroring", o)
+			}
+		}()
+	}
+}
+
 // TestFacadeMatchesSpec: the facade translates options into an
 // experiments.Spec and builds no stack of its own. Over the option space
 // it shares with the sweep grid — paper and burst workloads × the four
