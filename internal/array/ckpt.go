@@ -1,6 +1,13 @@
 package array
 
-import "lbica/internal/ckpt"
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"lbica/internal/block"
+	"lbica/internal/ckpt"
+)
 
 // EncodeState serializes the router's mutable state — the draw position
 // of its dedicated "array:router" stream. Width, policy, and the Zipf
@@ -40,37 +47,132 @@ func (r *Router) DecodeState(d *ckpt.Decoder) {
 	}
 }
 
-// EncodeState serializes the routed sub-stream position: the private
-// router copy and the base stream it filters. The Filter wrapper is
-// stateless wiring the restoring side rebuilds.
-func (g *volumeGen) EncodeState(enc *ckpt.Encoder) {
-	enc.Section("array.volumeGen")
-	enc.Int(g.vol)
-	g.rt.EncodeState(enc)
-	sc, ok := g.inner.(ckpt.StateCodec)
+// Encode checkpoints a static run parked at an interval barrier: the
+// controller payload first, then one engine.Stack payload per volume. The
+// controller payload holds the router's RNG position, the base
+// generator's state, the one-request lookahead and the next interval
+// index. Every feed is empty at a barrier (each volume consumed its
+// slice), and a volume whose feed is not fails the encode. An array-lb run
+// refuses: its weights, estimates and pins have no codec.
+func (c *Controlled) Encode() ([][]byte, error) {
+	if c.rt != nil {
+		return nil, errors.New("array: an array-lb run cannot be checkpointed")
+	}
+	if c.runErr != nil {
+		return nil, fmt.Errorf("array: cannot checkpoint a stopped run: %w", c.runErr)
+	}
+	size := ckpt.NewSizer()
+	c.encodeState(size)
+	if err := size.Err(); err != nil {
+		return nil, err
+	}
+	enc := ckpt.NewEncoder(size.Len())
+	c.encodeState(enc)
+	if err := enc.Err(); err != nil {
+		return nil, err
+	}
+	payloads := make([][]byte, 1+len(c.stacks))
+	payloads[0] = enc.Data()
+	for v, st := range c.stacks {
+		p, err := st.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("array: volume %d: %w", v, err)
+		}
+		payloads[1+v] = p
+	}
+	return payloads, nil
+}
+
+func (c *Controlled) encodeState(enc *ckpt.Encoder) {
+	enc.Section("array.Controlled")
+	enc.Int(len(c.stacks))
+	enc.Int(c.intervals)
+	enc.Int(c.next)
+	c.static.EncodeState(enc)
+	sc, ok := c.base.(ckpt.StateCodec)
 	if !ok {
-		enc.Failf("array: volume %d wraps non-checkpointable generator %T", g.vol, g.inner)
+		enc.Failf("array: base generator %q is not checkpointable", c.base.Name())
 		return
 	}
 	sc.EncodeState(enc)
+	enc.Bool(c.hasPending)
+	enc.Duration(c.pending.At)
+	enc.U8(uint8(c.pending.Op))
+	enc.I64(c.pending.Extent.LBA)
+	enc.I64(c.pending.Extent.Sectors)
 }
 
-// DecodeState restores the sub-stream in place.
-func (g *volumeGen) DecodeState(d *ckpt.Decoder) {
-	d.Section("array.volumeGen")
-	vol := d.Int()
+// Decode restores payloads written by Encode onto this static run, built
+// with the same configuration and not started; each volume stack decodes
+// its own payload (engine.Stack.Decode, so a volume built without a
+// balancer drops the checkpoint's). Decoding draws nothing from the base
+// stream: the lookahead comes from the payload. On error the run must be
+// discarded.
+func (c *Controlled) Decode(ctx context.Context, payloads [][]byte) error {
+	if c.rt != nil {
+		return errors.New("array: an array-lb run cannot be restored")
+	}
+	if len(payloads) != 1+len(c.stacks) {
+		return fmt.Errorf("array: checkpoint holds %d payloads for a controller and %d volumes", len(payloads), len(c.stacks))
+	}
+	d := ckpt.NewDecoder(payloads[0])
+	c.decodeState(d)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := d.Remaining(); n > 0 {
+		return fmt.Errorf("array: %d trailing bytes after controller state", n)
+	}
+	for v, st := range c.stacks {
+		if err := st.Decode(ctx, payloads[1+v]); err != nil {
+			return fmt.Errorf("array: volume %d: %w", v, err)
+		}
+	}
+	return nil
+}
+
+func (c *Controlled) decodeState(d *ckpt.Decoder) {
+	d.Section("array.Controlled")
+	volumes, intervals, next := d.Int(), d.Int(), d.Int()
 	if d.Err() != nil {
 		return
 	}
-	if vol != g.vol {
-		d.Failf("array: checkpoint is for volume %d, stack hosts volume %d", vol, g.vol)
+	if volumes != len(c.stacks) || intervals != c.intervals {
+		d.Failf("array: checkpoint is a %d-volume, %d-interval run; this run has %d volumes and %d intervals",
+			volumes, intervals, len(c.stacks), c.intervals)
 		return
 	}
-	g.rt.DecodeState(d)
-	sc, ok := g.inner.(ckpt.StateCodec)
+	if next < 1 || next > intervals+1 {
+		d.Failf("array: checkpoint's next interval %d outside [1, %d]", next, intervals+1)
+		return
+	}
+	c.static.DecodeState(d)
+	sc, ok := c.base.(ckpt.StateCodec)
 	if !ok {
-		d.Failf("array: volume %d wraps non-checkpointable generator %T", g.vol, g.inner)
+		d.Failf("array: base generator %q is not checkpointable", c.base.Name())
 		return
 	}
 	sc.DecodeState(d)
+	c.hasPending = d.Bool()
+	c.pending.At = d.Duration()
+	c.pending.Op = block.Op(d.U8())
+	c.pending.Extent.LBA = d.I64()
+	c.pending.Extent.Sectors = d.I64()
+	c.next = next
+}
+
+// EncodeState writes a feed's state, which at an interval barrier is
+// none: the volume consumed every request routed to it. A feed still
+// holding requests is mid-interval and fails the encode.
+func (f *feedGen) EncodeState(enc *ckpt.Encoder) {
+	enc.Section("array.feed")
+	if left := len(f.reqs) - f.pos; left > 0 {
+		enc.Failf("array: volume %d's feed holds %d requests; checkpoint at an interval barrier", f.vol, left)
+	}
+}
+
+// DecodeState restores a feed: empty, as every barrier leaves it.
+func (f *feedGen) DecodeState(d *ckpt.Decoder) {
+	d.Section("array.feed")
+	f.reqs, f.pos = f.reqs[:0], 0
 }

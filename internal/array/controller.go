@@ -1,7 +1,6 @@
 package array
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"lbica/internal/engine"
-	"lbica/internal/runner"
 	"lbica/internal/sim"
 	"lbica/internal/workload"
 )
@@ -162,11 +160,10 @@ func (c ControllerConfig) Validate() error {
 	return nil
 }
 
-// adaptiveRouter is the controller-owned router: unlike the static
-// Router, exactly one instance exists per run (the controller routes the
-// base stream itself and feeds each volume its slice), so it carries
-// mutable state — weights, load estimates, migration pins — with no
-// lockstep-across-copies contract to honor.
+// adaptiveRouter is array-lb's router: like a static run's Router it
+// exists once per run, but it carries mutable state — weights, load
+// estimates, migration pins — that the barrier updates, and it never has
+// sibling copies to keep in lockstep.
 type adaptiveRouter struct {
 	n       int
 	variant Variant
@@ -324,45 +321,23 @@ func (rt *adaptiveRouter) observe(loads []float64, smoothing, minShare float64) 
 	rt.rebuildCDF()
 }
 
-// feedGen is the refillable per-volume generator under a controlled run:
-// the controller routes each interval's slice of the base stream into the
-// owning volume's feed before stepping it. It implements HotBlocks by
-// delegating to the base generator, so every volume prewarms the same
-// hottest set — exactly what static uniform/zipf routing prewarms, since
-// under both any block may be routed anywhere.
-type feedGen struct {
-	name string
-	hot  interface{ HotBlocks(int) []int64 }
-	reqs []workload.Request
-	pos  int
-}
-
-func (f *feedGen) Name() string { return f.name }
-
-func (f *feedGen) Next() (workload.Request, bool) {
-	if f.pos >= len(f.reqs) {
-		return workload.Request{}, false
+// adapt is array-lb's barrier: with every volume parked at the interval
+// barrier, read each volume's last closed sample, fold the loads into the
+// router, migrate hot blocks, and start the next interval's arrival
+// counts — serially, on the controller goroutine.
+func (c *Controlled) adapt() {
+	for v, st := range c.stacks {
+		c.loads[v] = 0
+		if s := st.Monitor().Samples(); len(s) > 0 {
+			last := s[len(s)-1]
+			c.loads[v] = float64(last.CacheLoad+last.DiskLoad) / float64(time.Microsecond)
+		}
 	}
-	r := f.reqs[f.pos]
-	f.pos++
-	return r, true
-}
-
-func (f *feedGen) HotBlocks(n int) []int64 {
-	if f.hot == nil {
-		return nil
+	c.rt.observe(c.loads, c.cfg.Smoothing, c.cfg.MinShare)
+	migrateHot(c.rt, c.stacks, c.counts, c.cfg)
+	for v := range c.counts {
+		clear(c.counts[v])
 	}
-	return f.hot.HotBlocks(n)
-}
-
-func (f *feedGen) push(r workload.Request) {
-	if f.pos == len(f.reqs) {
-		// The volume consumed everything queued so far; recycle the slice
-		// so a long run doesn't retain the whole routed stream.
-		f.reqs = f.reqs[:0]
-		f.pos = 0
-	}
-	f.reqs = append(f.reqs, r)
 }
 
 // hotCount ranks a volume's blocks by interval arrival count for the
@@ -371,200 +346,6 @@ func (f *feedGen) push(r workload.Request) {
 type hotCount struct {
 	block int64
 	count uint64
-}
-
-// Controlled is a resumable array-lb run: cfg.Volumes stacks advancing in
-// lockstep, one monitor interval per round, with the controller routing
-// the base stream and re-deciding weights and migrations at every
-// interval barrier. NewControlled builds it, StepTo advances it round by
-// round, Finish runs the remainder and collects; RunControlled is the
-// one-shot composition. Between StepTo calls the whole array is parked at
-// an interval barrier.
-//
-// Determinism contract: the controller routes requests and makes every
-// decision serially, between rounds, from state the barrier freezes —
-// each volume's closed interval Sample and the controller's own arrival
-// counts. Within a round the pool workers touch only their own volume's
-// stack, and runner.Map's completion wait orders every volume's round-N
-// writes before the controller's round-N reads (and the controller's
-// writes before every round-N+1 read). Merged output is therefore
-// byte-identical for every Workers value, including Workers == 1.
-type Controlled struct {
-	cfg          ControllerConfig // defaulted + validated
-	intervals    int
-	monitorEvery time.Duration
-
-	base   workload.Generator
-	rt     *adaptiveRouter
-	feeds  []*feedGen
-	stacks []*engine.Stack
-
-	// Per-volume, per-interval arrival counts by 4 KiB block — the
-	// controller's hotness signal for the migration pick.
-	counts []map[int64]uint64
-
-	// One-request lookahead over the base stream: route everything that
-	// arrives strictly before the deadline (a request at exactly the
-	// boundary belongs to the next interval, after the controller acted).
-	pending    workload.Request
-	hasPending bool
-
-	next   int // 1-based index of the next interval round to execute
-	loads  []float64
-	runErr error // sticky: first cancellation or pool error
-}
-
-// NewControlled assembles a controlled array run and starts its volume
-// stacks. build(vol, gen) must assemble volume vol's stack over gen — the
-// controller's per-volume feed — with MonitorEvery equal to monitorEvery.
-func NewControlled(ctx context.Context, cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator,
-	build func(vol int, gen workload.Generator) (*engine.Stack, error)) (*Controlled, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if intervals < 1 {
-		intervals = 1
-	}
-	if monitorEvery <= 0 {
-		monitorEvery = 200 * time.Millisecond
-	}
-	n := cfg.Volumes
-
-	c := &Controlled{
-		cfg:          cfg,
-		intervals:    intervals,
-		monitorEvery: monitorEvery,
-		base:         base,
-		rt:           newAdaptiveRouter(cfg),
-		feeds:        make([]*feedGen, n),
-		stacks:       make([]*engine.Stack, n),
-		counts:       make([]map[int64]uint64, n),
-		next:         1,
-		loads:        make([]float64, n),
-	}
-	hot, _ := base.(interface{ HotBlocks(int) []int64 })
-	for v := 0; v < n; v++ {
-		c.feeds[v] = &feedGen{name: base.Name(), hot: hot}
-		st, err := build(v, c.feeds[v])
-		if err != nil {
-			return nil, fmt.Errorf("array: building volume %d: %w", v, err)
-		}
-		c.stacks[v] = st
-		st.Start(ctx, intervals)
-	}
-	for v := range c.counts {
-		c.counts[v] = make(map[int64]uint64)
-	}
-	c.pending, c.hasPending = base.Next()
-	return c, nil
-}
-
-// routeBefore routes every base-stream request arriving strictly before
-// deadline into its volume's feed (deadline < 0 routes the remainder).
-func (c *Controlled) routeBefore(deadline time.Duration) {
-	for c.hasPending && (deadline < 0 || c.pending.At < deadline) {
-		v := c.rt.route(c.pending)
-		c.feeds[v].push(c.pending)
-		c.counts[v][c.pending.Extent.LBA/workload.BlockSectors]++
-		c.pending, c.hasPending = c.base.Next()
-	}
-}
-
-// StepTo executes interval rounds up to and including interval (clamped
-// to the run length), leaving every volume parked at the interval barrier
-// with the controller's decisions for that barrier applied. Errors are
-// sticky: once a round fails (cancellation is the only source), further
-// StepTo calls return the same error without advancing.
-func (c *Controlled) StepTo(ctx context.Context, interval int) error {
-	if c.runErr == nil {
-		c.runErr = ctx.Err()
-	}
-	if interval > c.intervals {
-		interval = c.intervals
-	}
-	for ; c.next <= interval && c.runErr == nil; c.next++ {
-		deadline := time.Duration(c.next) * c.monitorEvery
-		c.routeBefore(deadline)
-		_, err := runner.Map(ctx, len(c.stacks), runner.Options{Workers: c.cfg.Workers},
-			func(_ context.Context, v int) (struct{}, error) {
-				c.stacks[v].ResumeArrivals()
-				c.stacks[v].StepTo(deadline)
-				return struct{}{}, nil
-			})
-		if err != nil {
-			c.runErr = err
-			break
-		}
-		// Barrier: every volume is parked at deadline with the previous
-		// interval's sample closed. Read the census, adapt, migrate —
-		// serially.
-		for v, st := range c.stacks {
-			c.loads[v] = 0
-			if s := st.Monitor().Samples(); len(s) > 0 {
-				last := s[len(s)-1]
-				c.loads[v] = float64(last.CacheLoad+last.DiskLoad) / float64(time.Microsecond)
-			}
-		}
-		c.rt.observe(c.loads, c.cfg.Smoothing, c.cfg.MinShare)
-		migrateHot(c.rt, c.stacks, c.counts, c.cfg)
-		for v := range c.counts {
-			clear(c.counts[v])
-		}
-	}
-	return c.runErr
-}
-
-// Finish runs the remaining interval rounds, streams and drains the
-// remainder past the last interval (it lands in no sample but still
-// executes, matching RunContext), and collects the merged results. The
-// per-volume results land in Results.PerVolume exactly as for Run; on
-// cancellation only whole volumes are kept. Finish releases every volume
-// stack (engine.Stack.Release): the run cannot step or finish again.
-func (c *Controlled) Finish(ctx context.Context) (*Results, error) {
-	c.StepTo(ctx, c.intervals)
-	runErr := c.runErr
-	if runErr == nil {
-		c.routeBefore(-1)
-		_, runErr = runner.Map(ctx, len(c.stacks), runner.Options{Workers: c.cfg.Workers},
-			func(_ context.Context, v int) (struct{}, error) {
-				c.stacks[v].ResumeArrivals()
-				c.stacks[v].Drain()
-				return struct{}{}, nil
-			})
-	} else {
-		// Cancelled: drain in-flight work only — the stacks' halted event
-		// chains stop on their own.
-		for _, st := range c.stacks {
-			st.Drain()
-		}
-	}
-
-	per := make([]*engine.Results, len(c.stacks))
-	for v, st := range c.stacks {
-		res := st.Collect()
-		st.Release()
-		res.Volume = v
-		// Same partial rule as Run: a cancellation that still let the
-		// volume close every interval changed nothing; volumes stopped
-		// short are dropped.
-		if runErr != nil && len(res.Samples) < c.intervals {
-			continue
-		}
-		per[v] = res
-	}
-	return &Results{Volumes: len(c.stacks), Merged: Merge(per), PerVolume: per}, runErr
-}
-
-// RunControlled executes an array-lb run start to finish — NewControlled
-// composed with Finish. See Controlled for the determinism contract.
-func RunControlled(ctx context.Context, cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator,
-	build func(vol int, gen workload.Generator) (*engine.Stack, error)) (*Results, error) {
-	c, err := NewControlled(ctx, cfg, intervals, monitorEvery, base, build)
-	if err != nil {
-		return nil, err
-	}
-	return c.Finish(ctx)
 }
 
 // migrateHot moves the bottleneck volume's hottest unpinned blocks to the

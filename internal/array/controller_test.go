@@ -16,7 +16,7 @@ import (
 
 // controlledBuild assembles small tpcc/LBICA volumes over the
 // controller's per-volume feeds.
-func controlledBuild(seed int64) func(vol int, gen workload.Generator) (*engine.Stack, error) {
+func controlledBuild(seed int64) FeedBuildFunc {
 	return func(vol int, gen workload.Generator) (*engine.Stack, error) {
 		ec := engine.DefaultConfig()
 		ec.Seed = sim.Stream(seed, vol)
@@ -29,11 +29,15 @@ func controlledBuild(seed int64) func(vol int, gen workload.Generator) (*engine.
 
 func runControlled(t *testing.T, cfg ControllerConfig, seed int64, intervals int) *Results {
 	t.Helper()
+	ctx := context.Background()
 	base := workload.TPCC(workload.Scale{Intervals: intervals}, sim.NewRNG(seed, "workload:tpcc"))
-	res, err := RunControlled(context.Background(), cfg, intervals, engine.DefaultConfig().MonitorEvery,
-		base, controlledBuild(seed))
+	c, err := NewControlled(ctx, cfg, intervals, engine.DefaultConfig().MonitorEvery, base, controlledBuild(seed))
 	if err != nil {
-		t.Fatalf("RunControlled: %v", err)
+		t.Fatalf("NewControlled: %v", err)
+	}
+	res, err := c.Finish(ctx)
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 	return res
 }
@@ -273,10 +277,14 @@ func TestRunControlledCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	base := workload.TPCC(workload.Scale{Intervals: 4}, sim.NewRNG(1, "workload:tpcc"))
-	res, err := RunControlled(ctx, ControllerConfig{Volumes: 3, Seed: 1, Workers: 1}, 4,
+	c, err := NewControlled(ctx, ControllerConfig{Volumes: 3, Seed: 1, Workers: 1}, 4,
 		engine.DefaultConfig().MonitorEvery, base, controlledBuild(1))
+	if err != nil {
+		t.Fatalf("NewControlled: %v", err)
+	}
+	res, err := c.Finish(ctx)
 	if err == nil {
-		t.Fatal("cancelled RunControlled returned nil error")
+		t.Fatal("cancelled Finish returned nil error")
 	}
 	for v, r := range res.PerVolume {
 		if r != nil {

@@ -2,8 +2,7 @@
 // volumes, each a full cache+SSD-queue+disk-subsystem stack with its own
 // load-balancer instance, fed by a deterministic router that splits the
 // application stream across the volumes. Volumes share no mutable state,
-// so the array shards volume-per-core through the bounded runner pool and
-// inherits its determinism guarantee: the merged results are byte-
+// so the array steps volume-per-core and the merged results are byte-
 // identical for any worker count, including the serial baseline.
 //
 // The paper evaluates one SSD-cache/disk stack; an array is the
@@ -15,24 +14,35 @@
 // consistent-hashing frontend produces), and Zipf skews volume popularity
 // (the hot-shard regime proximity-aware allocation studies).
 //
+// # One array path
+//
+// Every array runs as a Controlled run (controlled.go): the controller
+// owns the single base workload generator and the run's one router, and
+// at each monitor-interval barrier it pulls the next interval's requests
+// once, routes each into its volume's feed, and lets the volumes step to
+// the barrier in parallel. A static run (NewStatic) routes through one
+// Router that never reweights. Run and VolumeGen are the reference path
+// its differential tests compare against: there every volume builds its
+// own sibling Router and replays a copy of the whole stream, and the
+// siblings draw in lockstep.
+//
 // # The array-lb controller
 //
-// RunControlled replaces the static router with a closed-loop
-// controller (controller.go): at each monitor-interval boundary it reads
-// every volume's measured load, reweights the router from smoothed
-// inverse loads (or routes power-of-two-choices under VariantP2C), and
-// migrates the hottest clean cache lines off the bottleneck volume,
-// pinning their routing at the destination.
+// NewControlled replaces the static router with a closed-loop controller
+// (controller.go): at each barrier it also reads every volume's measured
+// load, reweights the router from smoothed inverse loads (or routes
+// power-of-two-choices under VariantP2C), and migrates the hottest clean
+// cache lines off the bottleneck volume, pinning their routing at the
+// destination.
 //
-// Determinism contract: the controller owns the single base workload
-// generator and the single adaptiveRouter; both are touched only on the
-// controller goroutine. Each round it routes the next interval's
-// requests serially into per-volume queues, lets the volumes step to the
-// barrier in parallel through the runner pool, then — with every volume
-// quiescent — observes loads, reweights, and migrates serially. Because
-// everything stochastic or order-sensitive happens on one goroutine at a
-// barrier, merged results are byte-identical for every worker count,
-// including the serial baseline.
+// Determinism contract: the base generator and the router are touched
+// only on the controller goroutine. Each round it routes the next
+// interval's requests serially into per-volume feeds, lets the volumes
+// step to the barrier in parallel, then — with every volume quiescent —
+// observes loads, reweights, and migrates serially. Because everything
+// stochastic or order-sensitive happens on one goroutine at a barrier,
+// merged results are byte-identical for every worker count, including
+// the serial baseline.
 //
 // Migrated-line merge semantics: a migration moves a clean line between
 // two volumes' caches mid-run. Per-volume stats count MigratedOut at the
@@ -93,12 +103,12 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// Router deterministically assigns a request stream to volumes. Every
-// volume of an array constructs its own Router from the same (seed, n,
-// policy, skew) — the stochastic policies draw one value per request from
-// a dedicated "array:router" RNG stream, so sibling routers over copies
-// of the same stream make identical decisions in lockstep, while leaving
-// every other stream of the run untouched.
+// Router deterministically assigns a request stream to volumes. A static
+// array run has one, built from (seed, n, policy, skew); the stochastic
+// policies draw one value per request from a dedicated "array:router" RNG
+// stream, leaving every other stream of the run untouched. On the
+// reference path every volume builds its own copy, and sibling routers
+// over copies of the same stream make identical decisions in lockstep.
 type Router struct {
 	n      int
 	policy Policy
@@ -178,37 +188,15 @@ func (r *Router) RouteBlock(block int64) int {
 // route here, overfetched by the array width so the volume still fills
 // its quota.
 //
-// The returned generator is checkpointable whenever the base stream is:
-// its state is the base stream's and the router's mid-stream positions.
+// VolumeGen and Run are the reference path: every volume replays the
+// whole base stream, where a static Controlled run (NewStatic) pulls and
+// routes it once, with identical results.
 func VolumeGen(gen workload.Generator, rt *Router, vol int) workload.Generator {
-	return newVolumeGen(gen, rt, vol)
-}
-
-// volumeGen is VolumeGen's concrete type: a Filter over the base stream
-// whose predicate closes over a private router copy, plus the handles
-// (base generator, router, volume index) its checkpoint codec walks.
-type volumeGen struct {
-	inner workload.Generator
-	rt    *Router
-	vol   int
-	f     *workload.Filter
-}
-
-func newVolumeGen(gen workload.Generator, rt *Router, vol int) *volumeGen {
 	f := workload.NewFilter(gen, func(req workload.Request) bool {
 		return rt.Route(req) == vol
 	})
 	if rt.policy == Hash {
 		f.WithHotFilter(func(block int64) bool { return rt.RouteBlock(block) == vol }, rt.n)
 	}
-	return &volumeGen{inner: gen, rt: rt, vol: vol, f: f}
+	return f
 }
-
-// Name implements workload.Generator.
-func (g *volumeGen) Name() string { return g.f.Name() }
-
-// Next implements workload.Generator.
-func (g *volumeGen) Next() (workload.Request, bool) { return g.f.Next() }
-
-// HotBlocks forwards the filtered prewarm set.
-func (g *volumeGen) HotBlocks(n int) []int64 { return g.f.HotBlocks(n) }

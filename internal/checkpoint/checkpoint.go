@@ -1,7 +1,8 @@
 // Package checkpoint persists warmed simulation state across process
-// invocations: a versioned container file holding one or more encoded
-// engine.Stack payloads, and a content-addressed on-disk store that maps
-// a canonical warmup key to such a file.
+// invocations: a versioned container file holding one encoded
+// engine.Stack payload, or a static array's controller and volume
+// payloads, and a content-addressed on-disk store that maps a canonical
+// warmup key to such a file.
 //
 // Trust model: checkpoint files are a cache, never a source of truth. A
 // missing, truncated, corrupt, version-skewed, or key-colliding entry is
@@ -30,8 +31,10 @@ import (
 // FormatVersion is the container format version. It must be bumped
 // whenever any layer's wire encoding changes (the per-package EncodeState
 // bodies, the completer payloads, or this container) so stale caches read
-// as misses instead of corrupt state.
-const FormatVersion = 2
+// as misses instead of corrupt state. Version 3 stores a multi-volume
+// warmup as the static array controller's payload followed by one payload
+// per volume (array.Controlled.Encode).
+const FormatVersion = 3
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -53,8 +56,8 @@ func DecodeStack(ctx context.Context, st *engine.Stack, payload []byte) error {
 }
 
 // WriteFile atomically publishes a checkpoint container: the key it was
-// built for plus one payload per stack (a multi-volume warmup stores all
-// volumes in one file). The write goes to a temp file in the target
+// built for plus its payloads — one stack's, or a multi-volume warmup's
+// controller and volume payloads in one file. The write goes to a temp file in the target
 // directory first and is renamed into place, so concurrent sweeps racing
 // on the same key each observe either no file or a complete one.
 func WriteFile(path, key string, payloads [][]byte) error {

@@ -7,9 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"lbica/internal/array"
 	"lbica/internal/checkpoint"
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
+	"lbica/internal/sim"
+	"lbica/internal/workload"
 )
 
 // fuzzSpec/fuzzStack shrink the cache to a few hundred lines so the
@@ -27,6 +30,27 @@ func fuzzStack(spec experiments.Spec) *engine.Stack {
 	cfg.Cache.Ways = 4
 	cfg.PrewarmBlocks = 256
 	return engine.New(cfg, experiments.NewGenerator(spec), experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
+}
+
+// fuzzArray is fuzzStack's two-volume statically routed array, built and
+// not started: the shape a multi-volume warmup container restores onto.
+func fuzzArray(spec experiments.Spec) *array.Controlled {
+	acfg := array.Config{Volumes: 2, Policy: array.Zipf, Skew: 1.2, Workers: 1}
+	c, err := array.NewStatic(acfg, spec.Seed, spec.Intervals, spec.Interval, experiments.NewGenerator(spec),
+		func(vol int, gen workload.Generator) (*engine.Stack, error) {
+			cfg := engine.DefaultConfig()
+			cfg.Seed = sim.Stream(spec.Seed, vol)
+			cfg.Volume = vol
+			cfg.MonitorEvery = spec.Interval
+			cfg.Cache.Sets = 64
+			cfg.Cache.Ways = 4
+			cfg.PrewarmBlocks = 256
+			return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds)), nil
+		})
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // FuzzDecodeCheckpoint hardens both decode layers against arbitrary
@@ -94,6 +118,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				// Payloads of an accepted container still carry no trust:
 				// decoding may error, but must not panic.
 				_ = checkpoint.DecodeStack(ctx, fuzzStack(spec), pl)
+			}
+			if len(payloads) > 1 {
+				// A multi-volume container restores onto a static array.
+				_ = fuzzArray(spec).Decode(ctx, payloads)
 			}
 		}
 		// The same bytes as a bare stack payload: error or restore, never

@@ -56,6 +56,25 @@ func TestGenCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A multi-volume warmup container: a static array's controller and
+	// volume payloads at the first barrier.
+	arr := fuzzArray(spec)
+	arr.Start(context.Background())
+	arr.StepTo(context.Background(), 1)
+	arrPayloads, err := arr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := filepath.Join(t.TempDir(), "multi.ckpt")
+	if err := checkpoint.WriteFile(multi, "corpus-array", arrPayloads); err != nil {
+		t.Fatal(err)
+	}
+	multiBuf, err := os.ReadFile(multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("multi-volume container size: %d", len(multiBuf))
+
 	dir := "testdata/fuzz/FuzzDecodeCheckpoint"
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -69,6 +88,7 @@ func TestGenCorpus(t *testing.T) {
 		"seed05": []byte("LBICACK1"),
 		"seed06": {},
 		"seed07": payload[:128],
+		"seed08": multiBuf,
 	}
 	for name, data := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)", strconv.Quote(string(data)))

@@ -14,6 +14,7 @@ import (
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
 	"lbica/internal/sim"
+	"lbica/internal/workload"
 )
 
 func ckptSpec(wl, scheme string) experiments.Spec {
@@ -179,8 +180,8 @@ func TestRestoreWithInFlightEvictions(t *testing.T) {
 // TestRestoreDropBalancerFork pins the warm plan's WB trick on a restored
 // leader: while the balancer has not acted, a DropBalancer fork off a
 // restored LBICA leader is byte-identical to a from-scratch WB run. The
-// same holds for an LBICA payload decoded straight onto a WB stack, on
-// every volume of a static array. A SIB prefix, a prefix the balancer
+// same holds for an LBICA static array's checkpoint decoded straight onto
+// a WB array. A SIB prefix, a prefix the balancer
 // acted on, and a stack pinned to another cache policy are refused.
 func TestRestoreDropBalancerFork(t *testing.T) {
 	ctx := context.Background()
@@ -205,37 +206,53 @@ func TestRestoreDropBalancerFork(t *testing.T) {
 	restored.Drain()
 	mustEqual(t, restored.Collect(), runScratch(lbSpec), "restored LBICA leader")
 
-	// The same restore on every volume of a 3-volume statically routed
-	// array, the shape the sweep's array warm plan shares: each volume's
-	// LBICA payload, restored onto a WB volume stack, equals a scratch WB
-	// run of that volume.
+	// The same restore on a 3-volume statically routed array, the shape the
+	// sweep's array warm plan shares: the LBICA array's checkpoint (the
+	// controller payload plus one payload per volume), restored onto a WB
+	// array, equals a scratch WB array run.
 	acfg := array.Config{Volumes: 3, Policy: array.Zipf, Skew: 1.2}
-	volumeStack := func(spec experiments.Spec, vol int) *engine.Stack {
-		cfg := engine.DefaultConfig()
-		cfg.Seed = sim.Stream(spec.Seed, vol)
-		cfg.Volume = vol
-		cfg.MonitorEvery = spec.Interval
-		gen := array.VolumeGen(experiments.NewGenerator(spec), acfg.NewRouter(spec.Seed), vol)
-		return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
-	}
-	for vol := 0; vol < acfg.Volumes; vol++ {
-		leader := volumeStack(lbSpec, vol)
-		leader.Start(ctx, lbSpec.Intervals)
-		leader.StepTo(barrier)
-		if leader.BalancerActed() {
-			t.Fatalf("volume %d: balancer acted by %v; no shared-warmup window", vol, barrier)
-		}
-		p, err := checkpoint.EncodeStack(leader)
+	staticArray := func(spec experiments.Spec) *array.Controlled {
+		c, err := array.NewStatic(acfg, spec.Seed, spec.Intervals, spec.Interval, experiments.NewGenerator(spec),
+			func(vol int, gen workload.Generator) (*engine.Stack, error) {
+				cfg := engine.DefaultConfig()
+				cfg.Seed = sim.Stream(spec.Seed, vol)
+				cfg.Volume = vol
+				cfg.MonitorEvery = spec.Interval
+				return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds)), nil
+			})
 		if err != nil {
-			t.Fatalf("volume %d: EncodeStack: %v", vol, err)
+			t.Fatalf("NewStatic: %v", err)
 		}
-		wb := volumeStack(wbSpec, vol)
-		if err := checkpoint.DecodeStack(ctx, wb, p); err != nil {
-			t.Fatalf("volume %d: DecodeStack as WB: %v", vol, err)
-		}
-		wb.Drain()
-		want := volumeStack(wbSpec, vol).RunContext(ctx, wbSpec.Intervals)
-		mustEqual(t, wb.Collect(), want, fmt.Sprintf("volume %d restored as WB", vol))
+		return c
+	}
+	leader := staticArray(lbSpec)
+	leader.Start(ctx)
+	if err := leader.StepTo(ctx, int(barrier/lbSpec.Interval)); err != nil {
+		t.Fatalf("StepTo: %v", err)
+	}
+	if leader.BalancerActed() {
+		t.Fatalf("array balancer acted by %v; no shared-warmup window", barrier)
+	}
+	payloads, err := leader.Encode()
+	if err != nil {
+		t.Fatalf("array Encode: %v", err)
+	}
+	wb := staticArray(wbSpec)
+	if err := wb.Decode(ctx, payloads); err != nil {
+		t.Fatalf("array Decode as WB: %v", err)
+	}
+	got, err := wb.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := staticArray(wbSpec)
+	scratch.Start(ctx)
+	want, err := scratch.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vol := range want.PerVolume {
+		mustEqual(t, got.PerVolume[vol], want.PerVolume[vol], fmt.Sprintf("volume %d restored as WB", vol))
 	}
 
 	// A SIB prefix was shaped by its balancer from t=0 (the WT+WO pin and

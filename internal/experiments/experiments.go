@@ -41,7 +41,7 @@ const (
 	SchemeSIB   = "SIB"
 	SchemeLBICA = "LBICA"
 	// SchemeArrayLB runs per-volume LBICA plus the array-level controller
-	// (internal/array.RunControlled): adaptive weighted routing and hot-
+	// (internal/array.NewControlled): adaptive weighted routing and hot-
 	// block migration, re-decided at every monitor-interval barrier. At
 	// Volumes == 1 there is nothing to balance across and the scheme
 	// degenerates to plain LBICA (relabeled in the results).
@@ -141,8 +141,8 @@ type Spec struct {
 	// rescale it).
 	Phases *[]workload.Phase
 	// Replay, when non-nil, replays a recorded request stream instead of
-	// generating one. Every array volume routes the same requests, exactly
-	// like a generated stream; the slice is only read.
+	// generating one. An array routes it exactly like a generated stream;
+	// the slice is only read.
 	Replay *[]workload.Request
 
 	// CacheMiB sizes the SSD cache (0 = 256 MiB) and CacheWays sets its
@@ -460,30 +460,33 @@ func (s Spec) newStack(vol int, gen workload.Generator) *engine.Stack {
 	return engine.New(cfg, gen, bal)
 }
 
-// routedStack builds volume vol of a statically routed spec — at one
-// volume, the run's only stack, which also carries the record hook. Every
-// volume replays its own copy of the base stream (the workload keeps the
-// run seed) and keeps what its router assigns it: the sibling routers
-// consume their RNG in lockstep, so they agree on every request.
-func (s Spec) routedStack(vol int) *engine.Stack {
+// singleStack builds a single-volume spec's only stack, which also carries
+// the record hook.
+func (s Spec) singleStack() *engine.Stack {
 	gen := NewGenerator(s)
-	switch {
-	case s.Volumes > 1:
-		acfg, _ := s.arrayConfig() // validated in Normalize
-		gen = array.VolumeGen(gen, acfg.NewRouter(s.Seed), vol)
-	case s.Hooks != nil && s.Hooks.Record != nil:
+	if s.Hooks != nil && s.Hooks.Record != nil {
 		gen = workload.NewTee(gen, s.Hooks.Record)
 	}
-	return s.newStack(vol, gen)
+	return s.newStack(0, gen)
 }
 
-// routedStacks builds every volume of a statically routed spec.
-func (s Spec) routedStacks() []*engine.Stack {
-	sts := make([]*engine.Stack, s.Volumes)
-	for v := range sts {
-		sts[v] = s.routedStack(v)
+// newStatic builds a statically routed multi-volume spec's array, not yet
+// started: one base stream, pulled and routed once by the spec's router
+// into per-volume feeds (array.NewStatic). The workload keeps the run seed;
+// each volume's hardware draws from its own volume seed.
+func (s Spec) newStatic() *array.Controlled {
+	acfg, _ := s.arrayConfig() // validated in Normalize
+	c, err := array.NewStatic(acfg, s.Seed, s.Intervals, s.Interval, NewGenerator(s), s.feedStack)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return sts
+	return c
+}
+
+// feedStack builds array volume vol's stack over gen, the controller's
+// feed for it (array.FeedBuildFunc).
+func (s Spec) feedStack(vol int, gen workload.Generator) (*engine.Stack, error) {
+	return s.newStack(vol, gen), nil
 }
 
 // finishStack drains a started stack, collects its results and releases
@@ -514,9 +517,10 @@ func Run(spec Spec) *engine.Results {
 // results accumulated so far.
 //
 // When spec.Volumes > 1 the run is a multi-volume array: each volume is a
-// full stack with its own balancer instance, fed its routed sub-stream,
-// sharded volume-per-core through the runner pool (spec.ShardWorkers) and
-// merged order-independently — the returned Results are the array-level
+// full stack with its own balancer instance, fed its routed sub-stream by
+// one controller that pulls and routes the base stream once at every
+// interval barrier, stepped volume-per-core (spec.ShardWorkers) and merged
+// order-independently — the returned Results are the array-level
 // reduction (see array.Merge), byte-identical for every worker count. A
 // cancellation drops volumes that had not completed; the merged partial
 // covers the volumes that finished.
@@ -530,39 +534,35 @@ func RunContext(ctx context.Context, spec Spec) *engine.Results {
 // cancellation stopped before it completed); nil for a single stack.
 func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Results) {
 	spec = spec.Normalize()
-	var ares *array.Results
+	var c *array.Controlled
 	switch {
 	case spec.Volumes == 1:
 		// The single-stack path is exactly the pre-array pipeline — no
-		// router, no filter, the run seed untouched — so Volumes: 1 output
+		// router, no feed, the run seed untouched — so Volumes: 1 output
 		// stays byte-identical to the paper harness's goldens. ARRAY-LB
 		// with one volume has nothing to balance across: it runs as plain
 		// LBICA and is relabeled.
-		st := spec.routedStack(0)
+		st := spec.singleStack()
 		st.Start(ctx, spec.Intervals)
 		return spec.label(finishStack(st)), nil
 	case spec.Scheme == SchemeArrayLB:
-		// One base stream, routed by the controller itself; per-volume
-		// hardware still draws from its own volume seed. The config was
-		// validated in Normalize, so only a cancellation can fail — and
-		// a cancelled run returns the partial results that exist.
+		// The controller reweights its routing at every barrier. The
+		// config was validated in Normalize, so only a cancellation can
+		// fail — and a cancelled run returns the partial results that
+		// exist.
 		variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
 		ccfg := array.ControllerConfig{Volumes: spec.Volumes, Skew: spec.RouteSkew, Seed: spec.Seed,
 			Variant: variant, Workers: spec.ShardWorkers}
-		c, err := array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec),
-			func(vol int, gen workload.Generator) (*engine.Stack, error) {
-				return spec.newStack(vol, gen), nil
-			})
+		var err error
+		c, err = array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec), spec.feedStack)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		ares, _ = c.Finish(ctx)
 	default:
-		acfg, _ := spec.arrayConfig() // validated in Normalize
-		ares, _ = array.Run(ctx, acfg, spec.Intervals, func(vol int) (*engine.Stack, error) {
-			return spec.routedStack(vol), nil
-		})
+		c = spec.newStatic()
+		c.Start(ctx)
 	}
+	ares, _ := c.Finish(ctx)
 	for _, r := range ares.PerVolume {
 		if r != nil {
 			spec.label(r)

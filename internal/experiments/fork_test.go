@@ -19,7 +19,7 @@ func forkSpec(wl, scheme string) Spec {
 
 // buildStack constructs the single-volume stack exactly as RunContext's
 // Volumes==1 path does.
-func buildStack(spec Spec) *engine.Stack { return spec.routedStack(0) }
+func buildStack(spec Spec) *engine.Stack { return spec.singleStack() }
 
 // runScratch is the uninterrupted baseline run.
 func runScratch(spec Spec) *engine.Results {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"lbica/internal/array"
 	"lbica/internal/checkpoint"
@@ -125,44 +127,22 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 	return RunWarmSharedCached(ctx, specs, warmupIntervals, nil)
 }
 
-// runWarmPlan is the warm plan over the leader's volume stacks — one at
-// Volumes == 1, the full statically routed LBICA array otherwise. All of
-// the leader's stacks step to the warmup barrier together (or are
-// restored together from one store entry), and the prefix is shared as
-// their checkpoint payloads: loaded from the store, or encoded once at the
-// barrier. The leader then runs to completion before any member is built,
-// so only one run's stacks are live at a time. Each sharing member builds
-// its own stacks through the single builder and decodes the payloads onto
-// them — a WB member with the leader's balancer dropped — which is the
-// path a store hit takes. The payloads are dropped once the last member
-// has decoded them, before the scratch members run.
+// runWarmPlan is the warm plan over the leader's run — one stack at
+// Volumes == 1, the statically routed LBICA array otherwise. The leader
+// steps to the warmup barrier (or is restored from one store entry), and
+// the prefix is shared as its checkpoint payloads: loaded from the store,
+// or encoded once at the barrier. The leader then runs to completion
+// before any member is built, so only one run's stacks are live at a
+// time. Each sharing member builds its own run through the single builder
+// and decodes the payloads onto it — a WB member with the leader's
+// balancer dropped — which is the path a store hit takes. The payloads are
+// dropped once the last member has decoded them, before the scratch
+// members run.
 func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	finish := func(sts []*engine.Stack, s Spec) *engine.Results {
-		if len(sts) == 1 {
-			return s.label(finishStack(sts[0]))
-		}
-		per := make([]*engine.Results, len(sts))
-		for v, st := range sts {
-			res := finishStack(st)
-			res.Volume = v
-			// Same partial rule as array.Run: a cancellation that still let
-			// the volume close every interval changed nothing; volumes
-			// stopped short are dropped.
-			if ctx.Err() != nil && len(res.Samples) < spec.Intervals {
-				continue
-			}
-			per[v] = res
-		}
-		return s.label(array.Merge(per))
-	}
-
 	lead := spec
 	lead.Scheme, lead.RouteVariant = SchemeLBICA, ""
-	stacks, payloads, lcache := prepareWarmStacks(ctx, lead, SchemeLBICA, warmupIntervals, store, lead.routedStacks)
-	acted := false
-	for _, st := range stacks {
-		acted = acted || st.BalancerActed()
-	}
+	leader, payloads, lcache := prepareWarm(ctx, lead, SchemeLBICA, warmupIntervals, store)
+	acted := leader.acted()
 	// Decided at the barrier: which members restore from the prefix.
 	shared := 0
 	for i, s := range specs {
@@ -174,17 +154,18 @@ func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmup
 		}
 	}
 	if shared > 0 && payloads == nil {
-		payloads = encodeStacks(stacks)
+		payloads, _ = leader.encode()
 	}
-	out[leaderIdx] = finish(stacks, specs[leaderIdx])
+	out[leaderIdx] = leader.finish(ctx, specs[leaderIdx])
 	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
 
 	for i, s := range specs {
 		if i == leaderIdx || plan[i].Kind != WarmForked {
 			continue
 		}
-		sts := s.Normalize().routedStacks()
-		err := decodeStacks(ctx, sts, payloads)
+		ns := s.Normalize()
+		r := ns.newWarmRun()
+		err := r.decode(ctx, payloads)
 		if shared--; shared == 0 {
 			payloads = nil // the last member has decoded them
 		}
@@ -192,13 +173,81 @@ func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmup
 			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
 			continue
 		}
-		out[i] = finish(sts, s)
+		out[i] = r.finish(ctx, ns)
 	}
 	for i, s := range specs {
 		if i != leaderIdx && plan[i].Kind == WarmScratch {
 			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, plan[i].Reason)
 		}
 	}
+}
+
+// warmRun is a statically routed run whose warmup prefix the planner
+// shares or stores, built and not yet started: the single stack at one
+// volume, the static array controller otherwise. Its payloads are one
+// stack payload, or the controller's (array.Controlled.Encode).
+type warmRun struct {
+	st  *engine.Stack
+	arr *array.Controlled
+}
+
+// newWarmRun builds a normalized spec's run.
+func (s Spec) newWarmRun() warmRun {
+	if s.Volumes == 1 {
+		return warmRun{st: s.singleStack()}
+	}
+	return warmRun{arr: s.newStatic()}
+}
+
+// startTo starts the run and steps it to the warmup barrier.
+func (r warmRun) startTo(ctx context.Context, s Spec, warmupIntervals int) {
+	if r.arr != nil {
+		r.arr.Start(ctx)
+		r.arr.StepTo(ctx, warmupIntervals)
+		return
+	}
+	r.st.Start(ctx, s.Intervals)
+	r.st.StepTo(time.Duration(warmupIntervals) * s.Interval)
+}
+
+// encode checkpoints a run parked at a barrier; nil when it cannot be.
+func (r warmRun) encode() ([][]byte, error) {
+	if r.arr != nil {
+		return r.arr.Encode()
+	}
+	p, err := checkpoint.EncodeStack(r.st)
+	if err != nil {
+		return nil, err
+	}
+	return [][]byte{p}, nil
+}
+
+// decode restores payloads written by encode onto the unstarted run.
+func (r warmRun) decode(ctx context.Context, payloads [][]byte) error {
+	if r.arr != nil {
+		return r.arr.Decode(ctx, payloads)
+	}
+	if len(payloads) != 1 {
+		return fmt.Errorf("checkpoint holds %d payloads for one stack", len(payloads))
+	}
+	return checkpoint.DecodeStack(ctx, r.st, payloads[0])
+}
+
+func (r warmRun) acted() bool {
+	if r.arr != nil {
+		return r.arr.BalancerActed()
+	}
+	return r.st.BalancerActed()
+}
+
+// finish runs the remainder, collects the results under s's label and
+// releases the stacks.
+func (r warmRun) finish(ctx context.Context, s Spec) *engine.Results {
+	if r.arr == nil {
+		return s.label(finishStack(r.st))
+	}
+	ares, _ := r.arr.Finish(ctx)
+	return s.label(ares.Merged)
 }
 
 // memberOutcome is how a non-leader member can run against the leader's

@@ -68,18 +68,17 @@ func contentDigest[T any](p *[]T) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// prepareWarmStacks produces stacks standing at the warmup barrier,
-// consulting the store first when one is given. build must return freshly
-// constructed, not-yet-started stacks (one per volume); the scratch path
-// starts them and steps them to the barrier, the hit path restores them
-// in place. Restore failures of any kind fall back to the scratch path
-// and overwrite the entry. It also returns the prefix's payloads, one per
-// stack, when it has them — loaded on a hit, encoded for the store on a
-// publish — and nil otherwise. The annotation is the run's cache traffic
+// prepareWarm produces spec's run standing at the warmup barrier,
+// consulting the store first when one is given: the scratch path starts
+// the run and steps it to the barrier, the hit path restores it in place.
+// Restore failures of any kind fall back to the scratch path and
+// overwrite the entry. It also returns the prefix's payloads when it has
+// them — loaded on a hit, encoded for the store on a publish — and nil
+// otherwise. The annotation is the run's cache traffic
 // (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore, WarmCacheCorrupt, or
 // "" when the store held nothing usable and the publish failed too (or
 // there is no store at all).
-func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, [][]byte, string) {
+func prepareWarm(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store) (warmRun, [][]byte, string) {
 	corrupt := false
 	var key string
 	if store != nil {
@@ -89,9 +88,9 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 		case err != nil:
 			corrupt = true
 		case payloads != nil:
-			stacks := build()
-			if decodeStacks(ctx, stacks, payloads) == nil {
-				return stacks, payloads, WarmCacheHit
+			r := spec.newWarmRun()
+			if r.decode(ctx, payloads) == nil {
+				return r, payloads, WarmCacheHit
 			}
 			corrupt = true
 		}
@@ -102,53 +101,20 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	// the cache is strictly an accelerator. A cancelled prefix halted
 	// short of the barrier and is never published: every later
 	// invocation would restore it.
-	stacks := build()
-	barrier := time.Duration(warmupIntervals) * spec.Interval
-	for _, st := range stacks {
-		st.Start(ctx, spec.Intervals)
-	}
-	for _, st := range stacks {
-		st.StepTo(barrier)
-	}
+	r := spec.newWarmRun()
+	r.startTo(ctx, spec, warmupIntervals)
 	if store == nil || ctx.Err() != nil {
-		return stacks, nil, ""
+		return r, nil, ""
 	}
-	payloads := encodeStacks(stacks)
+	payloads, err := r.encode()
 	switch {
-	case payloads == nil || store.Save(key, payloads) != nil:
-		return stacks, payloads, ""
+	case err != nil || store.Save(key, payloads) != nil:
+		return r, payloads, ""
 	case corrupt:
-		return stacks, payloads, WarmCacheCorrupt
+		return r, payloads, WarmCacheCorrupt
 	default:
-		return stacks, payloads, WarmCacheStore
+		return r, payloads, WarmCacheStore
 	}
-}
-
-// encodeStacks encodes one payload per stack, or returns nil when any
-// stack cannot be encoded.
-func encodeStacks(stacks []*engine.Stack) [][]byte {
-	payloads := make([][]byte, len(stacks))
-	for v, st := range stacks {
-		p, err := checkpoint.EncodeStack(st)
-		if err != nil {
-			return nil
-		}
-		payloads[v] = p
-	}
-	return payloads
-}
-
-// decodeStacks restores payloads onto freshly built stacks, one each.
-func decodeStacks(ctx context.Context, stacks []*engine.Stack, payloads [][]byte) error {
-	if len(payloads) != len(stacks) {
-		return fmt.Errorf("checkpoint holds %d payloads for %d stacks", len(payloads), len(stacks))
-	}
-	for v, st := range stacks {
-		if err := checkpoint.DecodeStack(ctx, st, payloads[v]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runMemberCached runs one scratch member — a run that cannot reuse its
@@ -161,17 +127,17 @@ func decodeStacks(ctx context.Context, stacks []*engine.Stack, payloads [][]byte
 // group with no leader) amortize their prefixes over repeated sweeps.
 // Falls back to plain RunContext — outcome unchanged — when there is no
 // store, the warmup is not strictly inside the run, or the member is
-// multi-volume (the adaptive controller's wiring has no checkpoint codec,
-// and static arrays restore from the leader instead).
+// multi-volume (an array-lb controller has no checkpoint codec, and static
+// arrays restore from the leader instead).
 func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *checkpoint.Store, reason string) (*engine.Results, WarmOutcome) {
 	o := WarmOutcome{Kind: WarmScratch, Reason: reason}
 	ns := s.Normalize()
 	if store == nil || ns.Volumes > 1 || warmupIntervals <= 0 || warmupIntervals >= ns.Intervals {
 		return RunContext(ctx, s), o
 	}
-	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, ns.routedStacks)
+	r, _, cache := prepareWarm(ctx, ns, ns.Scheme, warmupIntervals, store)
 	o.Cache = cache
-	return ns.label(finishStack(stacks[0])), o
+	return r.finish(ctx, ns), o
 }
 
 // RunSaving runs a single-volume spec to completion exactly like
@@ -184,7 +150,7 @@ func RunSaving(ctx context.Context, spec Spec, saveAt int, save func(payload []b
 	if spec.Volumes > 1 {
 		return nil, fmt.Errorf("checkpointed runs need a single volume (got %d)", spec.Volumes)
 	}
-	st := spec.routedStack(0)
+	st := spec.singleStack()
 	st.Start(ctx, spec.Intervals)
 	st.StepTo(time.Duration(saveAt) * spec.Interval)
 	if ctx.Err() == nil {
@@ -207,7 +173,7 @@ func RunRestored(ctx context.Context, spec Spec, payload []byte) (*engine.Result
 	if spec.Volumes > 1 {
 		return nil, fmt.Errorf("checkpointed runs need a single volume (got %d)", spec.Volumes)
 	}
-	st := spec.routedStack(0)
+	st := spec.singleStack()
 	if err := checkpoint.DecodeStack(ctx, st, payload); err != nil {
 		return nil, err
 	}

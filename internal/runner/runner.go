@@ -38,8 +38,9 @@ type Options struct {
 	OnDone func(index, done, total int)
 }
 
-// Workers resolves the effective pool size for n jobs.
-func (o Options) workers(n int) int {
+// PoolSize resolves the effective pool size for n jobs: Workers, or
+// GOMAXPROCS when Workers ≤ 0, capped at n and at least 1.
+func (o Options) PoolSize(n int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -89,7 +90,7 @@ func Map[T any](parent context.Context, n int, opt Options, fn func(ctx context.
 
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(n); w++ {
+	for w := 0; w < opt.PoolSize(n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

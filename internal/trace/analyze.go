@@ -18,10 +18,17 @@ type Window struct {
 	Census block.Census
 }
 
+// MaxWindows bounds the windows WindowCensus returns: 2^18 windows is
+// 14.5 hours of 200 ms intervals, far past any simulated run, and about
+// 23 MiB of windows. Without a bound one record stamped 2^62 ns would make
+// the census append empty windows until memory ran out.
+const MaxWindows = 1 << 18
+
 // WindowCensus streams a binary trace and aggregates queue-insertion
 // events (Queued and Merged) on one device into fixed windows — the
 // offline equivalent of the monitor's per-interval arrival census, and
-// what the physical LBICA prototype computes from blktrace output.
+// what the physical LBICA prototype computes from blktrace output. A
+// record more than MaxWindows windows past the start is an error.
 func WindowCensus(r io.Reader, dev Device, win time.Duration) ([]Window, error) {
 	if win <= 0 {
 		return nil, fmt.Errorf("trace: window must be positive, got %v", win)
@@ -43,6 +50,9 @@ func WindowCensus(r io.Reader, dev Device, win time.Duration) ([]Window, error) 
 			return out, err
 		}
 		any = true
+		if e.At/win >= MaxWindows {
+			return out, fmt.Errorf("trace: record at %v lies more than %d windows of %v past the start", e.At, MaxWindows, win)
+		}
 		for e.At >= cur.End {
 			flush()
 		}

@@ -164,7 +164,7 @@ func (b *Buffer) CensusAt(dev Device, t time.Duration) block.Census {
 
 // Binary codec.
 //
-// Each record is a fixed 42-byte little-endian frame:
+// Each record is a fixed 43-byte little-endian frame:
 //
 //	offset size field
 //	0      8    At (ns)
@@ -236,7 +236,9 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// Next returns the next event, or io.EOF at end of stream.
+// Next returns the next event, or io.EOF at end of stream. A record whose
+// kind, device or origin byte lies outside its enum, or whose timestamp
+// is negative, is an error: the analyzers index by those fields.
 func (tr *Reader) Next() (Event, error) {
 	if !tr.started {
 		var m [len(magic)]byte
@@ -258,7 +260,7 @@ func (tr *Reader) Next() (Event, error) {
 		}
 		return Event{}, fmt.Errorf("trace: reading record: %w", err)
 	}
-	return Event{
+	e := Event{
 		At:     time.Duration(binary.LittleEndian.Uint64(buf[0:])),
 		Kind:   Kind(buf[8]),
 		Dev:    Device(buf[9]),
@@ -267,7 +269,18 @@ func (tr *Reader) Next() (Event, error) {
 		LBA:    int64(binary.LittleEndian.Uint64(buf[19:])),
 		Sector: int64(binary.LittleEndian.Uint64(buf[27:])),
 		Aux:    int64(binary.LittleEndian.Uint64(buf[35:])),
-	}, nil
+	}
+	switch {
+	case e.At < 0:
+		return Event{}, fmt.Errorf("trace: record at negative time %d ns", int64(e.At))
+	case e.Kind >= numKinds:
+		return Event{}, fmt.Errorf("trace: record kind byte %d outside [0, %d)", e.Kind, numKinds)
+	case e.Dev > HDD:
+		return Event{}, fmt.Errorf("trace: record device byte %d outside [0, %d]", e.Dev, HDD)
+	case int(e.Origin) >= block.NumOrigins:
+		return Event{}, fmt.Errorf("trace: record origin byte %d outside [0, %d)", e.Origin, block.NumOrigins)
+	}
+	return e, nil
 }
 
 // ReadAll decodes the whole stream.

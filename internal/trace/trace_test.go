@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,7 +68,7 @@ func TestTruncatedStream(t *testing.T) {
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(at int64, kind, dev, origin uint8, id uint64, lba, sector, aux int64) bool {
 		e := Event{
-			At:     time.Duration(at),
+			At:     time.Duration(at & math.MaxInt64), // the reader rejects negative times
 			Kind:   Kind(kind % uint8(numKinds)),
 			Dev:    Device(dev % 2),
 			ID:     id,

@@ -120,33 +120,3 @@ func (r *Replay) DecodeState(d *ckpt.Decoder) {
 	}
 	r.pos = pos
 }
-
-// EncodeState serializes the remaining budget plus the wrapped
-// generator's state; a non-checkpointable inner generator fails the
-// encode (callers fall back to scratch).
-func (l *Limit) EncodeState(enc *ckpt.Encoder) {
-	enc.Section("workload.Limit")
-	enc.Int(l.left)
-	sc, ok := l.inner.(ckpt.StateCodec)
-	if !ok {
-		enc.Failf("workload: limit wraps non-checkpointable generator %T", l.inner)
-		return
-	}
-	sc.EncodeState(enc)
-}
-
-// DecodeState restores the budget and the wrapped generator in place.
-func (l *Limit) DecodeState(d *ckpt.Decoder) {
-	d.Section("workload.Limit")
-	left := d.Int()
-	sc, ok := l.inner.(ckpt.StateCodec)
-	if !ok {
-		d.Failf("workload: limit wraps non-checkpointable generator %T", l.inner)
-		return
-	}
-	sc.DecodeState(d)
-	if d.Err() != nil {
-		return
-	}
-	l.left = left
-}

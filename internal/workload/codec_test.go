@@ -13,7 +13,15 @@ import (
 )
 
 func TestCodecRoundTrip(t *testing.T) {
-	orig := Drain(NewLimit(MixedRW(100*time.Millisecond, 5000, 1024, sim.NewRNG(1, "c")), 500))
+	g := MixedRW(100*time.Millisecond, 5000, 1024, sim.NewRNG(1, "c"))
+	var orig []Request
+	for len(orig) < 500 {
+		r, ok := g.Next()
+		if !ok {
+			break
+		}
+		orig = append(orig, r)
+	}
 	if len(orig) == 0 {
 		t.Fatal("no requests to record")
 	}

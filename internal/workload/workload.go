@@ -380,27 +380,6 @@ func (t *Tee) Next() (Request, bool) {
 	return r, ok
 }
 
-// Limit truncates a generator after n requests.
-type Limit struct {
-	inner Generator
-	left  int
-}
-
-// NewLimit wraps inner, ending the stream after n requests.
-func NewLimit(inner Generator, n int) *Limit { return &Limit{inner: inner, left: n} }
-
-// Name implements Generator.
-func (l *Limit) Name() string { return l.inner.Name() }
-
-// Next implements Generator.
-func (l *Limit) Next() (Request, bool) {
-	if l.left <= 0 {
-		return Request{}, false
-	}
-	l.left--
-	return l.inner.Next()
-}
-
 func (p *PhaseGen) String() string {
 	return fmt.Sprintf("workload(%s, %d phases)", p.name, len(p.phases))
 }

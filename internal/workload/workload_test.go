@@ -307,10 +307,3 @@ func TestReplayAndTee(t *testing.T) {
 		}
 	}
 }
-
-func TestLimit(t *testing.T) {
-	g := NewLimit(RandomRead(time.Second, 10000, 256, sim.NewRNG(15, "w")), 10)
-	if got := len(drain(g, 1000)); got != 10 {
-		t.Errorf("limit yielded %d, want 10", got)
-	}
-}
