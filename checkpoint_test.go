@@ -2,12 +2,14 @@ package lbica_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"lbica"
+	"lbica/internal/checkpoint"
 )
 
 // ckptOpts is a small single-stack run the checkpoint tests share.
@@ -51,6 +53,55 @@ func TestRunCheckpointRestoreByteIdentical(t *testing.T) {
 	}
 }
 
+// A statically routed array checkpoints and restores like a single stack:
+// both runs report exactly what the uninterrupted run reports, the
+// per-volume reports included, under every routing policy, scheme kind,
+// width and shard-worker count.
+func TestRunCheckpointRestoreArrays(t *testing.T) {
+	skews := map[string]float64{"uniform": 0, "hash": 0, "zipf": 1.2}
+	for _, scheme := range []string{"wb", "sib", "lbica"} {
+		for _, policy := range []string{"uniform", "hash", "zipf"} {
+			for _, volumes := range []int{2, 3} {
+				for _, workers := range []int{1, 0} {
+					o := ckptOpts(scheme)
+					o.Volumes, o.RoutePolicy, o.RouteSkew, o.ShardWorkers = volumes, policy, skews[policy], workers
+					t.Run(fmt.Sprintf("%s-%s-%dvol-w%d", scheme, policy, volumes, workers), func(t *testing.T) {
+						t.Parallel()
+						checkpointMatchesRun(t, o)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkpointMatchesRun checkpoints o at interval 5 and restores it; both
+// reports must equal the uninterrupted run's.
+func checkpointMatchesRun(t *testing.T, o lbica.Options) {
+	baseline, err := lbica.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(baseline.PerVolume) != o.Volumes {
+		t.Fatalf("baseline has %d per-volume reports, want %d", len(baseline.PerVolume), o.Volumes)
+	}
+	path := filepath.Join(t.TempDir(), "array.ckpt")
+	saved, err := lbica.RunCheckpoint(context.Background(), o, path, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(baseline, saved) {
+		t.Error("checkpointing array run diverged from the uninterrupted run")
+	}
+	restored, err := lbica.RunRestore(context.Background(), o, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(baseline, restored) {
+		t.Error("restored array run diverged from the uninterrupted run")
+	}
+}
+
 // A checkpoint is a hard contract when named explicitly: options that
 // describe a different run, and a corrupted file, are errors — never a
 // silent divergent resume.
@@ -72,6 +123,21 @@ func TestRunRestoreRejectsMismatchAndCorruption(t *testing.T) {
 		t.Error("restore with a different workload did not error")
 	}
 
+	// A file in the older single-run format — the same payload under a
+	// key of the run's options as JSON — is another run's, never restored.
+	_, payloads, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey := `run|{"Format":3,"Workload":"tpcc","Name":"","Scheme":"lbica","Seed":3,"Intervals":12,"IntervalNS":200000000,"RateFactor":1}`
+	old := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := checkpoint.WriteFile(old, oldKey, payloads); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lbica.RunRestore(context.Background(), o, old); err == nil {
+		t.Error("restore of an older single-run file did not error")
+	}
+
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +156,7 @@ func TestRunRestoreRejectsMismatchAndCorruption(t *testing.T) {
 
 func TestRunCheckpointValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "warm.ckpt")
+	arrayLB := lbica.Options{Workload: "tpcc", Scheme: "array-lb", Volumes: 3, Intervals: 12}
 	cases := []struct {
 		name   string
 		o      lbica.Options
@@ -98,15 +165,18 @@ func TestRunCheckpointValidation(t *testing.T) {
 		{"negative saveAt", ckptOpts("lbica"), -1},
 		{"saveAt at run end", ckptOpts("lbica"), 12},
 		{"saveAt past run end", ckptOpts("lbica"), 99},
-		{"multi-volume", lbica.Options{Workload: "tpcc", Volumes: 3, Intervals: 12}, 4},
+		{"multi-volume ARRAY-LB", arrayLB, 4},
 	}
 	for _, tc := range cases {
 		if _, err := lbica.RunCheckpoint(context.Background(), tc.o, path, tc.saveAt); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
-	if _, err := lbica.RunRestore(context.Background(), lbica.Options{Workload: "tpcc", Volumes: 3}, path); err == nil {
-		t.Error("multi-volume restore: no error")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused checkpoint wrote %s (stat: %v)", path, err)
+	}
+	if _, err := lbica.RunRestore(context.Background(), arrayLB, path); err == nil {
+		t.Error("multi-volume ARRAY-LB restore: no error")
 	}
 	// saveAt 0 defaults to half the run and must succeed.
 	o := ckptOpts("wb")

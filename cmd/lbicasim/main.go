@@ -11,6 +11,7 @@
 //	lbicasim -workload tpcc -scheme array-lb -volumes 3 -route-skew 1.2
 //	lbicasim -workload tpcc -checkpoint warm.ckpt -checkpoint-at 100
 //	lbicasim -workload tpcc -restore warm.ckpt           # same output, resumed
+//	lbicasim -workload tpcc -volumes 3 -route-skew 1.2 -checkpoint arr.ckpt -checkpoint-at 100
 package main
 
 import (

@@ -128,28 +128,38 @@ func TestRunRejectsBadProfilePath(t *testing.T) {
 }
 
 // -checkpoint saves mid-run state; -restore resumes it with output
-// byte-identical to the uninterrupted run.
+// byte-identical to the uninterrupted run — a statically routed array's
+// per-volume lines included.
 func TestRunCheckpointRestore(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "warm.ckpt")
 	base := []string{"-workload", "tpcc", "-scheme", "lbica", "-intervals", "6", "-cold"}
-	var plain, saved, restored, errBuf strings.Builder
-	if err := run(t.Context(), base, &plain, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(t.Context(), append(base, "-checkpoint", ckpt, "-checkpoint-at", "2"), &saved, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if saved.String() != plain.String() {
-		t.Error("checkpointing run's output diverged from the plain run's")
-	}
-	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpoint file not written: %v", err)
-	}
-	if err := run(t.Context(), append(base, "-restore", ckpt), &restored, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if restored.String() != plain.String() {
-		t.Error("restored run's output diverged from the plain run's")
+	array := []string{"-workload", "tpcc", "-intervals", "6", "-volumes", "3", "-route-skew", "1.2"}
+	for _, tc := range []struct {
+		args []string
+		want string // a line the plain output must hold
+	}{{base, "summary: "}, {array, "  v2: "}} {
+		var plain, saved, restored, errBuf strings.Builder
+		if err := run(t.Context(), tc.args, &plain, &errBuf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plain.String(), tc.want) {
+			t.Fatalf("%v: plain output lacks %q:\n%s", tc.args, tc.want, plain.String())
+		}
+		if err := run(t.Context(), append(tc.args, "-checkpoint", ckpt, "-checkpoint-at", "2"), &saved, &errBuf); err != nil {
+			t.Fatal(err)
+		}
+		if saved.String() != plain.String() {
+			t.Errorf("%v: checkpointing run's output diverged from the plain run's", tc.args)
+		}
+		if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
+			t.Fatalf("%v: checkpoint file not written: %v", tc.args, err)
+		}
+		if err := run(t.Context(), append(tc.args, "-restore", ckpt), &restored, &errBuf); err != nil {
+			t.Fatal(err)
+		}
+		if restored.String() != plain.String() {
+			t.Errorf("%v: restored run's output diverged from the plain run's", tc.args)
+		}
 	}
 
 	// Restoring under different run flags is a hard error, not a

@@ -38,7 +38,7 @@ type FeedBuildFunc func(vol int, gen workload.Generator) (*engine.Stack, error)
 // sibling copies drew in lockstep, and stepping a stack at interval
 // barriers matches running it straight through.
 type Controlled struct {
-	cfg          ControllerConfig // defaulted + validated; only Volumes and Workers under static routing
+	cfg          ControllerConfig // validated; only Volumes and Workers under static routing
 	intervals    int
 	monitorEvery time.Duration
 
@@ -91,7 +91,6 @@ func NewStatic(cfg Config, seed int64, intervals int, monitorEvery time.Duration
 // monitorEvery.
 func NewControlled(ctx context.Context, cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator,
 	build FeedBuildFunc) (*Controlled, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -48,10 +48,8 @@ func ParseVariant(s string) (Variant, error) {
 	}
 }
 
-// ControllerConfig describes an array-lb run: the array shape plus the
-// controller's adaptation knobs. The zero value of every knob means "use
-// the default" (see the field comments), so callers only set what they
-// sweep.
+// ControllerConfig describes an array-lb run: the array shape, the
+// initial routing draw and the adaptation mechanism.
 type ControllerConfig struct {
 	// Volumes is the array width (≥ 1).
 	Volumes int
@@ -66,96 +64,39 @@ type ControllerConfig struct {
 	Seed int64
 	// Variant selects the adaptation mechanism (default Weighted).
 	Variant Variant
-	// TopK caps how many hot blocks migrate per decision (default 32;
-	// NoMigration disables migration entirely).
-	TopK int
-	// Smoothing is the EMA coefficient applied to per-volume load
-	// estimates in (0, 1]; higher reacts faster (default 0.5).
-	Smoothing float64
-	// MinShare floors every volume's routing weight at MinShare/Volumes,
-	// in [0, 1), so adaptation never starves a volume of traffic — a
-	// starved volume measures zero load and could otherwise never
-	// rejoin (default 0.25). Zero is a legal value per Validate — a
-	// controller with no floor — but the field's zero value must keep
-	// meaning "use the default", so an explicit zero floor is spelled
-	// NoMinShare.
-	MinShare float64
-	// MigrateRatio is the migration trigger: hot blocks move only while
-	// the bottleneck volume's load estimate exceeds MigrateRatio × the
-	// coldest volume's (> 1; default 1.25).
-	MigrateRatio float64
-	// MaxPins caps the routing pin table the migrations accumulate
-	// (default 4096). At the cap, migration stops; routing adaptation
-	// continues.
-	MaxPins int
 	// Workers caps the shard pool (≤0 = GOMAXPROCS; 1 = the serial
 	// baseline the determinism test compares against).
 	Workers int
 }
 
-// Explicit-zero spellings for knobs whose zero value means "use the
-// default": the config's zero value must stay the paper configuration, so
-// a knob whose zero is itself meaningful needs a distinct way to say so.
-// withDefaults resolves each sentinel to the zero it stands for before
-// Validate ever sees it.
+// The controller's adaptation constants.
 const (
-	// NoMinShare requests MinShare = 0: no routing-weight floor, so
-	// adaptation may starve a volume entirely.
-	NoMinShare = -1
-	// NoMigration requests TopK = 0: adaptive routing without hot-block
-	// migration.
-	NoMigration = -1
+	// topK caps how many hot blocks migrate per decision.
+	topK = 32
+	// smoothing is the EMA coefficient applied to per-volume load
+	// estimates; higher reacts faster.
+	smoothing = 0.5
+	// minShare floors every volume's routing weight at minShare/Volumes,
+	// so adaptation never starves a volume of traffic — a starved volume
+	// measures zero load and could otherwise never rejoin. It must stay
+	// below 1 (observe relies on n·floor < 1).
+	minShare = 0.25
+	// migrateRatio is the migration trigger: hot blocks move only while
+	// the bottleneck volume's load estimate exceeds migrateRatio × the
+	// coldest volume's.
+	migrateRatio = 1.25
+	// maxPins caps the routing pin table the migrations accumulate. At the
+	// cap, migration stops; routing adaptation continues.
+	maxPins = 4096
 )
 
-// withDefaults fills zero knobs with the controller defaults and resolves
-// the explicit-zero sentinels (NoMinShare, NoMigration).
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	switch c.TopK {
-	case 0:
-		c.TopK = 32
-	case NoMigration:
-		c.TopK = 0
-	}
-	if c.Smoothing == 0 {
-		c.Smoothing = 0.5
-	}
-	switch c.MinShare {
-	case 0:
-		c.MinShare = 0.25
-	case NoMinShare:
-		c.MinShare = 0
-	}
-	if c.MigrateRatio == 0 {
-		c.MigrateRatio = 1.25
-	}
-	if c.MaxPins == 0 {
-		c.MaxPins = 4096
-	}
-	return c
-}
-
-// Validate reports the first invalid field (after defaulting).
+// Validate reports the first invalid field.
 func (c ControllerConfig) Validate() error {
 	if c.Volumes < 1 || c.Volumes > MaxVolumes {
 		return fmt.Errorf("array: volume count %d outside [1, %d]", c.Volumes, MaxVolumes)
 	}
 	if !(c.Skew >= 0 && c.Skew <= MaxSkew) {
 		return fmt.Errorf("array: route skew %v outside [0, %v]", c.Skew, MaxSkew)
-	}
-	if c.TopK < 0 {
-		return fmt.Errorf("array: controller top-K %d negative", c.TopK)
-	}
-	if !(c.Smoothing > 0 && c.Smoothing <= 1) {
-		return fmt.Errorf("array: controller smoothing %v outside (0, 1]", c.Smoothing)
-	}
-	if !(c.MinShare >= 0 && c.MinShare < 1) {
-		return fmt.Errorf("array: controller min share %v outside [0, 1)", c.MinShare)
-	}
-	if c.MigrateRatio <= 1 {
-		return fmt.Errorf("array: controller migrate ratio %v must exceed 1", c.MigrateRatio)
-	}
-	if c.MaxPins < 0 {
-		return fmt.Errorf("array: controller pin cap %d negative", c.MaxPins)
 	}
 	return nil
 }
@@ -258,7 +199,7 @@ func (rt *adaptiveRouter) route(req workload.Request) int {
 // observe folds one interval's measured per-volume loads into the EMA
 // estimates and, for the Weighted variant, recomputes the routing weights
 // as floored, normalized inverse loads.
-func (rt *adaptiveRouter) observe(loads []float64, smoothing, minShare float64) {
+func (rt *adaptiveRouter) observe(loads []float64) {
 	for v := range rt.est {
 		if !rt.primed {
 			rt.est[v] = loads[v]
@@ -287,7 +228,7 @@ func (rt *adaptiveRouter) observe(loads []float64, smoothing, minShare float64) 
 	// Clamp to the floor exactly: floored volumes keep floor after the
 	// final normalization, so the remaining mass is redistributed over the
 	// unfloored weights only (iterating in case the scale-down pushes a
-	// previously safe weight under the floor). MinShare < 1 guarantees
+	// previously safe weight under the floor). minShare < 1 guarantees
 	// n·floor < 1, so the unfloored mass never goes negative.
 	floor := minShare / float64(rt.n)
 	for {
@@ -333,8 +274,8 @@ func (c *Controlled) adapt() {
 			c.loads[v] = float64(last.CacheLoad+last.DiskLoad) / float64(time.Microsecond)
 		}
 	}
-	c.rt.observe(c.loads, c.cfg.Smoothing, c.cfg.MinShare)
-	migrateHot(c.rt, c.stacks, c.counts, c.cfg)
+	c.rt.observe(c.loads)
+	migrateHot(c.rt, c.stacks, c.counts)
 	for v := range c.counts {
 		clear(c.counts[v])
 	}
@@ -355,8 +296,8 @@ type hotCount struct {
 // migrated hot set). Only clean resident lines move; the migration is
 // metadata-only, like prewarming — the clean line's bytes already exist
 // on the backing store, so no simulated transfer is issued.
-func migrateHot(rt *adaptiveRouter, stacks []*engine.Stack, counts []map[int64]uint64, cfg ControllerConfig) {
-	if cfg.TopK == 0 || len(stacks) < 2 || len(rt.pins) >= cfg.MaxPins {
+func migrateHot(rt *adaptiveRouter, stacks []*engine.Stack, counts []map[int64]uint64) {
+	if len(stacks) < 2 || len(rt.pins) >= maxPins {
 		return
 	}
 	hotV, coldV := 0, 0
@@ -368,7 +309,7 @@ func migrateHot(rt *adaptiveRouter, stacks []*engine.Stack, counts []map[int64]u
 			coldV = v
 		}
 	}
-	if hotV == coldV || rt.est[hotV] <= cfg.MigrateRatio*rt.est[coldV] {
+	if hotV == coldV || rt.est[hotV] <= migrateRatio*rt.est[coldV] {
 		return
 	}
 	ranked := make([]hotCount, 0, len(counts[hotV]))
@@ -386,7 +327,7 @@ func migrateHot(rt *adaptiveRouter, stacks []*engine.Stack, counts []map[int64]u
 	})
 	moved := 0
 	for _, hc := range ranked {
-		if moved >= cfg.TopK || len(rt.pins) >= cfg.MaxPins {
+		if moved >= topK || len(rt.pins) >= maxPins {
 			break
 		}
 		if !stacks[hotV].MigrateOut(hc.block) {

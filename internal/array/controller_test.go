@@ -61,22 +61,16 @@ func TestParseVariant(t *testing.T) {
 
 func TestControllerConfigValidate(t *testing.T) {
 	for name, bad := range map[string]ControllerConfig{
-		"zero volumes":           {Volumes: 0},
-		"absurd width":           {Volumes: MaxVolumes + 1},
-		"negative skew":          {Volumes: 2, Skew: -1},
-		"oversized skew":         {Volumes: 2, Skew: MaxSkew + 1},
-		"negative topk":          {Volumes: 2, TopK: -2},
-		"bad smoothing":          {Volumes: 2, Smoothing: 1.5},
-		"bad min share":          {Volumes: 2, MinShare: 1},
-		"sub-sentinel min share": {Volumes: 2, MinShare: -2},
-		"ratio below 1":          {Volumes: 2, MigrateRatio: 0.5},
-		"negative pins":          {Volumes: 2, MaxPins: -1},
+		"zero volumes":   {Volumes: 0},
+		"absurd width":   {Volumes: MaxVolumes + 1},
+		"negative skew":  {Volumes: 2, Skew: -1},
+		"oversized skew": {Volumes: 2, Skew: MaxSkew + 1},
 	} {
-		if err := bad.withDefaults().Validate(); err == nil {
+		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, bad)
 		}
 	}
-	if err := (ControllerConfig{Volumes: 3, Skew: 1.2}).withDefaults().Validate(); err != nil {
+	if err := (ControllerConfig{Volumes: 3, Skew: 1.2}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -198,7 +192,7 @@ func TestControlledMergeCarriesMigrations(t *testing.T) {
 // Pinned blocks bypass the draw deterministically; unpinned requests
 // still follow the variant's distribution.
 func TestAdaptiveRouterPins(t *testing.T) {
-	rt := newAdaptiveRouter(ControllerConfig{Volumes: 4, Seed: 1}.withDefaults())
+	rt := newAdaptiveRouter(ControllerConfig{Volumes: 4, Seed: 1})
 	rt.pins[7] = 2
 	req := workload.Request{Extent: block.Extent{LBA: 7 * workload.BlockSectors, Sectors: 8}}
 	for i := 0; i < 100; i++ {
@@ -212,8 +206,8 @@ func TestAdaptiveRouterPins(t *testing.T) {
 // bottleneck: after observing one volume far hotter than the rest, its
 // weight drops below uniform and the coldest volume's rises above it.
 func TestAdaptiveRouterReweights(t *testing.T) {
-	rt := newAdaptiveRouter(ControllerConfig{Volumes: 3, Seed: 1}.withDefaults())
-	rt.observe([]float64{900, 100, 100}, 0.5, 0.25)
+	rt := newAdaptiveRouter(ControllerConfig{Volumes: 3, Seed: 1})
+	rt.observe([]float64{900, 100, 100})
 	uniform := 1.0 / 3
 	if rt.weights[0] >= uniform {
 		t.Errorf("bottleneck weight %.3f not below uniform %.3f", rt.weights[0], uniform)
@@ -222,52 +216,9 @@ func TestAdaptiveRouterReweights(t *testing.T) {
 		t.Errorf("cold weights %.3f/%.3f not above uniform", rt.weights[1], rt.weights[2])
 	}
 	// The floor keeps even a saturated volume in the measurement loop.
-	rt.observe([]float64{1e9, 1, 1}, 1, 0.3)
-	if rt.weights[0] < 0.3/3-1e-12 {
-		t.Errorf("weight %.4f fell through the MinShare floor", rt.weights[0])
-	}
-}
-
-// Regression: MinShare 0 is legal per Validate's [0, 1) but used to be
-// silently rewritten to the 0.25 default, making a no-floor controller
-// unreachable. NoMinShare must resolve to a genuine zero floor — routing
-// with it lets a saturated volume's weight collapse all the way — while
-// the zero value keeps meaning "default" and NoMigration likewise
-// resolves TopK to a real zero.
-func TestNoMinShareRoutesWithZeroFloor(t *testing.T) {
-	cfg := ControllerConfig{Volumes: 3, Seed: 1, MinShare: NoMinShare, TopK: NoMigration}.withDefaults()
-	if cfg.MinShare != 0 {
-		t.Fatalf("NoMinShare resolved to %v, want 0", cfg.MinShare)
-	}
-	if cfg.TopK != 0 {
-		t.Fatalf("NoMigration resolved to %v, want 0", cfg.TopK)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("no-floor config rejected: %v", err)
-	}
-	if def := (ControllerConfig{Volumes: 3}).withDefaults(); def.MinShare != 0.25 || def.TopK != 32 {
-		t.Fatalf("zero config no longer defaults: MinShare %v, TopK %d", def.MinShare, def.TopK)
-	}
-
-	// Route with the zero floor: after observing an extreme bottleneck,
-	// the hot volume's weight must drop below the default floor the old
-	// rewrite would have clamped it to — and routing still functions.
-	rt := newAdaptiveRouter(cfg)
-	rt.observe([]float64{1e9, 1, 1}, 1, cfg.MinShare)
-	if floor := 0.25 / 3; rt.weights[0] >= floor {
-		t.Errorf("no-floor weight %.6f still clamped at the default floor %.4f", rt.weights[0], floor)
-	}
-	req := workload.Request{Extent: block.Extent{LBA: 0, Sectors: 8}}
-	for i := 0; i < 100; i++ {
-		if v := rt.route(req); v < 0 || v >= cfg.Volumes {
-			t.Fatalf("route returned volume %d outside the array", v)
-		}
-	}
-
-	// End to end: a controlled run with the explicit zero floor completes.
-	res := runControlled(t, ControllerConfig{Volumes: 2, Seed: 1, MinShare: NoMinShare, Workers: 1}, 1, 4)
-	if res.Merged.AppCompleted == 0 || len(res.Merged.Samples) != 4 {
-		t.Fatalf("no-floor controlled run incomplete: %+v", res.Merged)
+	rt.observe([]float64{1e9, 1, 1})
+	if rt.weights[0] < minShare/3-1e-12 {
+		t.Errorf("weight %.4f fell through the minShare floor", rt.weights[0])
 	}
 }
 
@@ -302,8 +253,7 @@ func TestBoundaryRequestRoutesNextRound(t *testing.T) {
 		{At: every, Extent: block.Extent{LBA: 8, Sectors: 8}}, // exactly on the boundary
 	}}
 	var mu []time.Duration // arrival times routed before the first barrier
-	cfg := ControllerConfig{Volumes: 2, Seed: 1, Workers: 1}.withDefaults()
-	rt := newAdaptiveRouter(cfg)
+	rt := newAdaptiveRouter(ControllerConfig{Volumes: 2, Seed: 1, Workers: 1})
 	pending, ok := feed.Next()
 	for ok && pending.At < every {
 		rt.route(pending)

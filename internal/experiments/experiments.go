@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"lbica/internal/array"
 	"lbica/internal/block"
 	"lbica/internal/cache"
+	"lbica/internal/checkpoint"
 	"lbica/internal/core"
 	"lbica/internal/engine"
 	"lbica/internal/ioqueue"
@@ -245,6 +245,10 @@ func (s Spec) normalize() (Spec, error) {
 		}
 	case s.Phases != nil:
 		if err := workload.ValidatePhases(*s.Phases); err != nil {
+			return s, err
+		}
+	default:
+		if err := workload.ValidateRequests(*s.Replay); err != nil {
 			return s, err
 		}
 	}
@@ -470,33 +474,10 @@ func (s Spec) singleStack() *engine.Stack {
 	return s.newStack(0, gen)
 }
 
-// newStatic builds a statically routed multi-volume spec's array, not yet
-// started: one base stream, pulled and routed once by the spec's router
-// into per-volume feeds (array.NewStatic). The workload keeps the run seed;
-// each volume's hardware draws from its own volume seed.
-func (s Spec) newStatic() *array.Controlled {
-	acfg, _ := s.arrayConfig() // validated in Normalize
-	c, err := array.NewStatic(acfg, s.Seed, s.Intervals, s.Interval, NewGenerator(s), s.feedStack)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return c
-}
-
 // feedStack builds array volume vol's stack over gen, the controller's
 // feed for it (array.FeedBuildFunc).
 func (s Spec) feedStack(vol int, gen workload.Generator) (*engine.Stack, error) {
 	return s.newStack(vol, gen), nil
-}
-
-// finishStack drains a started stack, collects its results and releases
-// it (engine.Stack.Release), so the next stack built reuses its cache line
-// arrays.
-func finishStack(st *engine.Stack) *engine.Results {
-	st.Drain()
-	res := st.Collect()
-	st.Release()
-	return res
 }
 
 // label stamps the spec's scheme on a run's results: an ARRAY-LB volume
@@ -533,42 +514,136 @@ func RunContext(ctx context.Context, spec Spec) *engine.Results {
 // volume's own results indexed by volume (a nil slot is a volume a
 // cancellation stopped before it completed); nil for a single stack.
 func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Results) {
-	spec = spec.Normalize()
-	var c *array.Controlled
+	r := spec.Normalize().newRun()
+	r.start(ctx)
+	return r.finish(ctx)
+}
+
+// hasCodec reports whether a normalized spec's run can be checkpointed —
+// shared by the warm planner, stored, saved and restored: every run but a
+// multi-volume ARRAY-LB one, whose controller reweights its routing at
+// every interval barrier and whose weights, estimates and pins have no
+// codec.
+func (s Spec) hasCodec() bool { return s.Volumes == 1 || s.Scheme != SchemeArrayLB }
+
+// builtRun is a normalized spec's run: the single stack at one volume, the
+// array controller otherwise. RunVolumes, the warm planner, the store's
+// scratch members and the single-run checkpoints all start it (or decode a
+// barrier checkpoint onto it), step it and finish it. A run with a codec
+// is built unstarted by newRun; a multi-volume ARRAY-LB run is built by
+// start, because array.NewControlled builds and starts in one call. The
+// array constructors cannot fail: the spec was validated in Normalize and
+// feedStack never fails.
+type builtRun struct {
+	s   Spec
+	st  *engine.Stack
+	arr *array.Controlled
+}
+
+// newRun builds a normalized spec's run.
+func (s Spec) newRun() *builtRun {
+	r := &builtRun{s: s}
+	var err error
 	switch {
-	case spec.Volumes == 1:
+	case s.Volumes == 1:
 		// The single-stack path is exactly the pre-array pipeline — no
 		// router, no feed, the run seed untouched — so Volumes: 1 output
 		// stays byte-identical to the paper harness's goldens. ARRAY-LB
 		// with one volume has nothing to balance across: it runs as plain
 		// LBICA and is relabeled.
-		st := spec.singleStack()
-		st.Start(ctx, spec.Intervals)
-		return spec.label(finishStack(st)), nil
-	case spec.Scheme == SchemeArrayLB:
-		// The controller reweights its routing at every barrier. The
-		// config was validated in Normalize, so only a cancellation can
-		// fail — and a cancelled run returns the partial results that
-		// exist.
-		variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
-		ccfg := array.ControllerConfig{Volumes: spec.Volumes, Skew: spec.RouteSkew, Seed: spec.Seed,
-			Variant: variant, Workers: spec.ShardWorkers}
+		r.st = s.singleStack()
+	case s.hasCodec():
+		// A static array: one base stream, pulled and routed once by the
+		// spec's router into per-volume feeds. The workload keeps the run
+		// seed; each volume's hardware draws from its own volume seed.
+		acfg, _ := s.arrayConfig() // validated in Normalize
+		r.arr, err = array.NewStatic(acfg, s.Seed, s.Intervals, s.Interval, NewGenerator(s), s.feedStack)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return r
+}
+
+// start arms the run at time zero.
+func (r *builtRun) start(ctx context.Context) {
+	switch s := r.s; {
+	case r.st != nil:
+		r.st.Start(ctx, s.Intervals)
+	case r.arr != nil:
+		r.arr.Start(ctx)
+	default:
+		variant, _ := array.ParseVariant(s.RouteVariant) // validated in Normalize
+		ccfg := array.ControllerConfig{Volumes: s.Volumes, Skew: s.RouteSkew, Seed: s.Seed,
+			Variant: variant, Workers: s.ShardWorkers}
 		var err error
-		c, err = array.NewControlled(ctx, ccfg, spec.Intervals, spec.Interval, NewGenerator(spec), spec.feedStack)
-		if err != nil {
+		if r.arr, err = array.NewControlled(ctx, ccfg, s.Intervals, s.Interval, NewGenerator(s), s.feedStack); err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-	default:
-		c = spec.newStatic()
-		c.Start(ctx)
 	}
-	ares, _ := c.Finish(ctx)
-	for _, r := range ares.PerVolume {
-		if r != nil {
-			spec.label(r)
+}
+
+// stepTo advances a started run to the barrier that closes the given
+// interval.
+func (r *builtRun) stepTo(ctx context.Context, interval int) {
+	if r.st != nil {
+		r.st.StepTo(time.Duration(interval) * r.s.Interval)
+		return
+	}
+	r.arr.StepTo(ctx, interval)
+}
+
+// encode checkpoints a run parked at a barrier: one stack payload, or the
+// controller's payloads (array.Controlled.Encode).
+func (r *builtRun) encode() ([][]byte, error) {
+	if r.arr != nil {
+		return r.arr.Encode()
+	}
+	p, err := checkpoint.EncodeStack(r.st)
+	if err != nil {
+		return nil, err
+	}
+	return [][]byte{p}, nil
+}
+
+// decode restores payloads written by encode onto the unstarted run.
+func (r *builtRun) decode(ctx context.Context, payloads [][]byte) error {
+	if r.arr != nil {
+		return r.arr.Decode(ctx, payloads)
+	}
+	if len(payloads) != 1 {
+		return fmt.Errorf("checkpoint holds %d payloads for one stack", len(payloads))
+	}
+	return checkpoint.DecodeStack(ctx, r.st, payloads[0])
+}
+
+// acted reports whether any of the run's balancers has observably acted
+// (engine.Stack.BalancerActed).
+func (r *builtRun) acted() bool {
+	if r.arr != nil {
+		return r.arr.BalancerActed()
+	}
+	return r.st.BalancerActed()
+}
+
+// finish runs the remainder, collects the results — merged and, for an
+// array, each volume's (a nil slot is a volume a cancellation stopped) —
+// under the spec's scheme, and releases the stacks, so the next run built
+// reuses their cache line arrays.
+func (r *builtRun) finish(ctx context.Context) (*engine.Results, []*engine.Results) {
+	if r.st != nil {
+		r.st.Drain()
+		res := r.st.Collect()
+		r.st.Release()
+		return r.s.label(res), nil
+	}
+	ares, _ := r.arr.Finish(ctx)
+	for _, v := range ares.PerVolume {
+		if v != nil {
+			r.s.label(v)
 		}
 	}
-	return spec.label(ares.Merged), ares.PerVolume
+	return r.s.label(ares.Merged), ares.PerVolume
 }
 
 // Matrix holds the 3×3 evaluation results indexed [workload][scheme].
@@ -835,9 +910,6 @@ func WriteHeadlines(w io.Writer, h Headlines) error {
 	var sb strings.Builder
 	sb.WriteString("| workload | cache-load vs WB | cache-load vs SIB | latency vs WB | latency vs SIB |\n")
 	sb.WriteString("|----------|-----------------:|------------------:|--------------:|---------------:|\n")
-	wls := make([]string, len(Workloads))
-	copy(wls, Workloads)
-	sort.Strings(wls)
 	for _, wl := range Workloads {
 		fmt.Fprintf(&sb, "| %-8s | %15.1f%% | %16.1f%% | %12.1f%% | %13.1f%% |\n",
 			wl, h.CacheLoadReductionVsWB[wl], h.CacheLoadReductionVsSIB[wl],

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"time"
 
-	"lbica/internal/array"
 	"lbica/internal/checkpoint"
 	"lbica/internal/engine"
 )
@@ -84,18 +81,11 @@ func warmLeaderIndex(specs []Spec, warmupIntervals int) int {
 		if s.Scheme == SchemeLBICA {
 			return i
 		}
-		if arrayLB < 0 && s.Scheme == SchemeArrayLB && s.Normalize().Volumes == 1 {
+		if arrayLB < 0 && s.Scheme == SchemeArrayLB && s.Normalize().hasCodec() {
 			arrayLB = i
 		}
 	}
 	return arrayLB
-}
-
-// CanShareWarmup reports whether a group of specs differing only by
-// scheme can share one simulated warmup prefix of warmupIntervals (see
-// RunWarmShared).
-func CanShareWarmup(specs []Spec, warmupIntervals int) bool {
-	return warmLeaderIndex(specs, warmupIntervals) >= 0
 }
 
 // RunWarmShared executes a group of specs that differ only by scheme,
@@ -119,12 +109,32 @@ func CanShareWarmup(specs []Spec, warmupIntervals int) bool {
 //     controller diverges from static routing at the first barrier),
 //     and any failed restore fall back to a scratch run.
 //
-// When the group cannot share at all (CanShareWarmup false) every member
-// runs from scratch, making RunWarmShared a drop-in replacement for
-// per-spec RunContext calls. The returned outcomes record, per spec, how
-// it ran and why a scratch member could not share.
-func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*engine.Results, []WarmOutcome) {
-	return RunWarmSharedCached(ctx, specs, warmupIntervals, nil)
+// When the group cannot share at all every member runs from scratch,
+// making RunWarmShared a drop-in replacement for per-spec RunContext
+// calls. The returned outcomes record, per spec, how it ran and why a
+// scratch member could not share.
+//
+// A non-nil store backs the runs with a persistent checkpoint store:
+// before simulating a warmup prefix — the group leader's shared one, or a
+// scratch member's private one — the run checks the store for a
+// checkpoint of that exact prefix (warmCacheKey) and restores it instead;
+// after simulating a prefix no cache held, it writes the checkpoint
+// through for future invocations. Results remain byte-identical to
+// scratch runs, and a store entry that is missing, corrupt, truncated, or
+// version-skewed silently degrades to simulation (surfaced in the
+// member's WarmOutcome.Cache, never as an error).
+func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int, store *checkpoint.Store) ([]*engine.Results, []WarmOutcome) {
+	out := make([]*engine.Results, len(specs))
+	plan := make([]WarmOutcome, len(specs))
+	leaderIdx := warmLeaderIndex(specs, warmupIntervals)
+	if leaderIdx < 0 {
+		for i, s := range specs {
+			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonNoLeader)
+		}
+		return out, plan
+	}
+	runWarmPlan(ctx, specs, leaderIdx, warmupIntervals, store, out, plan)
+	return out, plan
 }
 
 // runWarmPlan is the warm plan over the leader's run — one stack at
@@ -138,10 +148,10 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 // balancer dropped — which is the path a store hit takes. The payloads are
 // dropped once the last member has decoded them, before the scratch
 // members run.
-func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	lead := spec
+func runWarmPlan(ctx context.Context, specs []Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
+	lead := specs[leaderIdx].Normalize()
 	lead.Scheme, lead.RouteVariant = SchemeLBICA, ""
-	leader, payloads, lcache := prepareWarm(ctx, lead, SchemeLBICA, warmupIntervals, store)
+	leader, payloads, lcache := prepareWarm(ctx, lead, warmupIntervals, store)
 	acted := leader.acted()
 	// Decided at the barrier: which members restore from the prefix.
 	shared := 0
@@ -149,22 +159,24 @@ func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmup
 		if i == leaderIdx {
 			continue
 		}
-		if plan[i] = memberOutcome(s, spec.Volumes, acted); plan[i].Kind == WarmForked {
+		if plan[i] = memberOutcome(s.Normalize(), acted); plan[i].Kind == WarmForked {
 			shared++
 		}
 	}
 	if shared > 0 && payloads == nil {
 		payloads, _ = leader.encode()
 	}
-	out[leaderIdx] = leader.finish(ctx, specs[leaderIdx])
+	// The leader ran the LBICA balancer; a one-volume ARRAY-LB leader
+	// reports under its own scheme.
+	res, _ := leader.finish(ctx)
+	out[leaderIdx] = specs[leaderIdx].label(res)
 	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
 
 	for i, s := range specs {
 		if i == leaderIdx || plan[i].Kind != WarmForked {
 			continue
 		}
-		ns := s.Normalize()
-		r := ns.newWarmRun()
+		r := s.Normalize().newRun()
 		err := r.decode(ctx, payloads)
 		if shared--; shared == 0 {
 			payloads = nil // the last member has decoded them
@@ -173,7 +185,7 @@ func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmup
 			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
 			continue
 		}
-		out[i] = r.finish(ctx, ns)
+		out[i], _ = r.finish(ctx)
 	}
 	for i, s := range specs {
 		if i != leaderIdx && plan[i].Kind == WarmScratch {
@@ -182,84 +194,17 @@ func runWarmPlan(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmup
 	}
 }
 
-// warmRun is a statically routed run whose warmup prefix the planner
-// shares or stores, built and not yet started: the single stack at one
-// volume, the static array controller otherwise. Its payloads are one
-// stack payload, or the controller's (array.Controlled.Encode).
-type warmRun struct {
-	st  *engine.Stack
-	arr *array.Controlled
-}
-
-// newWarmRun builds a normalized spec's run.
-func (s Spec) newWarmRun() warmRun {
-	if s.Volumes == 1 {
-		return warmRun{st: s.singleStack()}
-	}
-	return warmRun{arr: s.newStatic()}
-}
-
-// startTo starts the run and steps it to the warmup barrier.
-func (r warmRun) startTo(ctx context.Context, s Spec, warmupIntervals int) {
-	if r.arr != nil {
-		r.arr.Start(ctx)
-		r.arr.StepTo(ctx, warmupIntervals)
-		return
-	}
-	r.st.Start(ctx, s.Intervals)
-	r.st.StepTo(time.Duration(warmupIntervals) * s.Interval)
-}
-
-// encode checkpoints a run parked at a barrier; nil when it cannot be.
-func (r warmRun) encode() ([][]byte, error) {
-	if r.arr != nil {
-		return r.arr.Encode()
-	}
-	p, err := checkpoint.EncodeStack(r.st)
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{p}, nil
-}
-
-// decode restores payloads written by encode onto the unstarted run.
-func (r warmRun) decode(ctx context.Context, payloads [][]byte) error {
-	if r.arr != nil {
-		return r.arr.Decode(ctx, payloads)
-	}
-	if len(payloads) != 1 {
-		return fmt.Errorf("checkpoint holds %d payloads for one stack", len(payloads))
-	}
-	return checkpoint.DecodeStack(ctx, r.st, payloads[0])
-}
-
-func (r warmRun) acted() bool {
-	if r.arr != nil {
-		return r.arr.BalancerActed()
-	}
-	return r.st.BalancerActed()
-}
-
-// finish runs the remainder, collects the results under s's label and
-// releases the stacks.
-func (r warmRun) finish(ctx context.Context, s Spec) *engine.Results {
-	if r.arr == nil {
-		return s.label(finishStack(r.st))
-	}
-	ares, _ := r.arr.Finish(ctx)
-	return s.label(ares.Merged)
-}
-
-// memberOutcome is how a non-leader member can run against the leader's
-// prefix: restored from it (WarmForked) or from scratch, with the reason.
-func memberOutcome(s Spec, volumes int, acted bool) WarmOutcome {
+// memberOutcome is how a normalized non-leader member can run against the
+// leader's prefix: restored from it (WarmForked) or from scratch, with the
+// reason.
+func memberOutcome(s Spec, acted bool) WarmOutcome {
 	switch {
+	case !s.hasCodec():
+		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
 	case s.Scheme == SchemeWB && acted:
 		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonBalancerActed}
-	case s.Scheme == SchemeWB, s.Scheme == SchemeLBICA, s.Scheme == SchemeArrayLB && volumes == 1:
+	case s.Scheme == SchemeWB, s.Scheme == SchemeLBICA, s.Scheme == SchemeArrayLB:
 		return WarmOutcome{Kind: WarmForked}
-	case s.Scheme == SchemeArrayLB:
-		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
 	default:
 		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB}
 	}

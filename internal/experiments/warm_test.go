@@ -28,10 +28,10 @@ func TestRunWarmSharedMultiVolume(t *testing.T) {
 	const warmup, intervals = 10, 40
 	for _, volumes := range []int{2, 3} {
 		specs := warmGroup("mail", volumes, 1.2, intervals)
-		if !CanShareWarmup(specs, warmup) {
+		if warmLeaderIndex(specs, warmup) < 0 {
 			t.Fatalf("%d volumes: group unexpectedly unshareable", volumes)
 		}
-		got, plan := RunWarmShared(ctx, specs, warmup)
+		got, plan := RunWarmShared(ctx, specs, warmup, nil)
 		wantKind := map[string]WarmOutcome{
 			SchemeWB:      {Kind: WarmForked},
 			SchemeSIB:     {Kind: WarmScratch, Reason: WarmReasonSIB},
@@ -56,7 +56,7 @@ func TestRunWarmSharedBalancerActedFallback(t *testing.T) {
 	// A barrier deep into the run: by then the LBICA balancer has
 	// bypassed or switched policy on the bursty mail mix.
 	warmup := intervals - 1
-	got, plan := RunWarmShared(ctx, specs, warmup)
+	got, plan := RunWarmShared(ctx, specs, warmup, nil)
 	for i, s := range specs {
 		if s.Scheme == SchemeWB {
 			if plan[i].Kind != WarmScratch {
@@ -75,7 +75,7 @@ func TestRunWarmSharedBalancerActedFallback(t *testing.T) {
 func TestRunWarmSharedNoLeader(t *testing.T) {
 	ctx := context.Background()
 	specs := []Spec{{Workload: "mail", Scheme: SchemeLBICA, Seed: 11, Intervals: 20, Volumes: 2, RouteSkew: 1.2}}
-	got, plan := RunWarmShared(ctx, specs, 5)
+	got, plan := RunWarmShared(ctx, specs, 5, nil)
 	if plan[0] != (WarmOutcome{Kind: WarmScratch, Reason: WarmReasonNoLeader}) {
 		t.Errorf("singleton outcome %+v, want scratch/no-leader", plan[0])
 	}

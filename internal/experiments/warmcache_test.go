@@ -35,11 +35,10 @@ func leaderOf(t *testing.T, specs []Spec, warmup int) int {
 // warmup prefix and publishes it (Cache annotation cache-store), the
 // second restores it (cache-hit), and both invocations — single-volume
 // and multi-volume — return results byte-identical to the uncached
-// planner, which is itself pinned byte-identical to scratch runs. At one
-// volume the scratch members (here SIB, whose prefix can never fork from
-// the leader's) go through the store with their own private prefixes; at
-// more than one the scratch members are multi-volume runs the cache does
-// not cover, so their annotation stays empty.
+// planner, which is itself pinned byte-identical to scratch runs. The
+// scratch members with a codec (here SIB, whose prefix can never fork from
+// the leader's) go through the store with their own private prefixes, at
+// one volume and on a static array alike.
 func TestRunWarmSharedCachedRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const warmup, intervals = 10, 40
@@ -50,14 +49,14 @@ func TestRunWarmSharedCachedRoundTrip(t *testing.T) {
 		}
 		specs := warmGroup("tpcc", volumes, skew, intervals)
 		leaderIdx := leaderOf(t, specs, warmup)
-		want, _ := RunWarmShared(ctx, specs, warmup)
+		want, _ := RunWarmShared(ctx, specs, warmup, nil)
 		store := openStore(t)
 
-		first, plan1 := RunWarmSharedCached(ctx, specs, warmup, store)
+		first, plan1 := RunWarmShared(ctx, specs, warmup, store)
 		if got := plan1[leaderIdx]; got != (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheStore}) {
 			t.Errorf("%d volumes, first run leader outcome %+v, want leader/cache-store", volumes, got)
 		}
-		second, plan2 := RunWarmSharedCached(ctx, specs, warmup, store)
+		second, plan2 := RunWarmShared(ctx, specs, warmup, store)
 		if got := plan2[leaderIdx]; got != (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheHit}) {
 			t.Errorf("%d volumes, second run leader outcome %+v, want leader/cache-hit", volumes, got)
 		}
@@ -67,17 +66,10 @@ func TestRunWarmSharedCachedRoundTrip(t *testing.T) {
 			if s.Scheme != SchemeSIB {
 				continue
 			}
-			wantCache := ""
-			if volumes == 1 {
-				wantCache = WarmCacheStore
-			}
-			if got := plan1[i]; got != (WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB, Cache: wantCache}) {
+			if got := plan1[i]; got != (WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB, Cache: WarmCacheStore}) {
 				t.Errorf("%d volumes, first run SIB outcome %+v", volumes, got)
 			}
-			if volumes == 1 {
-				wantCache = WarmCacheHit
-			}
-			if got := plan2[i]; got != (WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB, Cache: wantCache}) {
+			if got := plan2[i]; got != (WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB, Cache: WarmCacheHit}) {
 				t.Errorf("%d volumes, second run SIB outcome %+v", volumes, got)
 			}
 		}
@@ -92,13 +84,13 @@ func TestRunWarmSharedCachedCorruptFallback(t *testing.T) {
 	const warmup, intervals = 10, 40
 	specs := warmGroup("tpcc", 1, 0, intervals)
 	leaderIdx := leaderOf(t, specs, warmup)
-	want, _ := RunWarmShared(ctx, specs, warmup)
+	want, _ := RunWarmShared(ctx, specs, warmup, nil)
 	store := openStore(t)
 
-	if _, plan := RunWarmSharedCached(ctx, specs, warmup, store); plan[leaderIdx].Cache != WarmCacheStore {
+	if _, plan := RunWarmShared(ctx, specs, warmup, store); plan[leaderIdx].Cache != WarmCacheStore {
 		t.Fatalf("seed run leader outcome %+v", plan[leaderIdx])
 	}
-	key := warmCacheKey(specs[leaderIdx].Normalize(), SchemeLBICA, warmup)
+	key := warmCacheKey(specs[leaderIdx].Normalize(), warmup)
 	path := store.Path(key)
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -109,7 +101,7 @@ func TestRunWarmSharedCachedCorruptFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, plan := RunWarmSharedCached(ctx, specs, warmup, store)
+	got, plan := RunWarmShared(ctx, specs, warmup, store)
 	if wantOut := (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheCorrupt}); plan[leaderIdx] != wantOut {
 		t.Errorf("corrupt-entry leader outcome %+v, want %+v", plan[leaderIdx], wantOut)
 	}
@@ -118,7 +110,7 @@ func TestRunWarmSharedCachedCorruptFallback(t *testing.T) {
 	}
 
 	// The fallback overwrote the bad entry: next invocation hits clean.
-	if _, plan := RunWarmSharedCached(ctx, specs, warmup, store); plan[leaderIdx] != (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheHit}) {
+	if _, plan := RunWarmShared(ctx, specs, warmup, store); plan[leaderIdx] != (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheHit}) {
 		t.Errorf("post-overwrite leader outcome %+v, want leader/cache-hit", plan[leaderIdx])
 	}
 }
@@ -133,10 +125,10 @@ func TestRunWarmSharedCachedDecodeFailureFallback(t *testing.T) {
 	leaderIdx := leaderOf(t, specs, warmup)
 	store := openStore(t)
 
-	if _, plan := RunWarmSharedCached(ctx, specs, warmup, store); plan[leaderIdx].Cache != WarmCacheStore {
+	if _, plan := RunWarmShared(ctx, specs, warmup, store); plan[leaderIdx].Cache != WarmCacheStore {
 		t.Fatalf("seed run leader outcome %+v", plan[leaderIdx])
 	}
-	key := warmCacheKey(specs[leaderIdx].Normalize(), SchemeLBICA, warmup)
+	key := warmCacheKey(specs[leaderIdx].Normalize(), warmup)
 	_, payloads, err := checkpoint.ReadFile(store.Path(key))
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +140,8 @@ func TestRunWarmSharedCachedDecodeFailureFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, _ := RunWarmShared(ctx, specs, warmup)
-	got, plan := RunWarmSharedCached(ctx, specs, warmup, store)
+	want, _ := RunWarmShared(ctx, specs, warmup, nil)
+	got, plan := RunWarmShared(ctx, specs, warmup, store)
 	if wantOut := (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheCorrupt}); plan[leaderIdx] != wantOut {
 		t.Errorf("short-payload leader outcome %+v, want %+v", plan[leaderIdx], wantOut)
 	}
@@ -168,10 +160,10 @@ func TestCancelledWarmupIsNotPublished(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, plan := RunWarmSharedCached(ctx, specs, 10, store); plan[1].Cache != "" {
+	if _, plan := RunWarmShared(ctx, specs, 10, store); plan[1].Cache != "" {
 		t.Fatalf("cancelled leader reported store traffic %q", plan[1].Cache)
 	}
-	got, plan := RunWarmSharedCached(context.Background(), specs, 10, store)
+	got, plan := RunWarmShared(context.Background(), specs, 10, store)
 	if plan[1].Cache != WarmCacheStore {
 		t.Errorf("leader after an interrupted sweep: cache %q, want %q", plan[1].Cache, WarmCacheStore)
 	}
@@ -213,28 +205,24 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 		"DiskElevator":   {nil, func(s *Spec) { s.DiskElevator = true }},
 		"DisablePrewarm": {nil, func(s *Spec) { s.DisablePrewarm = true }},
 		"Hooks":          {nil, func(s *Spec) { s.Hooks = &Hooks{} }},
+		// The driving scheme keys the prefix: a scratch member's private
+		// prefix (its own balancer) must never collide with the shared
+		// leader prefix (always the LBICA balancer) for the same spec.
+		"Scheme": {nil, func(s *Spec) { s.Scheme = SchemeSIB }},
 	}
-	// Scheme is passed to the key separately (the driving balancer, below);
 	// ShardWorkers and RouteVariant are execution-only.
-	allow := map[string]func(*Spec){
-		"Scheme":       func(s *Spec) { s.Scheme = SchemeArrayLB },
-		"ShardWorkers": func(s *Spec) { s.ShardWorkers = 4 },
-		"RouteVariant": func(s *Spec) { s.Scheme, s.RouteVariant = SchemeArrayLB, "p2c" },
+	allow := map[string]struct{ from, to func(*Spec) }{
+		"ShardWorkers": {nil, func(s *Spec) { s.ShardWorkers = 4 }},
+		"RouteVariant": {func(s *Spec) { s.Scheme = SchemeArrayLB }, func(s *Spec) { s.RouteVariant = "p2c" }},
 	}
-	baseKey := warmCacheKey(base, SchemeLBICA, 10)
+	baseKey := warmCacheKey(base, 10)
 	typ := reflect.TypeOf(Spec{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if set, ok := allow[name]; ok {
-			s := base
-			set(&s)
-			if k := warmCacheKey(s, SchemeLBICA, 10); k != baseKey {
-				t.Errorf("allowlisted field %s moved the cache key", name)
-			}
-			continue
-		}
-		p, ok := perturb[name]
-		if !ok {
+		p, keyed := perturb[name]
+		if a, ok := allow[name]; ok {
+			p = a
+		} else if !keyed {
 			t.Errorf("Spec field %s is neither perturbed nor allowlisted: key it in warmCacheKey and add it here", name)
 			continue
 		}
@@ -244,23 +232,17 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 		}
 		to := from
 		p.to(&to)
-		if warmCacheKey(from, SchemeLBICA, 10) == warmCacheKey(to, SchemeLBICA, 10) {
-			t.Errorf("perturbing %s leaves the cache key unchanged", name)
+		if moved := warmCacheKey(from, 10) != warmCacheKey(to, 10); moved != keyed {
+			t.Errorf("perturbing %s moved the cache key: %t, want %t", name, moved, keyed)
 		}
 	}
 	// A schedule or stream keys by content: equal copies share the entry.
 	a, b := base, base
 	a.Phases, b.Phases = &phases, &[]workload.Phase{phases[0]}
-	if warmCacheKey(a, SchemeLBICA, 10) != warmCacheKey(b, SchemeLBICA, 10) {
+	if warmCacheKey(a, 10) != warmCacheKey(b, 10) {
 		t.Error("equal phase schedules at different addresses key differently")
 	}
-	if k2 := warmCacheKey(base, SchemeLBICA, 11); k2 == baseKey {
+	if k2 := warmCacheKey(base, 11); k2 == baseKey {
 		t.Error("warmup length not part of the cache key")
-	}
-	// The driving scheme keys the prefix: a scratch member's private
-	// prefix (its own balancer) must never collide with the shared
-	// leader prefix (always the LBICA balancer) for the same spec.
-	if k := warmCacheKey(base, SchemeSIB, 10); k == baseKey {
-		t.Error("driving scheme not part of the cache key")
 	}
 }

@@ -59,64 +59,3 @@ func MergeHistograms(hs []*Histogram) *Histogram {
 	}
 	return out
 }
-
-// SumSeries reduces same-shaped series point-wise: the result has one
-// point per interval present in any input, valued at the sum of the
-// inputs' values there. Interval axes are merged as a union, so shards
-// that stopped early (a cancelled volume) still contribute the intervals
-// they finished. At/timestamps take the maximum across inputs (the
-// interval is closed when its last shard closes it).
-func SumSeries(name string, in []*Series) *Series {
-	return reduceSeries(name, in, func(acc, v float64) float64 { return acc + v })
-}
-
-// MaxSeries reduces same-shaped series point-wise to the per-interval
-// maximum — the "worst volume" view an array-level load curve wants.
-func MaxSeries(name string, in []*Series) *Series {
-	return reduceSeries(name, in, func(acc, v float64) float64 {
-		if v > acc {
-			return v
-		}
-		return acc
-	})
-}
-
-func reduceSeries(name string, in []*Series, fold func(acc, v float64) float64) *Series {
-	type slot struct {
-		at    time.Duration
-		value float64
-		seen  bool
-	}
-	slots := map[int]*slot{}
-	maxIv := -1
-	for _, s := range in {
-		if s == nil {
-			continue
-		}
-		for _, p := range s.Points {
-			sl := slots[p.Interval]
-			if sl == nil {
-				sl = &slot{}
-				slots[p.Interval] = sl
-				if p.Interval > maxIv {
-					maxIv = p.Interval
-				}
-			}
-			if p.At > sl.at {
-				sl.at = p.At
-			}
-			if !sl.seen {
-				sl.value, sl.seen = p.Value, true
-			} else {
-				sl.value = fold(sl.value, p.Value)
-			}
-		}
-	}
-	out := &Series{Name: name}
-	for iv := 0; iv <= maxIv; iv++ {
-		if sl, ok := slots[iv]; ok {
-			out.Append(iv, sl.at, sl.value)
-		}
-	}
-	return out
-}

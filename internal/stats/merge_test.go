@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -56,54 +54,4 @@ func TestMergeHistograms(t *testing.T) {
 		t.Fatalf("MergeHistograms(nil) = %v", empty)
 	}
 	empty.Record(time.Second) // must not panic: counts must be allocated
-}
-
-func TestSumAndMaxSeries(t *testing.T) {
-	mk := func(vals ...float64) *Series {
-		s := &Series{Name: "in"}
-		for i, v := range vals {
-			s.Append(i, time.Duration(i+1)*time.Second, v)
-		}
-		return s
-	}
-	a := mk(1, 2, 3)
-	b := mk(10, 20) // shorter: a cancelled shard's partial series
-
-	sum := SumSeries("sum", []*Series{a, nil, b})
-	if got, want := sum.Points, []Point{
-		{0, time.Second, 11}, {1, 2 * time.Second, 22}, {2, 3 * time.Second, 3},
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SumSeries = %+v, want %+v", got, want)
-	}
-	max := MaxSeries("max", []*Series{a, b})
-	if got, want := max.Points, []Point{
-		{0, time.Second, 10}, {1, 2 * time.Second, 20}, {2, 3 * time.Second, 3},
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("MaxSeries = %+v, want %+v", got, want)
-	}
-}
-
-// Reducing pre-sorted inputs must not depend on which shard produced which
-// series: summing permutations of integer-valued series yields identical
-// points (the array merge sorts by volume before folding, so this is the
-// exact contract it relies on).
-func TestReduceSeriesPermutationInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := make([]*Series, 5)
-	for v := range base {
-		s := &Series{Name: "shard"}
-		for i := 0; i < 20; i++ {
-			s.Append(i, time.Duration(i)*time.Second, float64(rng.Intn(1000)))
-		}
-		base[v] = s
-	}
-	want := SumSeries("sum", base)
-	for trial := 0; trial < 10; trial++ {
-		perm := append([]*Series(nil), base...)
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		got := SumSeries("sum", perm)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: permuted sum differs:\n got %+v\nwant %+v", trial, got, want)
-		}
-	}
 }

@@ -111,7 +111,7 @@ type Grid struct {
 	// WarmCacheDir, when non-empty, backs warm-fork sweeps with the
 	// persistent checkpoint store rooted at that directory: each shared
 	// warmup prefix is looked up there before being simulated and written
-	// through after (experiments.RunWarmSharedCached), so repeated
+	// through after (experiments.RunWarmShared), so repeated
 	// invocations — narrowing a grid, adding replicates, re-running after
 	// a crash — skip the warmup simulation entirely. Results stay
 	// byte-identical to uncached execution; a corrupt or version-skewed
@@ -588,7 +588,7 @@ func runUnit(ctx context.Context, g Grid, store *checkpoint.Store, pts []Point, 
 		specs[k] = pts[i].Spec
 	}
 	if g.WarmupIntervals > 0 {
-		return experiments.RunWarmSharedCached(ctx, specs, g.WarmupIntervals, store)
+		return experiments.RunWarmShared(ctx, specs, g.WarmupIntervals, store)
 	}
 	rs := make([]*engine.Results, len(specs))
 	for k, spec := range specs {
@@ -725,7 +725,7 @@ func Execute(ctx context.Context, g Grid, opt Options) (*Result, error) {
 }
 
 // openWarmStore opens the grid's persistent warm cache, or returns a nil
-// store — RunWarmSharedCached's "no cache" mode — when none is
+// store — RunWarmShared's "no cache" mode — when none is
 // configured. Opening re-validates the directory (created if missing,
 // must be a writable directory) so a sweep constructed programmatically
 // gets the same eager failure the CLI's flag validation gives.

@@ -106,3 +106,40 @@ func TestWarmCacheValidation(t *testing.T) {
 		t.Error("Execute accepted a regular file as the warm cache directory")
 	}
 }
+
+// On a statically routed array the scratch members with a codec store
+// their private prefixes too: per workload, the LBICA leader's shared
+// prefix and SIB's own, while WB forks from the leader and the
+// multi-volume ARRAY-LB, which has no codec, runs from scratch uncached.
+// Both passes match the uncached sweep.
+func TestWarmCacheSweepArrayScratchMembers(t *testing.T) {
+	grid := func(dir string) Grid {
+		return Grid{
+			Workloads:       []string{"tpcc", "mail"},
+			Schemes:         []string{"WB", "SIB", "LBICA", "ARRAY-LB"},
+			Volumes:         []int{3},
+			RouteSkews:      []float64{1.2},
+			Seed:            11,
+			Intervals:       30,
+			WarmupIntervals: 20,
+			WarmCacheDir:    dir,
+		}
+	}
+	uncached, err := Execute(t.Context(), grid(""), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "warm-cache")
+	for pass, want := range []WarmStats{{CacheStores: 4}, {CacheHits: 4}} {
+		res, err := Execute(t.Context(), grid(dir), Options{Workers: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Runs, uncached.Runs) || !reflect.DeepEqual(res.Cells, uncached.Cells) {
+			t.Errorf("pass %d diverges from the uncached sweep", pass)
+		}
+		if got := res.Warm; got.CacheStores != want.CacheStores || got.CacheHits != want.CacheHits || got.CacheCorrupt != 0 {
+			t.Errorf("pass %d warm stats %+v, want %d stores / %d hits", pass, got, want.CacheStores, want.CacheHits)
+		}
+	}
+}

@@ -271,3 +271,27 @@ func TestHostileRegistryNames(t *testing.T) {
 		t.Errorf("hostile name mangled: %q", g.Name())
 	}
 }
+
+// Every catalog stream, recorded, is a valid replay: time-ordered,
+// well-formed requests within the catalog's 128-sector largest size.
+func TestCatalogStreamsAreValidRecordings(t *testing.T) {
+	names := append(Default.Names(), Default.Aliases()...)
+	names = append(names, "synth-randread-zipf1.2", "synth-randwrite-zipf0.8", "burst-mix-on6x-duty0.45-read0.35")
+	scale := Scale{Interval: 200 * time.Millisecond, Intervals: 40, RateFactor: 1, BurstMult: 1}
+	for _, name := range names {
+		b, err := Default.Resolve(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		reqs := Drain(b(scale, sim.NewRNG(1, "workload:"+name)))
+		if err := ValidateRequests(reqs); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		for _, r := range reqs {
+			if r.Extent.Sectors > 128 {
+				t.Errorf("%s: a request of %d sectors", name, r.Extent.Sectors)
+				break
+			}
+		}
+	}
+}

@@ -109,11 +109,44 @@ func (p *Phase) validate() error {
 		return fmt.Errorf("working sets of %d and %d blocks outside [0, %d]", p.WorkingSetBlocks, p.WriteWorkingSetBlocks, math.MaxInt32)
 	case active && p.WorkingSetBlocks == 0:
 		return fmt.Errorf("generates requests over an empty working set")
+	case p.BaseBlock < 0 || p.BaseBlock > maxBlock-p.WorkingSetBlocks ||
+		p.WriteBaseBlock < 0 || p.WriteBaseBlock > maxBlock-p.WriteWorkingSetBlocks:
+		return fmt.Errorf("regions based at blocks %d and %d outside the addressable [0, %d)", p.BaseBlock, p.WriteBaseBlock, maxBlock)
 	}
 	for _, size := range p.SizesSectors {
-		if size <= 0 {
-			return fmt.Errorf("request size of %d sectors", size)
+		if size <= 0 || size > MaxRequestSectors {
+			return fmt.Errorf("request size of %d sectors outside [1, %d]", size, MaxRequestSectors)
 		}
+	}
+	return nil
+}
+
+// ValidateRequests reports the first request of a recorded stream that
+// cannot be replayed as written: an op other than read or write, a size
+// outside [1, MaxRequestSectors], a negative LBA or an extent past the
+// largest LBA, or a timestamp that is negative or earlier than the
+// previous request's. The stream is checked as given, never reordered or
+// clamped.
+func ValidateRequests(reqs []Request) error {
+	var prev time.Duration
+	for i, r := range reqs {
+		var err error
+		switch e := r.Extent; {
+		case r.Op != block.Read && r.Op != block.Write:
+			err = fmt.Errorf("op %d is neither read nor write", r.Op)
+		case e.Sectors < 1 || e.Sectors > MaxRequestSectors:
+			err = fmt.Errorf("size of %d sectors outside [1, %d]", e.Sectors, MaxRequestSectors)
+		case e.LBA < 0 || e.LBA > math.MaxInt64-e.Sectors:
+			err = fmt.Errorf("extent of %d sectors at LBA %d outside [0, %d]", e.Sectors, e.LBA, int64(math.MaxInt64))
+		case r.At < 0:
+			err = fmt.Errorf("negative arrival time %v", r.At)
+		case r.At < prev:
+			err = fmt.Errorf("arrival time %v precedes the previous request's %v", r.At, prev)
+		}
+		if err != nil {
+			return fmt.Errorf("workload: request %d: %w", i, err)
+		}
+		prev = r.At
 	}
 	return nil
 }
@@ -125,6 +158,17 @@ func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 // hash policy must agree with it: a volume's prewarm filter routes the
 // same block numbers the generated LBAs decompose back into.
 const BlockSectors = 8
+
+// MaxRequestSectors bounds one request's size: 2^16 sectors (32 MiB), far
+// past the catalog's largest request (128 sectors). The cache walks a
+// request one 4 KiB block at a time, so an unbounded size runs unboundedly
+// long or exhausts memory; a custom phase or recorded stream that asks for
+// more is an error.
+const MaxRequestSectors = 1 << 16
+
+// maxBlock bounds a phase's address regions: every generated LBA, a block
+// number times BlockSectors, must fit in an int64.
+const maxBlock = math.MaxInt64 / BlockSectors
 
 // scramblePrime spreads Zipf ranks across the working set so hot blocks are
 // not physically clustered.

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"lbica/internal/block"
 	"lbica/internal/experiments"
+	"lbica/internal/workload"
 )
 
 // quick returns small-run options so facade tests stay fast.
@@ -143,6 +145,10 @@ func TestInvalidPhasesAreErrors(t *testing.T) {
 		{"sequential above 1", func(p *Phase) { p.Sequential = 2 }, false},
 		{"zero request size", func(p *Phase) { p.SizesSectors = []int64{8, 0} }, false},
 		{"negative request size", func(p *Phase) { p.SizesSectors = []int64{-8} }, false},
+		{"request size past the bound", func(p *Phase) { p.SizesSectors = []int64{8, workload.MaxRequestSectors + 1} }, false},
+		{"negative base block", func(p *Phase) { p.BaseBlock = -1 }, false},
+		{"negative write base block", func(p *Phase) { p.WriteWorkingSetBlocks, p.WriteBaseBlock = 64, -1 }, false},
+		{"base block past the address space", func(p *Phase) { p.BaseBlock = math.MaxInt64 / 8 }, false},
 		{"valid", func(p *Phase) {}, true},
 		{"zero fields keep defaults", func(p *Phase) { p.ZipfExponent, p.ReadRatio = 0, 0 }, true},
 		{"idle phase needs no working set", func(p *Phase) { p.BaseIOPS, p.WorkingSetBlocks = 0, 0 }, true},
@@ -161,6 +167,51 @@ func TestInvalidPhasesAreErrors(t *testing.T) {
 				t.Errorf("error %q does not name the phase", err)
 			}
 		})
+	}
+}
+
+// TestInvalidReplayIsError: a recorded stream is validated at the run
+// boundary, record by record. Each case used to run silently (or, for a
+// request past the size bound, to run unboundedly long).
+func TestInvalidReplayIsError(t *testing.T) {
+	ok := workload.Request{At: time.Millisecond, Op: block.Read, Extent: block.Extent{LBA: 64, Sectors: 8}}
+	for _, c := range []struct {
+		name string
+		edit func(*workload.Request)
+	}{
+		{"op byte 7", func(r *workload.Request) { r.Op = 7 }},
+		{"zero sectors", func(r *workload.Request) { r.Extent.Sectors = 0 }},
+		{"negative sectors", func(r *workload.Request) { r.Extent.Sectors = -8 }},
+		{"size past the bound", func(r *workload.Request) { r.Extent.Sectors = workload.MaxRequestSectors + 1 }},
+		{"negative LBA", func(r *workload.Request) { r.Extent.LBA = -8 }},
+		{"extent overflows", func(r *workload.Request) { r.Extent.LBA = math.MaxInt64 - 4 }},
+		{"negative time", func(r *workload.Request) { r.At = -time.Millisecond }},
+		{"time goes backwards", func(r *workload.Request) { r.At = time.Millisecond / 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := ok
+			c.edit(&bad)
+			var rec bytes.Buffer
+			if err := workload.SaveRequests(&rec, []workload.Request{ok, bad}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Run(Options{Intervals: 3, ReplayFrom: &rec})
+			if err == nil {
+				t.Fatalf("record %+v ran instead of erroring", bad)
+			}
+			if !strings.Contains(err.Error(), "request 1") {
+				t.Errorf("error %q does not name the record", err)
+			}
+		})
+	}
+	var rec bytes.Buffer
+	later := ok
+	later.At, later.Op = 2*time.Millisecond, block.Write
+	if err := workload.SaveRequests(&rec, []workload.Request{ok, ok, later}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Intervals: 3, ReplayFrom: &rec}); err != nil {
+		t.Errorf("well-formed stream rejected: %v", err)
 	}
 }
 
