@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"lbica/internal/block"
+	"lbica/internal/cli"
+	"lbica/internal/workload"
 )
 
 // Smoke: a tiny run must produce the summary table with a non-zero
@@ -80,6 +86,56 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 	var out, errBuf strings.Builder
 	if err := run(t.Context(), []string{"-workload", "nope", "-intervals", "2"}, &out, &errBuf); err == nil {
 		t.Error("unknown workload returned nil error")
+	}
+}
+
+// TestRunRejectsUnboundedInputs: every input past a run bound exits with
+// an error naming the bound and prints no report. Before the bounds a NaN
+// rate ran a one-request simulation, a 10^12 or infinite rate hung, 10^8
+// intervals ran out of memory, and a record at 2^63−10 ns or a phase of
+// 2^31−1 blocks crashed or exhausted the process.
+func TestRunRejectsUnboundedInputs(t *testing.T) {
+	dir := t.TempDir()
+	late := filepath.Join(dir, "late.rec")
+	f, err := os.Create(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := block.Extent{LBA: 64, Sectors: 8}
+	if err := workload.SaveRequests(f, []workload.Request{
+		{At: time.Millisecond, Op: block.Read, Extent: ext},
+		{At: math.MaxInt64 - 9, Op: block.Read, Extent: ext},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bigPhase := filepath.Join(dir, "phase.json")
+	if err := os.WriteFile(bigPhase, []byte(`{"phases": [{"duration": "1s", "base_iops": 100,
+		"read_ratio": 1, "working_set_blocks": 2147483647}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args  []string
+		bound string
+	}{
+		{[]string{"-rate", "NaN"}, "10000"},
+		{[]string{"-rate", "1e12"}, "10000"},
+		{[]string{"-rate", "+Inf"}, "10000"},
+		{[]string{"-intervals", "100000000"}, "volume-interval bound"},
+		{[]string{"-interval", "2562047h"}, "clock bound"},
+		{[]string{"-replay", late, "-intervals", "3"}, "request 1"},
+		{[]string{"-config", bigPhase}, "16777216"},
+	} {
+		var out, errBuf strings.Builder
+		err := run(t.Context(), c.args, &out, &errBuf)
+		if err == nil || errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), c.bound) {
+			t.Errorf("%v returned %v, want an error naming %q", c.args, err, c.bound)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed a report:\n%s", c.args, out.String())
+		}
 	}
 }
 

@@ -348,8 +348,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return errors.Join(runErr, emitErr, outErr)
 }
 
-// countSeriesFiles returns how many exported series CSVs dir holds (0 on
-// any read error).
 // fallbackSummary renders the scratch-fallback reasons of a warm plan as
 // a parenthesized, deterministically ordered suffix ("" when every run
 // shared).
@@ -382,6 +380,8 @@ func cacheSummary(w *lbica.SweepWarmStats) string {
 	return s
 }
 
+// countSeriesFiles returns how many exported series CSVs dir holds (0 on
+// any read error).
 func countSeriesFiles(dir string) int {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

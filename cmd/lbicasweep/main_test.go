@@ -149,6 +149,32 @@ func TestRunRejectsSilentClampCandidates(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnboundedGrids: a grid past a run bound exits with an
+// error naming the bound before any run starts. Before the bounds 10^8
+// intervals and 10^9 seeds ran out of memory, and 2^62 seeds overflowed
+// the grid size into a makeslice panic.
+func TestRunRejectsUnboundedGrids(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		bound string
+	}{
+		{[]string{"-intervals", "100000000"}, "volume-interval bound"},
+		{[]string{"-seeds", "1000000000"}, "run bound"},
+		{[]string{"-seeds", "4611686018427387904"}, "run bound"},
+		{[]string{"-rate", "1e12"}, "10000"},
+		{[]string{"-burst-mult", "1e6"}, "100]"},
+	} {
+		var out, errBuf strings.Builder
+		err := run(t.Context(), append(c.args, "-q"), &out, &errBuf)
+		if err == nil || errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), c.bound) {
+			t.Errorf("%v returned %v, want an error naming %q", c.args, err, c.bound)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed a report:\n%s", c.args, out.String())
+		}
+	}
+}
+
 // TestRunSeriesDirSmoke: the -series-dir flag writes one parseable
 // per-interval CSV per run of a tiny grid, and -workload (the singular
 // alias) accepts catalog names with a burst axis.

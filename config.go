@@ -90,13 +90,7 @@ func LoadOptions(r io.Reader) (Options, error) {
 		ShardWorkers:   j.ShardWorkers,
 	}
 	if j.Thresholds != nil {
-		o.Thresholds = Thresholds{
-			DominantPair: j.Thresholds.DominantPair,
-			MemberMin:    j.Thresholds.MemberMin,
-			PromoteAlone: j.Thresholds.PromoteAlone,
-			ReadAlone:    j.Thresholds.ReadAlone,
-			MinQueued:    j.Thresholds.MinQueued,
-		}
+		o.Thresholds = Thresholds(*j.Thresholds)
 	}
 	var err error
 	if o.IntervalLength, err = parseDur(j.IntervalLength, "interval_length"); err != nil {
@@ -152,13 +146,8 @@ func SaveOptions(w io.Writer, o Options) error {
 		ShardWorkers:   o.ShardWorkers,
 	}
 	if o.Thresholds != (Thresholds{}) {
-		j.Thresholds = &thresholdsJSON{
-			DominantPair: o.Thresholds.DominantPair,
-			MemberMin:    o.Thresholds.MemberMin,
-			PromoteAlone: o.Thresholds.PromoteAlone,
-			ReadAlone:    o.Thresholds.ReadAlone,
-			MinQueued:    o.Thresholds.MinQueued,
-		}
+		t := thresholdsJSON(o.Thresholds)
+		j.Thresholds = &t
 	}
 	if o.IntervalLength > 0 {
 		j.IntervalLength = o.IntervalLength.String()

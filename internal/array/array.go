@@ -19,9 +19,16 @@ import (
 const MaxVolumes = 256
 
 // MaxCacheLines bounds a run's cache lines summed over its volumes. 2^25
-// lines is the sweep grid's 512× cache multiplier at one volume: a 128 GiB
+// lines is 512 times the paper's 256 MiB cache at one volume: a 128 GiB
 // cache at 4 KiB blocks, whose line arrays alone take 1 GiB.
 const MaxCacheLines = 1 << 25
+
+// MaxVolumeIntervals bounds a run's monitor intervals summed over its
+// volumes: 2^20, where the paper's runs take 200. Every volume reserves
+// its per-interval series before the first event, about 450 bytes an
+// interval (an iostat sample and a cache-stats snapshot), so the series
+// at the bound take about 470 MB.
+const MaxVolumeIntervals = 1 << 20
 
 // MaxSkew bounds the Zipf routing exponent; at 16 essentially every
 // request already lands on volume 0, so larger values only differ in

@@ -292,9 +292,6 @@ func (l *LBICA) Name() string { return "LBICA" }
 // Group returns the current classification (GroupUnknown when not armed).
 func (l *LBICA) Group() Group { return l.group }
 
-// Bursts returns how many burst intervals acted on.
-func (l *LBICA) Bursts() int { return l.bursts }
-
 // Reverts returns how many times the policy reverted to WB.
 func (l *LBICA) Reverts() int { return l.reverts }
 

@@ -453,9 +453,6 @@ func (s *Server) Inflight() int { return s.inflight }
 // Completed returns the cumulative number of completed requests.
 func (s *Server) Completed() uint64 { return s.completed }
 
-// BusyTime returns cumulative device busy time across all slots.
-func (s *Server) BusyTime() time.Duration { return s.busy }
-
 // Utilization returns busy time divided by (elapsed × width), in [0,1+].
 func (s *Server) Utilization(elapsed time.Duration) float64 {
 	if elapsed <= 0 {

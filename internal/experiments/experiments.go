@@ -77,6 +77,17 @@ var Workloads = []string{WorkloadTPCC, WorkloadMail, WorkloadWeb}
 // Schemes lists the schemes in paper order.
 var Schemes = []string{SchemeWB, SchemeSIB, SchemeLBICA}
 
+// MaxRateFactor bounds Spec.RateFactor: 10^4 times a workload's published
+// IOPS is already far past saturation, and an unbounded factor shrinks
+// every arrival gap to its one-nanosecond floor, so a run of seconds
+// needs billions of requests.
+const MaxRateFactor = 1e4
+
+// MaxBurstMult bounds Spec.BurstMult, matching the burst-mix family's
+// ON-rate bound: a 100× ON rate on the heaviest phase is already far past
+// saturation.
+const MaxBurstMult = 100
+
 // Spec describes one run. It is the single run description every stack is
 // built from — the paper matrix, sweep grids, warm-shared groups and the
 // lbica facade alike — and it stays comparable (the sweep groups specs
@@ -90,7 +101,9 @@ type Spec struct {
 	Seed     int64
 	// Intervals defaults to the paper's length for the workload (200;
 	// 175 for web; 200 for a custom Phases schedule). Interval defaults to
-	// 200 ms. RateFactor defaults to 1.
+	// 200 ms. RateFactor defaults to 1 and is at most MaxRateFactor. The
+	// run's span, Intervals × Interval, is at most workload.MaxArrival, and
+	// Intervals × Volumes at most array.MaxVolumeIntervals.
 	Intervals  int
 	Interval   time.Duration
 	RateFactor float64
@@ -101,7 +114,7 @@ type Spec struct {
 	CacheMult float64
 	// BurstMult scales every bursting phase's ON-rate and ON/OFF duty
 	// cycle (workload.Scale.BurstMult). Defaults to 1, the workload's
-	// published burst shape.
+	// published burst shape, and is at most MaxBurstMult.
 	BurstMult float64
 	// Volumes is the array width: how many independent cache+disk stacks
 	// the run shards the workload across (internal/array). Defaults to 1,
@@ -199,6 +212,13 @@ func (s Spec) normalize() (Spec, error) {
 		return s, fmt.Errorf("negative spec field (intervals %d, interval %v, rate %v, cache mult %v, burst mult %v, volumes %d, cache %d MiB, %d ways); zero means default, negatives are invalid",
 			s.Intervals, s.Interval, s.RateFactor, s.CacheMult, s.BurstMult, s.Volumes, s.CacheMiB, s.CacheWays)
 	}
+	// `!(x <= max)`, not `x > max`: NaN fails every comparison.
+	if !(s.RateFactor <= MaxRateFactor) {
+		return s, fmt.Errorf("rate factor %v outside [0, %v] (0 means default)", s.RateFactor, MaxRateFactor)
+	}
+	if !(s.BurstMult <= MaxBurstMult) {
+		return s, fmt.Errorf("burst multiplier %v outside [0, %v] (0 means default)", s.BurstMult, MaxBurstMult)
+	}
 	if s.Volumes == 0 {
 		s.Volumes = 1
 	}
@@ -282,6 +302,15 @@ func (s Spec) normalize() (Spec, error) {
 	if s.BurstMult == 0 {
 		s.BurstMult = 1
 	}
+	// Both run-length bounds divide rather than multiply, so neither
+	// product can overflow; Volumes is in [1, array.MaxVolumes] and
+	// Intervals ≥ 1 here.
+	if s.Interval > workload.MaxArrival/time.Duration(s.Intervals) {
+		return s, fmt.Errorf("run of %d intervals × %v ends past the %v clock bound", s.Intervals, s.Interval, workload.MaxArrival)
+	}
+	if s.Intervals > array.MaxVolumeIntervals/s.Volumes {
+		return s, fmt.Errorf("run of %d intervals × %d volumes exceeds the %d volume-interval bound", s.Intervals, s.Volumes, array.MaxVolumeIntervals)
+	}
 	return s, nil
 }
 
@@ -321,15 +350,6 @@ func (s Spec) cacheGeometry() (sets, ways int, err error) {
 	return int(f), ways, nil
 }
 
-// ValidateWorkload reports whether name resolves in the workload catalog
-// (the paper trio plus the synthetic and burst-mix families) — the
-// non-panicking twin of NewGenerator's lookup, for validating user input
-// such as sweep axes and CLI flags.
-func ValidateWorkload(name string) error {
-	_, err := workload.Default.Resolve(name)
-	return err
-}
-
 // WorkloadCatalog returns the catalog's names (exact entries, then the
 // legacy aliases) and the parameterized family patterns, for CLI help
 // text.
@@ -352,7 +372,7 @@ func PaperIntervals(wl string) int {
 // paper trio, the synthetic entries, the legacy aliases and the
 // parameterized synth/burst-mix families all come through here. It panics
 // on unknown names: specs are code, not user input — validate names from
-// users with ValidateWorkload or Spec.Validate first.
+// users with Spec.Validate first.
 func NewGenerator(spec Spec) workload.Generator {
 	if spec.Replay != nil {
 		return workload.NewReplay(cmp.Or(spec.Name, "replay"), *spec.Replay)
@@ -374,16 +394,11 @@ func NewGenerator(spec Spec) workload.Generator {
 	return b(scale, g)
 }
 
-// NewBalancer builds the scheme's balancer (nil for the WB baseline) with
-// the paper's calibrated thresholds.
-func NewBalancer(scheme string) engine.Balancer {
-	return NewBalancerWithThresholds(scheme, core.DefaultThresholds())
-}
-
-// NewBalancerWithThresholds is NewBalancer with an explicit LBICA
-// classifier calibration (zero fields inherit the paper defaults). The
-// thresholds only affect the LBICA scheme; WB and the static-policy
-// schemes have no balancer and SIB no census classifier.
+// NewBalancerWithThresholds builds the scheme's balancer (nil for the WB
+// baseline) with an explicit LBICA classifier calibration (zero fields
+// inherit the paper defaults). The thresholds only affect the LBICA
+// scheme; WB and the static-policy schemes have no balancer and SIB no
+// census classifier.
 func NewBalancerWithThresholds(scheme string, th core.Thresholds) engine.Balancer {
 	switch scheme {
 	case SchemeWB, SchemeWT, SchemeRO, SchemeWO, SchemeWTWO:

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"lbica/internal/array"
 	"lbica/internal/cache"
+	"lbica/internal/workload"
 )
 
 // The full 3×3 matrix takes a few seconds; share one across all tests.
@@ -250,5 +253,36 @@ func TestFigureWriters(t *testing.T) {
 func TestPaperIntervals(t *testing.T) {
 	if PaperIntervals(WorkloadTPCC) != 200 || PaperIntervals(WorkloadWeb) != 175 {
 		t.Error("paper interval counts wrong")
+	}
+}
+
+// TestSpecRunBounds pins every run bound Spec.Validate owns at its edge:
+// the bound itself validates, the next value past it (and NaN) does not.
+// Validate builds nothing, so the edges cost no simulation.
+func TestSpecRunBounds(t *testing.T) {
+	base := Spec{Workload: WorkloadTPCC, Scheme: SchemeWB}
+	for _, c := range []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"rate at the bound", func(s *Spec) { s.RateFactor = MaxRateFactor }, true},
+		{"rate past the bound", func(s *Spec) { s.RateFactor = math.Nextafter(MaxRateFactor, math.Inf(1)) }, false},
+		{"NaN rate", func(s *Spec) { s.RateFactor = math.NaN() }, false},
+		{"burst at the bound", func(s *Spec) { s.BurstMult = MaxBurstMult }, true},
+		{"burst past the bound", func(s *Spec) { s.BurstMult = math.Nextafter(MaxBurstMult, math.Inf(1)) }, false},
+		{"NaN burst", func(s *Spec) { s.BurstMult = math.NaN() }, false},
+		{"span at the clock bound", func(s *Spec) { s.Intervals, s.Interval = 4, workload.MaxArrival/4 }, true},
+		{"span past the clock bound", func(s *Spec) { s.Intervals, s.Interval = 4, workload.MaxArrival/4+1 }, false},
+		{"span overflows int64", func(s *Spec) { s.Intervals, s.Interval = 3, math.MaxInt64/2 }, false},
+		{"series at the bound", func(s *Spec) { s.Intervals, s.Volumes = array.MaxVolumeIntervals/4, 4 }, true},
+		{"series past the bound", func(s *Spec) { s.Intervals, s.Volumes = array.MaxVolumeIntervals/4+1, 4 }, false},
+		{"one volume past the series bound", func(s *Spec) { s.Intervals = array.MaxVolumeIntervals + 1 }, false},
+	} {
+		s := base
+		c.edit(&s)
+		if err := s.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", c.name, s, err, c.ok)
+		}
 	}
 }

@@ -498,12 +498,12 @@ func BenchSweepWarmCache(b *testing.B, intervals int, primed bool) {
 // trigger (the measurement would silently degrade into a full sweep).
 func BenchSweepEarlyTerm(b *testing.B, intervals int) {
 	g := sweep.Grid{
-		Workloads:   []string{experiments.WorkloadTPCC},
-		Schemes:     []string{experiments.SchemeWB, experiments.SchemeLBICA},
-		Replicates:  4,
-		Seed:        1,
-		Intervals:   intervals,
-		CITolerance: 0.3,
+		Workloads:      []string{experiments.WorkloadTPCC},
+		Schemes:        []string{experiments.SchemeWB, experiments.SchemeLBICA},
+		SeedReplicates: 4,
+		Seed:           1,
+		Intervals:      intervals,
+		CITolerance:    0.3,
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := sweep.Execute(context.Background(), g, sweep.Options{Workers: 1})

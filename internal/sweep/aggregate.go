@@ -16,7 +16,7 @@ type Cell struct {
 	Volumes   int     `json:"volumes"`
 	RouteSkew float64 `json:"route_skew"`
 	// Replicates counts the runs aggregated into this cell (fewer than
-	// Grid.Replicates on an interrupted sweep).
+	// Grid.SeedReplicates on an interrupted sweep).
 	Replicates int `json:"replicates"`
 	// QMeanUS/QMinUS/QMaxUS summarize the replicates' max-queue-time
 	// metric (each run's mean per-interval maximum cache queue time, µs).

@@ -13,12 +13,12 @@ import (
 // workload, several seed replicates, short runs.
 func ciGrid(replicates int, tol float64) Grid {
 	return Grid{
-		Workloads:   []string{"tpcc"},
-		Schemes:     []string{"WB", "LBICA"},
-		Replicates:  replicates,
-		Seed:        7,
-		Intervals:   20,
-		CITolerance: tol,
+		Workloads:      []string{"tpcc"},
+		Schemes:        []string{"WB", "LBICA"},
+		SeedReplicates: replicates,
+		Seed:           7,
+		Intervals:      20,
+		CITolerance:    tol,
 	}
 }
 

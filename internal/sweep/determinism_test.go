@@ -11,13 +11,13 @@ import (
 // short enough for the -short quick path.
 func quickGrid() Grid {
 	return Grid{
-		Workloads:   []string{"tpcc", "web"},
-		Schemes:     nil, // all three
-		CacheMults:  []float64{0.5, 1},
-		RateFactors: []float64{1, 1.25},
-		Replicates:  2,
-		Seed:        7,
-		Intervals:   8,
+		Workloads:      []string{"tpcc", "web"},
+		Schemes:        nil, // all three
+		CacheMults:     []float64{0.5, 1},
+		RateFactors:    []float64{1, 1.25},
+		SeedReplicates: 2,
+		Seed:           7,
+		Intervals:      8,
 	}
 }
 

@@ -250,7 +250,7 @@ func WriteReport(w io.Writer, res *Result) error {
 	if _, err := fmt.Fprintf(w,
 		"sweep: %d workloads × %d schemes × %d cache sizes × %d rates%s%s × %d seeds = %d runs (%d completed)\n\n",
 		len(g.Workloads), len(g.Schemes), len(g.CacheMults), len(g.RateFactors),
-		burstShape, arrShape, g.Replicates, res.Total, res.Completed); err != nil {
+		burstShape, arrShape, g.SeedReplicates, res.Total, res.Completed); err != nil {
 		return err
 	}
 	for _, s := range res.Skipped {
@@ -307,7 +307,7 @@ func WriteReport(w io.Writer, res *Result) error {
 			}
 		}
 		if _, err := fmt.Fprintf(w, "\nearly termination: %d of %d cells stopped below %d replicates (ci tolerance %g)\n",
-			term, len(res.Cells), res.Grid.Replicates, res.Grid.CITolerance); err != nil {
+			term, len(res.Cells), res.Grid.SeedReplicates, res.Grid.CITolerance); err != nil {
 			return err
 		}
 	}

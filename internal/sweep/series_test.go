@@ -19,12 +19,12 @@ import (
 // the exported group/policy columns actually move.
 func seriesGrid() Grid {
 	return Grid{
-		Workloads:  []string{"tpcc", "burst-mix-hi"},
-		Schemes:    []string{"wb", "lbica"},
-		BurstMults: []float64{1, 2},
-		Replicates: 2,
-		Seed:       5,
-		Intervals:  8,
+		Workloads:      []string{"tpcc", "burst-mix-hi"},
+		Schemes:        []string{"wb", "lbica"},
+		BurstMults:     []float64{1, 2},
+		SeedReplicates: 2,
+		Seed:           5,
+		Intervals:      8,
 	}
 }
 
@@ -145,11 +145,11 @@ func TestSeriesExportParallelMatchesSerial(t *testing.T) {
 // in-place writes this replaces could leave a half-written CSV behind.
 func TestSeriesExportInterruptedLeavesOnlyWholeFiles(t *testing.T) {
 	g := Grid{
-		Workloads:  []string{"tpcc"},
-		Schemes:    []string{"wb", "lbica"},
-		Replicates: 2,
-		Seed:       5,
-		Intervals:  4,
+		Workloads:      []string{"tpcc"},
+		Schemes:        []string{"wb", "lbica"},
+		SeedReplicates: 2,
+		Seed:           5,
+		Intervals:      4,
 	}
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(t.Context())

@@ -23,7 +23,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -76,18 +78,18 @@ type Grid struct {
 	// mechanism, "weighted" (default) or "p2c". A scalar, not an axis;
 	// it only affects ARRAY-LB cells.
 	RouteVariant string `json:"route_variant,omitempty"`
-	// Replicates is the number of seed replicates per cell (≥1). Replicate
-	// r runs with seed sim.Stream(Seed, r): every scheme of a replicate
-	// shares that seed (the controlled comparison), and the split depends
-	// only on (Seed, r), never on scheduling.
-	Replicates int `json:"replicates"`
+	// SeedReplicates is the number of seed replicates per cell (≥1).
+	// Replicate r runs with seed sim.Stream(Seed, r): every scheme of a
+	// replicate shares that seed (the controlled comparison), and the split
+	// depends only on (Seed, r), never on scheduling.
+	SeedReplicates int `json:"replicates"`
 	// Seed is the base seed (default 1).
 	Seed int64 `json:"seed"`
 	// Intervals overrides the per-run interval count (0 = the paper's
-	// length for each workload); Interval the monitor interval in
+	// length for each workload); IntervalLength the monitor interval in
 	// nanoseconds of virtual time (0 = 200 ms).
-	Intervals int           `json:"intervals"`
-	Interval  time.Duration `json:"interval_ns"`
+	Intervals      int           `json:"intervals"`
+	IntervalLength time.Duration `json:"interval_ns"`
 	// WarmupIntervals, when > 0, turns on incremental (warm-fork) sweeps:
 	// the schemes of one controlled comparison — cells identical on every
 	// axis except the scheme — share a single simulated prefix of this
@@ -144,7 +146,7 @@ type Grid struct {
 
 // Normalize fills defaulted axes in place and returns the result: empty
 // axes become the paper's evaluation axes, scheme and workload names are
-// canonicalized, Replicates is clamped to ≥1 and Seed to non-zero.
+// canonicalized, SeedReplicates is clamped to ≥1 and Seed to non-zero.
 func (g Grid) Normalize() Grid {
 	if len(g.Workloads) == 0 {
 		g.Workloads = append([]string(nil), experiments.Workloads...)
@@ -179,8 +181,8 @@ func (g Grid) Normalize() Grid {
 	if len(g.RouteSkews) == 0 {
 		g.RouteSkews = []float64{0}
 	}
-	if g.Replicates < 1 {
-		g.Replicates = 1
+	if g.SeedReplicates < 1 {
+		g.SeedReplicates = 1
 	}
 	if g.Seed == 0 {
 		g.Seed = 1
@@ -188,46 +190,43 @@ func (g Grid) Normalize() Grid {
 	return g
 }
 
-// Validate reports the first invalid axis value. Unlike the experiments
-// package (whose specs are code), grids arrive from CLI flags, so bad
-// names must surface as errors, not panics. Duplicate axis values are
-// rejected too: a repeated value would re-run identical simulations and
-// silently inflate the cell's replicate count past Grid.Replicates.
+// MaxRuns bounds a grid's expansion: 2^20 runs. Expand holds every point
+// (about 340 bytes with its spec) before the first run starts, and a
+// paper-scale run takes about a fifth of a CPU-second, so the bound is
+// already more than two CPU-days of simulation.
+const MaxRuns = 1 << 20
+
+// Validate reports the first invalid grid. Grids arrive from CLI flags,
+// so a bad value must surface as an error, never a panic or a clamp.
 //
-// Scalar fields are checked before normalization: only the zero value
-// means "use the default". A negative Replicates, Intervals or Interval
-// used to be silently rewritten to its default, so the sweep ran (and
-// labeled) a different experiment than the one the user asked for —
-// negatives are now errors.
+// The grid checks only what is its own: negative scalars (only the zero
+// value means "use the default"), the warm cache and CI tolerance, the
+// sweep's scheme set and route variant, duplicate axis values (a repeated
+// value would re-run identical simulations and silently inflate the
+// cell's replicate count past SeedReplicates), and explicit axis values a
+// spec would read as a default (a zero multiplier or width). Skews are
+// checked here too, because width-1 cells drop theirs before any spec
+// sees it. The run count is bounded by MaxRuns before anything expands;
+// then every expanded spec goes through experiments.Spec.Validate, which
+// owns the workload, cache, rate, burst, volume and run-length bounds.
 func (g Grid) Validate() error {
-	if g.Replicates < 0 {
-		return fmt.Errorf("sweep: negative replicate count %d (0 means default)", g.Replicates)
-	}
-	if g.Intervals < 0 {
+	switch {
+	case g.SeedReplicates < 0:
+		return fmt.Errorf("sweep: negative replicate count %d (0 means default)", g.SeedReplicates)
+	case g.Intervals < 0:
 		return fmt.Errorf("sweep: negative interval count %d (0 means the paper default)", g.Intervals)
-	}
-	if g.Interval < 0 {
-		return fmt.Errorf("sweep: negative monitor interval %v (0 means the 200ms default)", g.Interval)
-	}
-	if g.WarmupIntervals < 0 {
+	case g.IntervalLength < 0:
+		return fmt.Errorf("sweep: negative monitor interval %v (0 means the 200ms default)", g.IntervalLength)
+	case g.WarmupIntervals < 0:
 		return fmt.Errorf("sweep: negative warmup interval count %d (0 disables warm-fork sharing)", g.WarmupIntervals)
-	}
-	if g.WarmCacheDir != "" && g.WarmupIntervals <= 0 {
+	case g.WarmCacheDir != "" && g.WarmupIntervals <= 0:
 		return fmt.Errorf("sweep: warm cache directory %q set without warmup intervals (the cache stores warm prefixes; set WarmupIntervals > 0)", g.WarmCacheDir)
-	}
-	// Same shape as the cache-mult check below: a bare `< 0` would wave
-	// NaN through (every comparison false) into the termination decision.
-	if !(g.CITolerance >= 0) || math.IsInf(g.CITolerance, 0) {
+	// A bare `< 0` would wave NaN through (every comparison false) into
+	// the termination decision.
+	case !(g.CITolerance >= 0) || math.IsInf(g.CITolerance, 0):
 		return fmt.Errorf("sweep: invalid CI tolerance %v (want a finite value ≥ 0; 0 disables early termination)", g.CITolerance)
 	}
 	g = g.Normalize()
-	for _, wl := range g.Workloads {
-		// The workload catalog (paper trio + synthetic + burst-mix
-		// families) is the source of truth for valid names.
-		if err := experiments.ValidateWorkload(wl); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
 	for _, sc := range g.Schemes {
 		switch sc {
 		case experiments.SchemeWB, experiments.SchemeSIB, experiments.SchemeLBICA, experiments.SchemeArrayLB:
@@ -238,50 +237,25 @@ func (g Grid) Validate() error {
 	if _, err := array.ParseVariant(g.RouteVariant); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	// Bounded open intervals, not mere positivity: NaN and ±Inf slip
-	// through a `<= 0` check (both comparisons are false) and hang the
-	// simulation, and a finite-but-absurd multiplier overflows the set
-	// count downstream. The cache ceiling of 512× (a 128 GiB cache) is
-	// array.MaxCacheLines at the default geometry and one volume.
-	for _, cm := range g.CacheMults {
-		if !(cm > 0 && cm <= 512) {
-			return fmt.Errorf("sweep: cache multiplier %v outside (0, 512]", cm)
-		}
-	}
-	for _, rf := range g.RateFactors {
-		if !(rf > 0 && rf <= 1e4) {
-			return fmt.Errorf("sweep: rate factor %v outside (0, 10000]", rf)
-		}
-	}
-	// The burst ceiling mirrors the burst-mix family's ON-rate bound: a
-	// 100× ON rate on the heaviest phase is already far past saturation.
-	for _, bm := range g.BurstMults {
-		if !(bm > 0 && bm <= 100) {
-			return fmt.Errorf("sweep: burst multiplier %v outside (0, 100]", bm)
+	// `!(v > 0)`, not `v <= 0`: NaN fails every comparison.
+	for _, axis := range []struct {
+		name string
+		vals []float64
+	}{{"cache multiplier", g.CacheMults}, {"rate factor", g.RateFactors}, {"burst multiplier", g.BurstMults}} {
+		for _, v := range axis.vals {
+			if !(v > 0) {
+				return fmt.Errorf("sweep: %s %v is not positive", axis.name, v)
+			}
 		}
 	}
 	for _, v := range g.Volumes {
-		if v < 1 || v > array.MaxVolumes {
-			return fmt.Errorf("sweep: volume count %d outside [1, %d]", v, array.MaxVolumes)
+		if v < 1 {
+			return fmt.Errorf("sweep: volume count %d below 1", v)
 		}
 	}
-	// Skew over a width-1 volume entry is not an error: skew is inert at
-	// one volume, so Expand canonicalizes those cells to skew 0 and
-	// deduplicates them (the skipped combinations land in Result.Skipped).
 	for _, rs := range g.RouteSkews {
 		if !(rs >= 0 && rs <= array.MaxSkew) {
 			return fmt.Errorf("sweep: route skew %v outside [0, %v]", rs, array.MaxSkew)
-		}
-	}
-	// The run builder bounds the cache each multiplier builds at each
-	// width (at least one set, at most array.MaxCacheLines over the
-	// volumes): check every pair here, before any cell runs.
-	for _, cm := range g.CacheMults {
-		for _, v := range g.Volumes {
-			spec := experiments.Spec{Workload: g.Workloads[0], Scheme: experiments.SchemeWB, CacheMult: cm, Volumes: v}
-			if err := spec.Validate(); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
 		}
 	}
 	for _, axis := range []struct{ name, dup string }{
@@ -295,6 +269,19 @@ func (g Grid) Validate() error {
 	} {
 		if axis.dup != "" {
 			return fmt.Errorf("sweep: duplicate %s %s in grid axis", axis.name, axis.dup)
+		}
+	}
+	// Factor by factor, so the product cannot overflow.
+	n := 1
+	for _, d := range g.dims() {
+		if d > MaxRuns/n {
+			return fmt.Errorf("sweep: grid expands past the %d-run bound", MaxRuns)
+		}
+		n *= d
+	}
+	for p := range g.points() {
+		if err := p.Spec.Validate(); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return nil
@@ -378,13 +365,23 @@ func (g Grid) SkippedCombos() []string {
 // contribute a single canonical skew-0 cell however long the skew axis is
 // (see effSkews). Always equal to len(Expand()).
 func (g Grid) Size() int {
-	g = g.Normalize()
+	n := 1
+	for _, d := range g.Normalize().dims() {
+		n *= d
+	}
+	return n
+}
+
+// dims returns the factors of a normalized grid's size: the axis lengths,
+// with the volume and skew axes folded into one count of (width, skew)
+// cells.
+func (g Grid) dims() []int {
 	cells := 0
 	for _, vol := range g.Volumes {
 		cells += len(effSkews(vol, g.RouteSkews))
 	}
-	return len(g.Workloads) * len(g.Schemes) * len(g.CacheMults) * len(g.RateFactors) *
-		len(g.BurstMults) * cells * g.Replicates
+	return []int{len(g.Workloads), len(g.Schemes), len(g.CacheMults), len(g.RateFactors),
+		len(g.BurstMults), cells, g.SeedReplicates}
 }
 
 // Point is one expanded run: its grid coordinates plus the ready-to-run
@@ -409,48 +406,57 @@ type Point struct {
 // order.
 func (g Grid) Expand() []Point {
 	g = g.Normalize()
-	pts := make([]Point, 0, g.Size())
-	for _, wl := range g.Workloads {
-		for _, cm := range g.CacheMults {
-			for _, rf := range g.RateFactors {
-				for _, bm := range g.BurstMults {
-					for _, vol := range g.Volumes {
-						for _, rs := range effSkews(vol, g.RouteSkews) {
-							for rep := 0; rep < g.Replicates; rep++ {
-								seed := sim.Stream(g.Seed, rep)
-								for _, sc := range g.Schemes {
-									spec := experiments.Spec{
-										Workload:   wl,
-										Scheme:     sc,
-										Seed:       seed,
-										Intervals:  g.Intervals,
-										Interval:   g.Interval,
-										RateFactor: rf,
-										CacheMult:  cm,
-										BurstMult:  bm,
-										Volumes:    vol,
-										RouteSkew:  rs,
-										// The cell pool already saturates the cores;
-										// a second GOMAXPROCS-wide shard pool per array
-										// cell would oversubscribe the CPU multiplicatively.
-										// Output is byte-identical for any shard worker
-										// count, so serial shards cost nothing but heat.
-										ShardWorkers: 1,
+	return slices.AppendSeq(make([]Point, 0, g.Size()), g.points())
+}
+
+// points yields a normalized grid's points in Expand's order, one at a
+// time: Validate checks every spec without holding them all.
+func (g Grid) points() iter.Seq[Point] {
+	return func(yield func(Point) bool) {
+		for _, wl := range g.Workloads {
+			for _, cm := range g.CacheMults {
+				for _, rf := range g.RateFactors {
+					for _, bm := range g.BurstMults {
+						for _, vol := range g.Volumes {
+							for _, rs := range effSkews(vol, g.RouteSkews) {
+								for rep := 0; rep < g.SeedReplicates; rep++ {
+									seed := sim.Stream(g.Seed, rep)
+									for _, sc := range g.Schemes {
+										spec := experiments.Spec{
+											Workload:   wl,
+											Scheme:     sc,
+											Seed:       seed,
+											Intervals:  g.Intervals,
+											Interval:   g.IntervalLength,
+											RateFactor: rf,
+											CacheMult:  cm,
+											BurstMult:  bm,
+											Volumes:    vol,
+											RouteSkew:  rs,
+											// The cell pool already saturates the cores;
+											// a second GOMAXPROCS-wide shard pool per array
+											// cell would oversubscribe the CPU multiplicatively.
+											// Output is byte-identical for any shard worker
+											// count, so serial shards cost nothing but heat.
+											ShardWorkers: 1,
+										}
+										if sc == experiments.SchemeArrayLB {
+											spec.RouteVariant = g.RouteVariant
+										}
+										if !yield(Point{
+											Workload:   wl,
+											Scheme:     sc,
+											CacheMult:  cm,
+											RateFactor: rf,
+											BurstMult:  bm,
+											Volumes:    vol,
+											RouteSkew:  rs,
+											Replicate:  rep,
+											Spec:       spec,
+										}) {
+											return
+										}
 									}
-									if sc == experiments.SchemeArrayLB {
-										spec.RouteVariant = g.RouteVariant
-									}
-									pts = append(pts, Point{
-										Workload:   wl,
-										Scheme:     sc,
-										CacheMult:  cm,
-										RateFactor: rf,
-										BurstMult:  bm,
-										Volumes:    vol,
-										RouteSkew:  rs,
-										Replicate:  rep,
-										Spec:       spec,
-									})
 								}
 							}
 						}
@@ -459,7 +465,6 @@ func (g Grid) Expand() []Point {
 			}
 		}
 	}
-	return pts
 }
 
 // Run is the record of one finished simulation: the point's coordinates

@@ -34,7 +34,7 @@ func randGrid(r *rand.Rand) Grid {
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
 		g.BurstMults = append(g.BurstMults, 0.5*float64(i+1)+r.Float64()*0.1)
 	}
-	g.Replicates = 1 + r.Intn(5)
+	g.SeedReplicates = 1 + r.Intn(5)
 	return g
 }
 
@@ -49,12 +49,12 @@ func TestExpandProperties(t *testing.T) {
 		pts := g.Expand()
 
 		want := len(g.Workloads) * len(g.Schemes) * len(g.CacheMults) * len(g.RateFactors) *
-			len(g.BurstMults) * g.Replicates
+			len(g.BurstMults) * g.SeedReplicates
 		if len(pts) != want || g.Size() != want {
 			t.Fatalf("trial %d: len(Expand()) = %d, Size() = %d, want %d (axes %dx%dx%dx%dx%dx%d)",
 				trial, len(pts), g.Size(), want,
 				len(g.Workloads), len(g.Schemes), len(g.CacheMults), len(g.RateFactors),
-				len(g.BurstMults), g.Replicates)
+				len(g.BurstMults), g.SeedReplicates)
 		}
 
 		seen := make(map[string]bool, len(pts))
@@ -77,7 +77,7 @@ func TestExpandProperties(t *testing.T) {
 // comparison), and replicate seeds derive from (Grid.Seed, replicate)
 // via sim.Stream.
 func TestExpandSeedsAreControlled(t *testing.T) {
-	g := Grid{Seed: 99, Replicates: 3}
+	g := Grid{Seed: 99, SeedReplicates: 3}
 	for _, p := range g.Expand() {
 		if want := sim.Stream(99, p.Replicate); p.Spec.Seed != want {
 			t.Fatalf("point %s/%s rep %d: seed %d, want sim.Stream(99, %d) = %d",
@@ -164,9 +164,9 @@ func TestValidateRejectsBadAxes(t *testing.T) {
 		// Negative scalars used to be silently rewritten to their
 		// defaults, running a different sweep than the one the user asked
 		// for; only the zero value means "use the default".
-		{Replicates: -1},
+		{SeedReplicates: -1},
 		{Intervals: -5},
-		{Interval: -time.Second},
+		{IntervalLength: -time.Second},
 		{WarmupIntervals: -1},
 		// The early-termination tolerance is relative: negative and
 		// non-finite values would either never or always terminate, so
@@ -174,10 +174,22 @@ func TestValidateRejectsBadAxes(t *testing.T) {
 		{CITolerance: -0.1},
 		{CITolerance: math.NaN()},
 		{CITolerance: math.Inf(1)},
+		// The run bounds: 10^9 replicates ran out of memory in Expand, 2^62
+		// overflowed the size into a makeslice panic, and 10^8 intervals
+		// reserved a 31 GB series per run.
+		{SeedReplicates: 1_000_000_000},
+		{SeedReplicates: 1 << 62},
+		{Workloads: []string{"tpcc"}, Schemes: []string{"wb"}, SeedReplicates: MaxRuns + 1},
+		{Intervals: 100_000_000},
+		{Intervals: 200, IntervalLength: math.MaxInt64},
 	} {
 		if err := g.Validate(); err == nil {
 			t.Errorf("grid %+v passed validation", g)
 		}
+	}
+	// The run bound itself validates.
+	if err := (Grid{Workloads: []string{"tpcc"}, Schemes: []string{"wb"}, SeedReplicates: MaxRuns}).Validate(); err != nil {
+		t.Errorf("grid of exactly MaxRuns runs failed validation: %v", err)
 	}
 	// Catalog names beyond the paper trio are valid axis values now.
 	ok := Grid{Workloads: []string{"burst-mix-hi", "synth-randread-zipf1.2", "burst-mix-on4x-duty0.3-read0.5"}}

@@ -21,7 +21,7 @@ func warmGrid(warmup int) Grid {
 		Schemes:         []string{"WB", "SIB", "LBICA", "ARRAY-LB"},
 		Volumes:         []int{1, 3},
 		RouteSkews:      []float64{0, 1.2},
-		Replicates:      1,
+		SeedReplicates:  1,
 		Seed:            11,
 		Intervals:       40,
 		WarmupIntervals: warmup,

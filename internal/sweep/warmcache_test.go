@@ -14,7 +14,7 @@ func cacheGrid(dir string) Grid {
 	g := Grid{
 		Workloads:       []string{"mail"},
 		Schemes:         []string{"WB", "SIB", "LBICA", "ARRAY-LB"},
-		Replicates:      2,
+		SeedReplicates:  2,
 		Seed:            11,
 		Intervals:       40,
 		WarmupIntervals: 10,

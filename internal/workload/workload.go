@@ -83,11 +83,19 @@ func (p *Phase) writeRegion() bool { return p.WriteWorkingSetBlocks > 0 }
 // cannot run as written. Zero keeps its documented meaning (an idle
 // phase, uniform references, 4 KiB requests, no write region); a
 // negative, non-finite or out-of-range value is an error, never clamped.
+// The schedule as a whole must end by MaxArrival.
 func ValidatePhases(phases []Phase) error {
+	var end time.Duration
 	for i := range phases {
-		if err := phases[i].validate(); err != nil {
-			return fmt.Errorf("workload: phase %d (%q): %w", i, phases[i].Name, err)
+		p := &phases[i]
+		err := p.validate()
+		if err == nil && p.Duration > MaxArrival-end {
+			err = fmt.Errorf("ends past the %v clock bound", MaxArrival)
 		}
+		if err != nil {
+			return fmt.Errorf("workload: phase %d (%q): %w", i, p.Name, err)
+		}
+		end += p.Duration
 	}
 	return nil
 }
@@ -104,9 +112,9 @@ func (p *Phase) validate() error {
 		return fmt.Errorf("read ratio %v and sequential fraction %v must lie in [0, 1]", p.ReadRatio, p.Sequential)
 	case !finiteNonNeg(p.ZipfExponent) || !finiteNonNeg(p.WriteZipfExponent):
 		return fmt.Errorf("exponents must be finite and non-negative (Zipf %v, write Zipf %v)", p.ZipfExponent, p.WriteZipfExponent)
-	case p.WorkingSetBlocks < 0 || p.WorkingSetBlocks > math.MaxInt32 ||
-		p.WriteWorkingSetBlocks < 0 || p.WriteWorkingSetBlocks > math.MaxInt32:
-		return fmt.Errorf("working sets of %d and %d blocks outside [0, %d]", p.WorkingSetBlocks, p.WriteWorkingSetBlocks, math.MaxInt32)
+	case p.WorkingSetBlocks < 0 || p.WorkingSetBlocks > MaxZipfRanks ||
+		p.WriteWorkingSetBlocks < 0 || p.WriteWorkingSetBlocks > MaxZipfRanks:
+		return fmt.Errorf("working sets of %d and %d blocks outside [0, %d]", p.WorkingSetBlocks, p.WriteWorkingSetBlocks, MaxZipfRanks)
 	case active && p.WorkingSetBlocks == 0:
 		return fmt.Errorf("generates requests over an empty working set")
 	case p.BaseBlock < 0 || p.BaseBlock > maxBlock-p.WorkingSetBlocks ||
@@ -124,9 +132,9 @@ func (p *Phase) validate() error {
 // ValidateRequests reports the first request of a recorded stream that
 // cannot be replayed as written: an op other than read or write, a size
 // outside [1, MaxRequestSectors], a negative LBA or an extent past the
-// largest LBA, or a timestamp that is negative or earlier than the
-// previous request's. The stream is checked as given, never reordered or
-// clamped.
+// largest LBA, or a timestamp that is negative, past MaxArrival or
+// earlier than the previous request's. The stream is checked as given,
+// never reordered or clamped.
 func ValidateRequests(reqs []Request) error {
 	var prev time.Duration
 	for i, r := range reqs {
@@ -138,8 +146,8 @@ func ValidateRequests(reqs []Request) error {
 			err = fmt.Errorf("size of %d sectors outside [1, %d]", e.Sectors, MaxRequestSectors)
 		case e.LBA < 0 || e.LBA > math.MaxInt64-e.Sectors:
 			err = fmt.Errorf("extent of %d sectors at LBA %d outside [0, %d]", e.Sectors, e.LBA, int64(math.MaxInt64))
-		case r.At < 0:
-			err = fmt.Errorf("negative arrival time %v", r.At)
+		case r.At < 0 || r.At > MaxArrival:
+			err = fmt.Errorf("arrival time %v outside [0, %v]", r.At, MaxArrival)
 		case r.At < prev:
 			err = fmt.Errorf("arrival time %v precedes the previous request's %v", r.At, prev)
 		}
@@ -165,6 +173,21 @@ const BlockSectors = 8
 // long or exhausts memory; a custom phase or recorded stream that asks for
 // more is an error.
 const MaxRequestSectors = 1 << 16
+
+// MaxArrival bounds the virtual clock a workload may reach: every arrival
+// time, a phase schedule's end and a run's span (its intervals times the
+// interval length) lie in [0, 2^62 ns], about 146 years. The engine adds
+// queueing and service times to an arrival, and this leaves them room
+// before the int64 clock wraps: a record near 2^63 ns would be scheduled
+// at a negative time.
+const MaxArrival = time.Duration(1) << 62
+
+// MaxZipfRanks bounds a phase's working sets, which are also its Zipf rank
+// counts: 2^24 blocks (64 GiB), 16 times the catalog's largest working
+// set (synth-seq*, 2^20 blocks). A phase builds a sampling table of about
+// 12 bytes a rank before its first request, even at exponent 0, so the
+// table at the bound is about 200 MB.
+const MaxZipfRanks = 1 << 24
 
 // maxBlock bounds a phase's address regions: every generated LBA, a block
 // number times BlockSectors, must fit in an int64.

@@ -146,35 +146,10 @@ const (
 	WorkloadMixed       = "mixed"
 )
 
-// Phase describes one segment of a custom workload: an ON/OFF-modulated
-// Poisson arrival process over a Zipf-skewed working set. It mirrors the
-// paper's burst model; see Options.Phases.
-type Phase struct {
-	// Name labels the phase.
-	Name string
-	// Duration of the phase in virtual time.
-	Duration time.Duration
-	// BaseIOPS is the arrival rate outside bursts; BurstIOPS (when > 0)
-	// is the rate inside ON periods of mean length BurstOn separated by
-	// OFF periods of mean length BurstOff.
-	BaseIOPS, BurstIOPS float64
-	BurstOn, BurstOff   time.Duration
-	// ReadRatio is the fraction of reads in [0,1].
-	ReadRatio float64
-	// Sequential is the probability a request continues the current run.
-	Sequential float64
-	// WorkingSetBlocks is the addressed set size in 4 KiB blocks,
-	// starting at BaseBlock; ZipfExponent skews references (0 = uniform).
-	WorkingSetBlocks int64
-	BaseBlock        int64
-	ZipfExponent     float64
-	// SizesSectors are request sizes drawn uniformly (default 4 KiB).
-	SizesSectors []int64
-	// Optional separate write region (reads never touch it).
-	WriteWorkingSetBlocks int64
-	WriteBaseBlock        int64
-	WriteZipfExponent     float64
-}
+// Phase is one segment of a custom workload (see Options.Phases): an
+// ON/OFF-modulated Poisson arrival process over a Zipf-skewed working
+// set, the paper's burst model. Zero fields keep their default meaning.
+type Phase = workload.Phase
 
 // Options configures a simulation run. The zero value of every field has a
 // sensible default; Workload and Scheme default to "tpcc" under "lbica".
@@ -191,7 +166,7 @@ type Options struct {
 	// IntervalLength is the monitor sampling interval (default 200 ms of
 	// virtual time).
 	IntervalLength time.Duration
-	// RateFactor scales the workload's IOPS (default 1).
+	// RateFactor scales the workload's IOPS (default 1, at most 10^4).
 	RateFactor float64
 	// Phases, when non-empty, defines a custom workload (Name labels it).
 	Phases []Phase
@@ -266,24 +241,8 @@ type Options struct {
 // Thresholds tunes LBICA's census classifier (paper §III-B): the minimum
 // shares of the SSD queue's R/W/P/E mix that classify each workload
 // group. The zero value is the paper's calibrated defaults; zero fields
-// inherit their default individually. All share fields are fractions in
-// [0, 1].
-type Thresholds struct {
-	// DominantPair is the minimum combined share of a group's two request
-	// types.
-	DominantPair float64
-	// MemberMin is the minimum individual share of each member of the
-	// pair.
-	MemberMin float64
-	// PromoteAlone is the promote share that classifies Group 4 (seq
-	// read) on its own.
-	PromoteAlone float64
-	// ReadAlone is the application-read share that classifies Group 1
-	// (random read) on its own.
-	ReadAlone float64
-	// MinQueued is the minimum census population worth classifying.
-	MinQueued int
-}
+// inherit their default individually.
+type Thresholds = core.Thresholds
 
 // PolicyEvent is one write-policy decision in the run's timeline.
 type PolicyEvent struct {
@@ -416,7 +375,7 @@ func toSpec(o Options) (experiments.Spec, error) {
 		RouteSkew:      o.RouteSkew,
 		RouteVariant:   o.RouteVariant,
 		ShardWorkers:   o.ShardWorkers,
-		Thresholds:     core.Thresholds(o.Thresholds),
+		Thresholds:     o.Thresholds,
 		Name:           o.Name,
 		CacheMiB:       o.CacheMiB,
 		CacheWays:      o.CacheWays,
@@ -425,11 +384,7 @@ func toSpec(o Options) (experiments.Spec, error) {
 		DisablePrewarm: o.DisablePrewarm,
 	}
 	if len(o.Phases) > 0 {
-		phases := make([]workload.Phase, len(o.Phases))
-		for i, p := range o.Phases {
-			phases[i] = workload.Phase(p)
-		}
-		s.Phases = &phases
+		s.Phases = &o.Phases
 	} else if s.Workload == "" {
 		s.Workload = WorkloadTPCC
 	}

@@ -149,6 +149,9 @@ func TestInvalidPhasesAreErrors(t *testing.T) {
 		{"negative base block", func(p *Phase) { p.BaseBlock = -1 }, false},
 		{"negative write base block", func(p *Phase) { p.WriteWorkingSetBlocks, p.WriteBaseBlock = 64, -1 }, false},
 		{"base block past the address space", func(p *Phase) { p.BaseBlock = math.MaxInt64 / 8 }, false},
+		{"working set past the Zipf-rank bound", func(p *Phase) { p.WorkingSetBlocks = math.MaxInt32 }, false},
+		{"write working set past the Zipf-rank bound", func(p *Phase) { p.WriteWorkingSetBlocks = workload.MaxZipfRanks + 1 }, false},
+		{"schedule ends past the clock bound", func(p *Phase) { p.Duration = workload.MaxArrival + 1 }, false},
 		{"valid", func(p *Phase) {}, true},
 		{"zero fields keep defaults", func(p *Phase) { p.ZipfExponent, p.ReadRatio = 0, 0 }, true},
 		{"idle phase needs no working set", func(p *Phase) { p.BaseIOPS, p.WorkingSetBlocks = 0, 0 }, true},
@@ -186,6 +189,9 @@ func TestInvalidReplayIsError(t *testing.T) {
 		{"negative LBA", func(r *workload.Request) { r.Extent.LBA = -8 }},
 		{"extent overflows", func(r *workload.Request) { r.Extent.LBA = math.MaxInt64 - 4 }},
 		{"negative time", func(r *workload.Request) { r.At = -time.Millisecond }},
+		// 2^63−10 ns: the engine's service times overflowed the clock
+		// and scheduled an event before now.
+		{"time past the clock bound", func(r *workload.Request) { r.At = math.MaxInt64 - 9 }},
 		{"time goes backwards", func(r *workload.Request) { r.At = time.Millisecond / 2 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -212,6 +218,31 @@ func TestInvalidReplayIsError(t *testing.T) {
 	}
 	if _, err := Run(Options{Intervals: 3, ReplayFrom: &rec}); err != nil {
 		t.Errorf("well-formed stream rejected: %v", err)
+	}
+}
+
+// TestRunBoundsAreErrors: options past a run bound are errors that name
+// the bound, before anything is built. Without the bounds a NaN rate ran a
+// one-request simulation, a 10^12 rate never finished, and 10^8
+// intervals died reserving a 31 GB series.
+func TestRunBoundsAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		name, bound string
+		o           Options
+	}{
+		{"NaN rate", "10000", Options{RateFactor: math.NaN()}},
+		{"infinite rate", "10000", Options{RateFactor: math.Inf(1)}},
+		{"rate past the bound", "10000", Options{RateFactor: 1e12}},
+		{"intervals past the series bound", "volume-interval bound", Options{Intervals: 100_000_000}},
+		{"intervals × volumes past the series bound", "volume-interval bound", Options{Intervals: 8192, Volumes: 256}},
+		{"span past the clock bound", "clock bound", Options{Intervals: 200, IntervalLength: math.MaxInt64}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(c.o)
+			if err == nil || !strings.Contains(err.Error(), c.bound) {
+				t.Fatalf("Run(%+v) = %v, want an error naming %q", c.o, err, c.bound)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // generalizing the paper's fixed 3 workloads × 3 schemes matrix along the
 // dimensions its claims should be robust to. Empty axes fall back to the
 // paper's evaluation defaults, so the zero GridSpec is exactly the paper's
-// matrix.
+// matrix. Sweep converts it to the internal grid type, whose fields it
+// matches one for one.
 type GridSpec struct {
 	// Workloads names workload-catalog entries: the paper trio
 	// (tpcc|mail|web), the synthetic catalog (synth-randread,
@@ -108,55 +109,20 @@ type SweepOptions struct {
 // plus scalar metrics. QMeanUS is the run's mean per-interval maximum
 // cache queue time (the Fig. 4 metric, µs) and DiskQMeanUS the
 // disk-subsystem counterpart.
-type SweepRun struct {
-	Workload     string
-	Scheme       string
-	CacheMult    float64
-	RateFactor   float64
-	BurstMult    float64
-	Volumes      int
-	RouteSkew    float64
-	Replicate    int
-	Seed         int64
-	QMeanUS      float64
-	DiskQMeanUS  float64
-	AvgLatencyUS float64
-	HitRatio     float64
-	PolicyFlips  int
-	Requests     uint64
-}
+type SweepRun = sweep.Run
 
-// SweepCell summarizes one (workload, scheme, cache-mult, rate) cell
-// across its seed replicates: mean/min/max of the max-queue-time metric,
-// mean latency and hit ratio, mean policy-flip count, and latency
-// speedups against the WB and SIB cells at the same coordinate (zero when
-// the sweep has no matching baseline).
-type SweepCell struct {
-	Workload        string
-	Scheme          string
-	CacheMult       float64
-	RateFactor      float64
-	BurstMult       float64
-	Volumes         int
-	RouteSkew       float64
-	Replicates      int
-	QMeanUS         float64
-	QMinUS          float64
-	QMaxUS          float64
-	DiskQMeanUS     float64
-	LatencyMeanUS   float64
-	HitRatioMean    float64
-	PolicyFlipsMean float64
-	SpeedupVsWB     float64
-	SpeedupVsSIB    float64
-	// QCIHalfUS is the achieved 95% confidence half-width over the
-	// replicates' QMeanUS and EarlyTerminated marks a coordinate that
-	// stopped below the requested replicate count — both populated only
-	// on early-termination sweeps (GridSpec.CITolerance > 0) with at
-	// least two completed replicates.
-	QCIHalfUS       float64
-	EarlyTerminated bool
-}
+// SweepCell summarizes one grid coordinate's scheme across its seed
+// replicates: the max-queue-time metric's mean, min and max, mean latency,
+// hit ratio and policy flips, and latency speedups against the WB and SIB
+// cells at the same coordinate (zero when the sweep has no matching
+// baseline). QCIHalfUS and EarlyTerminated are set only on
+// early-termination sweeps (GridSpec.CITolerance > 0).
+type SweepCell = sweep.Cell
+
+// SweepWarmStats counts a warm-fork sweep's per-run plan outcomes:
+// leaders, forks and scratch runs, the scratch runs' reasons, and the
+// persistent warm cache's hits, stores and corrupt entries.
+type SweepWarmStats = sweep.WarmStats
 
 // SweepResult is a finished (or interrupted) sweep: every completed run in
 // deterministic expansion order plus the per-cell aggregation. Total is
@@ -171,35 +137,11 @@ type SweepResult struct {
 	// (one entry per inert width-1 × non-zero-skew pair), for the log.
 	Skipped []string
 	// Warm summarizes the warm-fork plan's outcomes (nil unless
-	// GridSpec.WarmupIntervals > 0): how many runs led a shared warmup,
-	// forked one, or fell back to scratch — keyed by reason — so a
-	// regression to 0% sharing is visible instead of a silent slowdown.
+	// GridSpec.WarmupIntervals > 0), so a regression to 0% sharing is
+	// visible instead of a silent slowdown.
 	Warm *SweepWarmStats
 
 	res *sweep.Result
-}
-
-// SweepWarmStats counts a warm-fork sweep's per-run plan outcomes.
-type SweepWarmStats struct {
-	// Leaders ran the shared warmup prefix themselves; Forked restored a
-	// leader's checkpointed prefix; Scratch ran from scratch.
-	Leaders int
-	Forked  int
-	Scratch int
-	// Fallbacks keys scratch runs by reason: "no-leader" (nothing to
-	// share), "sib", "balancer-acted", "multi-volume" (an array-lb cell
-	// whose adaptive controller diverges from the static prefix), or
-	// "fork-error".
-	Fallbacks map[string]int
-	// Persistent-cache tallies, all zero unless GridSpec.WarmCacheDir is
-	// set: CacheHits leaders restored their warmup prefix from the store,
-	// CacheStores simulated and published it, and CacheCorrupt counts the
-	// stores forced by an unusable entry (also included in CacheStores).
-	// Cached leaders are included in Leaders, so Leaders + Forked +
-	// Scratch still covers every run.
-	CacheHits    int
-	CacheStores  int
-	CacheCorrupt int
 }
 
 // Sweep expands the grid and executes it across the bounded worker pool.
@@ -213,52 +155,19 @@ type SweepWarmStats struct {
 // Cancellation returns ctx's error together with a partial result
 // aggregating the runs that completed.
 func Sweep(ctx context.Context, g GridSpec, opt SweepOptions) (*SweepResult, error) {
-	res, err := sweep.Execute(ctx, sweep.Grid{
-		Workloads:       g.Workloads,
-		Schemes:         g.Schemes,
-		CacheMults:      g.CacheMults,
-		RateFactors:     g.RateFactors,
-		BurstMults:      g.BurstMults,
-		Volumes:         g.Volumes,
-		RouteSkews:      g.RouteSkews,
-		RouteVariant:    g.RouteVariant,
-		Replicates:      g.SeedReplicates,
-		Seed:            g.Seed,
-		Intervals:       g.Intervals,
-		Interval:        g.IntervalLength,
-		WarmupIntervals: g.WarmupIntervals,
-		WarmCacheDir:    g.WarmCacheDir,
-		CITolerance:     g.CITolerance,
-	}, sweep.Options{Workers: opt.Workers, OnDone: opt.OnProgress, SeriesDir: opt.SeriesDir})
+	res, err := sweep.Execute(ctx, sweep.Grid(g), sweep.Options{Workers: opt.Workers, OnDone: opt.OnProgress, SeriesDir: opt.SeriesDir})
 	if res == nil {
 		return nil, err
 	}
-	out := &SweepResult{
-		Runs:      make([]SweepRun, len(res.Runs)),
-		Cells:     make([]SweepCell, len(res.Cells)),
+	return &SweepResult{
+		Runs:      res.Runs,
+		Cells:     res.Cells,
 		Total:     res.Total,
 		Completed: res.Completed,
 		Skipped:   res.Skipped,
+		Warm:      res.Warm,
 		res:       res,
-	}
-	if res.Warm != nil {
-		out.Warm = &SweepWarmStats{
-			Leaders:      res.Warm.Leaders,
-			Forked:       res.Warm.Forked,
-			Scratch:      res.Warm.Scratch,
-			Fallbacks:    res.Warm.Fallbacks,
-			CacheHits:    res.Warm.CacheHits,
-			CacheStores:  res.Warm.CacheStores,
-			CacheCorrupt: res.Warm.CacheCorrupt,
-		}
-	}
-	for i, r := range res.Runs {
-		out.Runs[i] = SweepRun(r)
-	}
-	for i, c := range res.Cells {
-		out.Cells[i] = SweepCell(c)
-	}
-	return out, err
+	}, err
 }
 
 // WriteCSV emits the per-cell summaries as CSV (lossless float encoding;
