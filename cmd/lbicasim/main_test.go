@@ -92,8 +92,9 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 // TestRunRejectsUnboundedInputs: every input past a run bound exits with
 // an error naming the bound and prints no report. Before the bounds a NaN
 // rate ran a one-request simulation, a 10^12 or infinite rate hung, 10^8
-// intervals ran out of memory, and a record at 2^63−10 ns or a phase of
-// 2^31−1 blocks crashed or exhausted the process.
+// intervals ran out of memory, a record at 2^63−10 ns or a phase of
+// 2^31−1 blocks crashed or exhausted the process, and a phase at 10^-12
+// IOPS or a 10^-300 rate factor ran one request at t≈0.
 func TestRunRejectsUnboundedInputs(t *testing.T) {
 	dir := t.TempDir()
 	late := filepath.Join(dir, "late.rec")
@@ -109,6 +110,11 @@ func TestRunRejectsUnboundedInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	slowPhase := filepath.Join(dir, "slow.json")
+	if err := os.WriteFile(slowPhase, []byte(`{"intervals": 3, "phases": [{"name": "slow", "duration": "1000h",
+		"base_iops": 1e-12, "read_ratio": 1, "working_set_blocks": 1024}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bigPhase := filepath.Join(dir, "phase.json")
@@ -127,6 +133,8 @@ func TestRunRejectsUnboundedInputs(t *testing.T) {
 		{[]string{"-interval", "2562047h"}, "clock bound"},
 		{[]string{"-replay", late, "-intervals", "3"}, "request 1"},
 		{[]string{"-config", bigPhase}, "16777216"},
+		{[]string{"-config", slowPhase}, "workload.MinIOPS"},
+		{[]string{"-workload", "tpcc", "-rate", "1e-300", "-intervals", "3"}, "workload.MinIOPS"},
 	} {
 		var out, errBuf strings.Builder
 		err := run(t.Context(), c.args, &out, &errBuf)

@@ -12,9 +12,10 @@ import (
 // context, which still builds every stack and reserves its series but
 // simulates no request, so the target covers every allocation a config
 // can size. The committed corpus holds the config forms of inputs that
-// once crashed or hung lbicasim: 10^8 intervals, a 10^12 rate factor, a
-// phase of 2^31−1 working-set blocks, and an interval length whose run
-// span overflows the clock.
+// once crashed, hung or misran lbicasim: 10^8 intervals, a 10^12 rate
+// factor, a phase of 2^31−1 working-set blocks, an interval length whose
+// run span overflows the clock, and a phase at 10^-12 IOPS, whose arrival
+// gap overflowed.
 func FuzzLoadOptions(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"workload":"mail","scheme":"sib","intervals":4,"cache_mib":64,"cache_ways":4,"replacement":"fifo"}`))

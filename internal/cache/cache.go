@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"lbica/internal/block"
@@ -251,6 +252,10 @@ type Cache struct {
 	// until the next Access/Prewarm call and reused to keep the hot path
 	// allocation-free.
 	victims []Victim
+	// flushable holds one bit per line, set exactly when the line is one
+	// CollectDirty may pick: a non-negative tag, dirty and not flushing.
+	// Every transition of those flags keeps it, and the codec rebuilds it.
+	flushable []uint64
 }
 
 // New builds a cache, on the line arrays of a released cache (Release)
@@ -272,10 +277,11 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, policy: cfg.InitialPolicy, ways: cfg.Ways, rndSt: uint64(cfg.ReplacementSeed)*2654435761 + 0x9e3779b97f4a7c15}
 	n := cfg.Sets * cfg.Ways
 	if l := takeLines(n); l != nil {
-		c.tags, c.meta = l.tags, l.meta
+		c.tags, c.meta, c.flushable = l.tags, l.meta, l.flushable
 		clear(c.meta)
+		clear(c.flushable)
 	} else {
-		c.tags, c.meta = make([]int64, n), make([]lineMeta, n)
+		c.tags, c.meta, c.flushable = make([]int64, n), make([]lineMeta, n), make([]uint64, (n+63)/64)
 	}
 	for i := range c.tags {
 		c.tags[i] = -1
@@ -415,6 +421,7 @@ func (c *Cache) allocate(blockNum int64) (idx int, evicted bool) {
 		evicted = true
 		if m.dirty() {
 			c.dirty--
+			c.setFlushable(choice, false)
 			if v.Dirty {
 				c.stats.DirtyEvicts++
 			} else {
@@ -478,6 +485,20 @@ func (c *Cache) markDirty(i int) {
 		c.dirty++
 	}
 	m.state = (m.state|lineDirty)&^lineFlushing + lineEpoch
+	c.setFlushable(i, c.tags[i] >= 0)
+}
+
+// isFlushable reports line i's bit in the flushable bitmap.
+func (c *Cache) isFlushable(i int) bool { return c.flushable[i>>6]&(1<<(i&63)) != 0 }
+
+// setFlushable sets or clears line i's bit in the flushable bitmap.
+func (c *Cache) setFlushable(i int, on bool) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if on {
+		c.flushable[w] |= bit
+	} else {
+		c.flushable[w] &^= bit
+	}
 }
 
 // Access applies the current policy to one application request and returns
@@ -577,6 +598,7 @@ func (c *Cache) write(e block.Extent) Decision {
 				// A through-write over a previously dirty line cleans it:
 				// the disk leg persists the latest data.
 				m.state &^= lineDirty | lineFlushing
+				c.setFlushable(i, false)
 				c.dirty--
 			}
 			m.state += lineEpoch
@@ -602,6 +624,7 @@ func (c *Cache) invalidate(blockNum int64) {
 	}
 	c.tags[i] = -1
 	m.state &^= lineDirty | lineFlushing
+	c.setFlushable(i, false)
 	c.valid--
 	c.stats.Invalidations++
 }
@@ -629,24 +652,28 @@ type DirtyBlock struct {
 	Epoch uint64
 }
 
-// CollectDirty picks up to max dirty, non-flushing lines (oldest first
-// within each set scan), marks them flushing and appends them to dst,
-// returning the extended slice; a caller that passes the previous round's
-// buffer resliced to zero collects without allocating. The engine issues
-// an SSD read (Evict) + HDD write (Writeback) per block and calls
-// MarkClean when the writeback completes.
+// CollectDirty picks up to max dirty, non-flushing lines in line-index
+// order, marks them flushing and appends them to dst, returning the
+// extended slice; a caller that passes the previous round's buffer
+// resliced to zero collects without allocating. It walks the flushable
+// bitmap a word at a time, so clean and in-flight lines cost a bit each.
+// The engine issues an SSD read (Evict) + HDD write (Writeback) per block
+// and calls MarkClean when the writeback completes.
 func (c *Cache) CollectDirty(dst []DirtyBlock, max int) []DirtyBlock {
 	c.mustLive()
 	if max <= 0 || c.dirty == 0 {
 		return dst
 	}
 	n := 0
-	for i, tag := range c.tags {
-		m := &c.meta[i]
-		if tag >= 0 && m.dirty() && !m.flushing() {
+	for w, word := range c.flushable {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			c.flushable[w] = word
+			m := &c.meta[i]
 			m.state |= lineFlushing
 			c.stats.FlushesStarted++
-			dst = append(dst, DirtyBlock{Block: tag, Epoch: m.epoch()})
+			dst = append(dst, DirtyBlock{Block: c.tags[i], Epoch: m.epoch()})
 			if n++; n == max {
 				return dst
 			}
@@ -668,6 +695,7 @@ func (c *Cache) MarkClean(blockNum int64, epoch uint64) {
 		c.stats.Flushed++
 	}
 	m.state &^= lineDirty | lineFlushing
+	c.setFlushable(i, false)
 }
 
 // NeedsFlush reports whether the dirty ratio exceeds the high watermark.
@@ -745,6 +773,12 @@ func (c *Cache) CheckInvariants() error {
 	for i, tag := range c.tags {
 		s := i / c.ways
 		m := &c.meta[i]
+		if want := tag >= 0 && m.dirty() && !m.flushing(); c.isFlushable(i) != want {
+			return fmt.Errorf("line %d in set %d: flushable bit is %v, line state says %v", i, s, !want, want)
+		}
+		if m.flushing() && !m.dirty() {
+			return fmt.Errorf("line %d in set %d is flushing but clean", i, s)
+		}
 		if tag == -1 {
 			if m.dirty() || m.flushing() {
 				return fmt.Errorf("invalid line with dirty/flushing state in set %d", s)

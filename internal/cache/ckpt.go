@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 
 	"lbica/internal/ckpt"
@@ -37,8 +38,10 @@ func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 // DecodeState restores the cache in place, into the tag and metadata
 // arrays the fresh build allocated. The line count must match the freshly
 // built geometry: a checkpoint for a different cache size is corrupt
-// relative to this configuration. On error the arrays may be partly
-// overwritten; the stack is discarded then.
+// relative to this configuration. The flushable bitmap is not on the
+// wire: decode rebuilds it from the lines, and fails when the encoded
+// valid and dirty counters disagree with them. On error the arrays may be
+// partly overwritten; the stack is discarded then.
 func (c *Cache) DecodeState(d *ckpt.Decoder) {
 	c.mustLive()
 	d.Section("cache.Cache")
@@ -78,8 +81,8 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if dirty < 0 || dirty > n || valid < 0 || valid > n {
-		d.Failf("corrupt cache occupancy (dirty %d, valid %d, lines %d)", dirty, valid, n)
+	if err := c.rebuildFlushable(dirty, valid); err != nil {
+		d.Failf("%v", err)
 		return
 	}
 	c.policy = policy
@@ -89,6 +92,38 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 	c.rndSt = rndSt
 	c.stats = stats
 	c.victims = nil
+}
+
+// rebuildFlushable derives the flushable bitmap from decoded lines in one
+// pass and checks the lines against the decoded occupancy counters: a free
+// line carries no dirty or flushing flag, a flushing line is dirty, and
+// the valid and dirty lines number exactly valid and dirty. A counter that
+// disagreed would steer NeedsFlush and CollectDirty off the lines.
+func (c *Cache) rebuildFlushable(dirty, valid int) error {
+	clear(c.flushable)
+	nValid, nDirty := 0, 0
+	for i, tag := range c.tags {
+		m := &c.meta[i]
+		switch {
+		case m.flushing() && !m.dirty():
+			return fmt.Errorf("cache line %d is flushing but clean", i)
+		case tag == -1 && m.dirty():
+			return fmt.Errorf("free cache line %d is dirty", i)
+		case tag == -1:
+			continue
+		}
+		nValid++
+		if m.dirty() {
+			nDirty++
+			if tag >= 0 && !m.flushing() {
+				c.setFlushable(i, true)
+			}
+		}
+	}
+	if nValid != valid || nDirty != dirty {
+		return fmt.Errorf("corrupt cache occupancy: counters say %d valid and %d dirty, the lines %d and %d", valid, dirty, nValid, nDirty)
+	}
+	return nil
 }
 
 // EncodeState serializes the counter block.

@@ -6,11 +6,12 @@ import (
 	"weak"
 )
 
-// lines is one cache's line storage: the tag array and the metadata array
-// parallel to it.
+// lines is one cache's line storage: the tag array, the metadata array
+// parallel to it and the flushable bitmap over both.
 type lines struct {
-	tags []int64
-	meta []lineMeta
+	tags      []int64
+	meta      []lineMeta
+	flushable []uint64
 }
 
 // freeLines holds the line arrays of released caches for the next New of
@@ -52,8 +53,8 @@ func (c *Cache) Release() {
 	if c.tags == nil {
 		return
 	}
-	wp := weak.Make(&lines{tags: c.tags, meta: c.meta})
-	c.tags, c.meta, c.victims = nil, nil, nil
+	wp := weak.Make(&lines{tags: c.tags, meta: c.meta, flushable: c.flushable})
+	c.tags, c.meta, c.flushable, c.victims = nil, nil, nil, nil
 	freeLines.Lock()
 	freeLines.l = append(freeLines.l, wp)
 	freeLines.Unlock()

@@ -311,7 +311,23 @@ func (s Spec) normalize() (Spec, error) {
 	if s.Intervals > array.MaxVolumeIntervals/s.Volumes {
 		return s, fmt.Errorf("run of %d intervals × %d volumes exceeds the %d volume-interval bound", s.Intervals, s.Volumes, array.MaxVolumeIntervals)
 	}
+	if s.Phases == nil && s.Replay == nil {
+		if err := workload.Default.CheckScale(s.Workload, s.scale()); err != nil {
+			return s, fmt.Errorf("rate factor %v and burst multiplier %v on %s: %w", s.RateFactor, s.BurstMult, s.Workload, err)
+		}
+	}
 	return s, nil
+}
+
+// scale is the workload.Scale a normalized spec builds its named workload
+// at.
+func (s Spec) scale() workload.Scale {
+	return workload.Scale{
+		Interval:   s.Interval,
+		Intervals:  s.Intervals,
+		RateFactor: s.RateFactor,
+		BurstMult:  s.BurstMult,
+	}
 }
 
 // cacheGeometry resolves CacheMiB and CacheWays against the default
@@ -381,17 +397,11 @@ func NewGenerator(spec Spec) workload.Generator {
 	if spec.Phases != nil {
 		return workload.NewPhaseGen(cmp.Or(spec.Name, "custom"), *spec.Phases, g)
 	}
-	scale := workload.Scale{
-		Interval:   spec.Interval,
-		Intervals:  spec.Intervals,
-		RateFactor: spec.RateFactor,
-		BurstMult:  spec.BurstMult,
-	}
 	b, err := workload.Default.Resolve(spec.Workload)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return b(scale, g)
+	return b(spec.scale(), g)
 }
 
 // NewBalancerWithThresholds builds the scheme's balancer (nil for the WB

@@ -258,7 +258,7 @@ func TestPaperIntervals(t *testing.T) {
 
 // TestSpecRunBounds pins every run bound Spec.Validate owns at its edge:
 // the bound itself validates, the next value past it (and NaN) does not.
-// Validate builds nothing, so the edges cost no simulation.
+// Validate builds no stack, so the edges cost no simulation.
 func TestSpecRunBounds(t *testing.T) {
 	base := Spec{Workload: WorkloadTPCC, Scheme: SchemeWB}
 	for _, c := range []struct {
@@ -269,6 +269,12 @@ func TestSpecRunBounds(t *testing.T) {
 		{"rate at the bound", func(s *Spec) { s.RateFactor = MaxRateFactor }, true},
 		{"rate past the bound", func(s *Spec) { s.RateFactor = math.Nextafter(MaxRateFactor, math.Inf(1)) }, false},
 		{"NaN rate", func(s *Spec) { s.RateFactor = math.NaN() }, false},
+		// tpcc's slowest phase runs at 3000 IOPS: 3e-8 is above
+		// workload.MinIOPS, 3e-9 below it.
+		{"rate keeps every phase above the IOPS floor", func(s *Spec) { s.RateFactor = 1e-11 }, true},
+		{"rate scales a phase below the IOPS floor", func(s *Spec) { s.RateFactor = 1e-12 }, false},
+		{"rate scales every phase below the IOPS floor", func(s *Spec) { s.RateFactor = 1e-300 }, false},
+		{"burst scales the ON rate below the IOPS floor", func(s *Spec) { s.BurstMult = 1e-13 }, false},
 		{"burst at the bound", func(s *Spec) { s.BurstMult = MaxBurstMult }, true},
 		{"burst past the bound", func(s *Spec) { s.BurstMult = math.Nextafter(MaxBurstMult, math.Inf(1)) }, false},
 		{"NaN burst", func(s *Spec) { s.BurstMult = math.NaN() }, false},

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -142,7 +143,7 @@ func histIndex(d time.Duration) int {
 		d = 1
 	}
 	v := uint64(d)
-	exp := 63 - leadingZeros64(v)
+	exp := 63 - bits.LeadingZeros64(v)
 	var sub uint64
 	if exp > 5 {
 		sub = (v >> (uint(exp) - 5)) & (histSubBuckets - 1)
@@ -154,18 +155,6 @@ func histIndex(d time.Duration) int {
 		idx = histBucketCount() - 1
 	}
 	return idx
-}
-
-func leadingZeros64(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketLow returns the smallest duration that maps to bucket idx.

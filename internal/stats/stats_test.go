@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -168,6 +169,38 @@ func TestHistogramResolutionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// leadingZerosLoop is the bit-at-a-time count histIndex used before
+// math/bits.LeadingZeros64, kept as the reference the replacement must
+// match.
+func leadingZerosLoop(v uint64) int {
+	n := 0
+	if v == 0 {
+		return 64
+	}
+	for v&(1<<63) == 0 {
+		v <<= 1
+		n++
+	}
+	return n
+}
+
+// TestHistIndexLeadingZeros: bits.LeadingZeros64 agrees with the former
+// loop at every power of two and on either side of it, where the count
+// changes, so histIndex picks the same bucket for every duration.
+func TestHistIndexLeadingZeros(t *testing.T) {
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		for _, v := range []uint64{p - 1, p, p + 1} {
+			if got, want := bits.LeadingZeros64(v), leadingZerosLoop(v); got != want {
+				t.Errorf("LeadingZeros64(%#x) = %d, loop %d", v, got, want)
+			}
+		}
+	}
+	if got, want := bits.LeadingZeros64(math.MaxUint64), leadingZerosLoop(math.MaxUint64); got != want {
+		t.Errorf("LeadingZeros64(max) = %d, loop %d", got, want)
 	}
 }
 

@@ -123,6 +123,27 @@ func (r *Registry) Resolve(name string) (Builder, error) {
 		name, strings.Join(append(r.Names(), r.Aliases()...), "|"), strings.Join(r.Patterns(), "|"))
 }
 
+// CheckScale reports the first phase of the named entry's schedule whose
+// arrival rate scale s takes below MinIOPS: a rate factor or burst
+// multiplier too small to run. Building a schedule draws nothing from its
+// stream, so the check passes none.
+func (r *Registry) CheckScale(name string, s Scale) error {
+	b, err := r.Resolve(name)
+	if err != nil {
+		return err
+	}
+	pg, ok := b(s, nil).(*PhaseGen)
+	if !ok {
+		return nil
+	}
+	for i := range pg.phases {
+		if err := pg.phases[i].checkRate(); err != nil {
+			return fmt.Errorf("workload: phase %d (%q): %w", i, pg.phases[i].Name, err)
+		}
+	}
+	return nil
+}
+
 // Names returns the exact entry names, sorted for stable error messages
 // and help text.
 func (r *Registry) Names() []string { return sorted(r.names) }

@@ -101,6 +101,40 @@ func TestDefaultCatalog(t *testing.T) {
 	}
 }
 
+// TestCheckScaleRateFloor: every catalog entry and alias runs at the
+// default scale, and a rate factor, burst multiplier or ON-rate multiple
+// that takes a phase's rate below MinIOPS is an error naming the phase and
+// the floor. Each such scale once ran one request at t≈0.
+func TestCheckScaleRateFloor(t *testing.T) {
+	for _, name := range append(Default.Names(), Default.Aliases()...) {
+		if err := Default.CheckScale(name, DefaultScale()); err != nil {
+			t.Errorf("%s at the default scale: %v", name, err)
+		}
+	}
+	slow := DefaultScale()
+	slow.RateFactor = 1e-300
+	burst := DefaultScale()
+	burst.BurstMult = 1e-13
+	for _, c := range []struct {
+		name string
+		s    Scale
+	}{
+		{"tpcc", slow},
+		{"synth-randread", slow},
+		{"random-write", slow},
+		{"mail", burst},
+		{"burst-mix-on1e-300x-duty0.5-read0.5", DefaultScale()},
+	} {
+		err := Default.CheckScale(c.name, c.s)
+		if err == nil || !strings.Contains(err.Error(), "phase ") || !strings.Contains(err.Error(), "MinIOPS") {
+			t.Errorf("%s at %+v: %v, want an error naming the phase and MinIOPS", c.name, c.s, err)
+		}
+	}
+	if err := Default.CheckScale("no-such-workload", DefaultScale()); err == nil {
+		t.Error("an unknown name passed the scale check")
+	}
+}
+
 // TestFamilyNamesRoundTrip pins the parameterized name grammar.
 func TestFamilyNamesRoundTrip(t *testing.T) {
 	for _, name := range []string{

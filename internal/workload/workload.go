@@ -82,7 +82,8 @@ func (p *Phase) writeRegion() bool { return p.WriteWorkingSetBlocks > 0 }
 // ValidatePhases reports the first phase of a schedule that PhaseGen
 // cannot run as written. Zero keeps its documented meaning (an idle
 // phase, uniform references, 4 KiB requests, no write region); a
-// negative, non-finite or out-of-range value is an error, never clamped.
+// negative, non-finite or out-of-range value, or a positive rate below
+// MinIOPS, is an error, never clamped.
 // The schedule as a whole must end by MaxArrival.
 func ValidatePhases(phases []Phase) error {
 	var end time.Duration
@@ -120,6 +121,9 @@ func (p *Phase) validate() error {
 	case p.BaseBlock < 0 || p.BaseBlock > maxBlock-p.WorkingSetBlocks ||
 		p.WriteBaseBlock < 0 || p.WriteBaseBlock > maxBlock-p.WriteWorkingSetBlocks:
 		return fmt.Errorf("regions based at blocks %d and %d outside the addressable [0, %d)", p.BaseBlock, p.WriteBaseBlock, maxBlock)
+	}
+	if err := p.checkRate(); err != nil {
+		return err
 	}
 	for _, size := range p.SizesSectors {
 		if size <= 0 || size > MaxRequestSectors {
@@ -161,6 +165,14 @@ func ValidateRequests(reqs []Request) error {
 
 func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
+// checkRate reports a positive base or burst rate below MinIOPS.
+func (p *Phase) checkRate() error {
+	if below := func(v float64) bool { return v > 0 && v < MinIOPS }; below(p.BaseIOPS) || below(p.BurstIOPS) {
+		return fmt.Errorf("IOPS (base %v, burst %v) below the %v floor (workload.MinIOPS); 0 means idle", p.BaseIOPS, p.BurstIOPS, MinIOPS)
+	}
+	return nil
+}
+
 // BlockSectors is the addressing granularity phases are defined in
 // (8 sectors = 4 KiB). Exported because the array router's block-affine
 // hash policy must agree with it: a volume's prewarm filter routes the
@@ -181,6 +193,17 @@ const MaxRequestSectors = 1 << 16
 // before the int64 clock wraps: a record near 2^63 ns would be scheduled
 // at a negative time.
 const MaxArrival = time.Duration(1) << 62
+
+// MinIOPS is the slowest positive arrival rate a phase may run at: a mean
+// gap of MaxArrival/64, about 2.3 years. PhaseGen converts the mean gap,
+// 1 s over the rate, to a time.Duration, scales it by an exponential draw
+// (math/rand's ExpFloat64 returns at most about 51.4 unless its uniform
+// draw is exactly 0) and adds the gap to a cursor below MaxArrival; at
+// this floor the sum stays inside the int64 clock. A slower rate
+// overflowed the conversion to a negative gap, and the phase emitted a
+// request at t≈0 where none should arrive. Zero still means an idle
+// phase.
+const MinIOPS = 64 * float64(time.Second) / float64(MaxArrival)
 
 // MaxZipfRanks bounds a phase's working sets, which are also its Zipf rank
 // counts: 2^24 blocks (64 GiB), 16 times the catalog's largest working

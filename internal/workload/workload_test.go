@@ -45,6 +45,32 @@ func TestArrivalsAreTimeOrderedAndBounded(t *testing.T) {
 	}
 }
 
+// TestMinIOPSArrivalsStayOnTheClock: a phase at the slowest rate
+// validation admits, spanning the whole clock, emits only arrivals in
+// [0, MaxArrival), in order. Below the floor the mean gap overflowed, and
+// at 1 s/MaxArrival a draw above two means still did.
+func TestMinIOPSArrivalsStayOnTheClock(t *testing.T) {
+	ph := []Phase{{Name: "slow", Duration: MaxArrival, BaseIOPS: MinIOPS, ReadRatio: 1, WorkingSetBlocks: 8}}
+	if err := ValidatePhases(ph); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		reqs := drain(NewPhaseGen("slow", ph, sim.NewRNG(seed, "w")), 10000)
+		total += len(reqs)
+		var last time.Duration
+		for i, r := range reqs {
+			if r.At < last || r.At >= MaxArrival {
+				t.Fatalf("seed %d: request %d at %v (previous %v), want [previous, %v)", seed, i, r.At, last, MaxArrival)
+			}
+			last = r.At
+		}
+	}
+	if total == 0 {
+		t.Error("no seed drew an arrival")
+	}
+}
+
 func TestRateApproximation(t *testing.T) {
 	g := RandomRead(2*time.Second, 5000, 4096, sim.NewRNG(2, "w"))
 	reqs := drain(g, 1000000)

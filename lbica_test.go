@@ -152,6 +152,11 @@ func TestInvalidPhasesAreErrors(t *testing.T) {
 		{"working set past the Zipf-rank bound", func(p *Phase) { p.WorkingSetBlocks = math.MaxInt32 }, false},
 		{"write working set past the Zipf-rank bound", func(p *Phase) { p.WriteWorkingSetBlocks = workload.MaxZipfRanks + 1 }, false},
 		{"schedule ends past the clock bound", func(p *Phase) { p.Duration = workload.MaxArrival + 1 }, false},
+		// A rate this slow overflowed the mean arrival gap and ran one
+		// request at t≈0.
+		{"base IOPS below the floor", func(p *Phase) { p.BaseIOPS = 1e-12 }, false},
+		{"burst IOPS below the floor", func(p *Phase) { p.BurstIOPS, p.BurstOn = workload.MinIOPS/2, time.Millisecond }, false},
+		{"IOPS at the floor", func(p *Phase) { p.BaseIOPS = workload.MinIOPS }, true},
 		{"valid", func(p *Phase) {}, true},
 		{"zero fields keep defaults", func(p *Phase) { p.ZipfExponent, p.ReadRatio = 0, 0 }, true},
 		{"idle phase needs no working set", func(p *Phase) { p.BaseIOPS, p.WorkingSetBlocks = 0, 0 }, true},
