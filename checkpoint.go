@@ -22,9 +22,10 @@ func checkpointSpec(o Options) (experiments.Spec, error) {
 // returns the full report — byte-identical to the same RunContext call.
 // A later RunRestore with the same options resumes from the barrier and
 // finishes the identical run. saveAt zero means half the run; it must be
-// positive and strictly before Options.Intervals otherwise. A
-// multi-volume ARRAY-LB run cannot be checkpointed (its controller has no
-// codec) and is an error before anything runs or is written.
+// positive and strictly before Options.Intervals otherwise. Every run
+// kind checkpoints: a single stack, a statically routed array, and an
+// "array-lb" array, whose file also holds the controller's routing
+// weights, load estimates and migration pins.
 //
 // A cancellation that arrives before the barrier skips the save (no file
 // is written — a halted mid-interval state is not a resumable prefix) and

@@ -53,10 +53,10 @@ func TestRunCheckpointRestoreByteIdentical(t *testing.T) {
 	}
 }
 
-// A statically routed array checkpoints and restores like a single stack:
-// both runs report exactly what the uninterrupted run reports, the
-// per-volume reports included, under every routing policy, scheme kind,
-// width and shard-worker count.
+// An array checkpoints and restores like a single stack: both runs report
+// exactly what the uninterrupted run reports, the per-volume reports
+// included, under every static routing policy and array-lb variant,
+// scheme kind, width and shard-worker count.
 func TestRunCheckpointRestoreArrays(t *testing.T) {
 	skews := map[string]float64{"uniform": 0, "hash": 0, "zipf": 1.2}
 	for _, scheme := range []string{"wb", "sib", "lbica"} {
@@ -70,6 +70,18 @@ func TestRunCheckpointRestoreArrays(t *testing.T) {
 						checkpointMatchesRun(t, o)
 					})
 				}
+			}
+		}
+	}
+	for _, variant := range []string{"weighted", "p2c"} {
+		for _, volumes := range []int{2, 3} {
+			for _, workers := range []int{1, 0} {
+				o := ckptOpts("array-lb")
+				o.Volumes, o.RouteSkew, o.RouteVariant, o.ShardWorkers = volumes, 1.2, variant, workers
+				t.Run(fmt.Sprintf("array-lb-%s-%dvol-w%d", variant, volumes, workers), func(t *testing.T) {
+					t.Parallel()
+					checkpointMatchesRun(t, o)
+				})
 			}
 		}
 	}
@@ -156,7 +168,6 @@ func TestRunRestoreRejectsMismatchAndCorruption(t *testing.T) {
 
 func TestRunCheckpointValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "warm.ckpt")
-	arrayLB := lbica.Options{Workload: "tpcc", Scheme: "array-lb", Volumes: 3, Intervals: 12}
 	cases := []struct {
 		name   string
 		o      lbica.Options
@@ -165,7 +176,6 @@ func TestRunCheckpointValidation(t *testing.T) {
 		{"negative saveAt", ckptOpts("lbica"), -1},
 		{"saveAt at run end", ckptOpts("lbica"), 12},
 		{"saveAt past run end", ckptOpts("lbica"), 99},
-		{"multi-volume ARRAY-LB", arrayLB, 4},
 	}
 	for _, tc := range cases {
 		if _, err := lbica.RunCheckpoint(context.Background(), tc.o, path, tc.saveAt); err == nil {
@@ -174,9 +184,6 @@ func TestRunCheckpointValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("a refused checkpoint wrote %s (stat: %v)", path, err)
-	}
-	if _, err := lbica.RunRestore(context.Background(), arrayLB, path); err == nil {
-		t.Error("multi-volume ARRAY-LB restore: no error")
 	}
 	// saveAt 0 defaults to half the run and must succeed.
 	o := ckptOpts("wb")

@@ -198,10 +198,18 @@ func TestRunCheckpointRestore(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "warm.ckpt")
 	base := []string{"-workload", "tpcc", "-scheme", "lbica", "-intervals", "6", "-cold"}
 	array := []string{"-workload", "tpcc", "-intervals", "6", "-volumes", "3", "-route-skew", "1.2"}
+	arrayLB := func(variant string) []string {
+		return append([]string{"-scheme", "array-lb", "-seed", "3", "-route-variant", variant}, array...)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string // a line the plain output must hold
-	}{{base, "summary: "}, {array, "  v2: "}} {
+	}{
+		{base, "summary: "},
+		{array, "  v2: "},
+		{arrayLB("p2c"), "  v2: "},
+		{arrayLB("weighted"), "  v2: "},
+	} {
 		var plain, saved, restored, errBuf strings.Builder
 		if err := run(t.Context(), tc.args, &plain, &errBuf); err != nil {
 			t.Fatal(err)
@@ -227,10 +235,15 @@ func TestRunCheckpointRestore(t *testing.T) {
 	}
 
 	// Restoring under different run flags is a hard error, not a
-	// divergent resume.
+	// divergent resume: the file's key names the run, the array-lb
+	// controller's variant included.
 	var o, e strings.Builder
 	if err := run(t.Context(), []string{"-workload", "mail", "-intervals", "6", "-cold", "-restore", ckpt}, &o, &e); err == nil {
 		t.Error("restore under a different workload accepted")
+	}
+	err := run(t.Context(), append(arrayLB("p2c"), "-restore", ckpt), &o, &e)
+	if err == nil || !strings.Contains(err.Error(), "different run configuration") {
+		t.Errorf("a weighted array-lb checkpoint restored under -route-variant p2c: %v", err)
 	}
 }
 

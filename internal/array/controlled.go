@@ -20,11 +20,13 @@ type FeedBuildFunc func(vol int, gen workload.Generator) (*engine.Stack, error)
 // lockstep, one monitor interval per round, with the controller pulling
 // the one base stream and routing each request once, into its volume's
 // feed, at every interval barrier. NewStatic builds a statically routed
-// run, whose router never reweights; NewControlled builds an array-lb
-// run, which also observes every volume's load, reweights and migrates at
-// each barrier. StepTo advances the run round by round and Finish runs the
-// remainder and collects. Between StepTo calls the whole array is parked
-// at an interval barrier.
+// run, whose router never reweights; NewAdaptive builds an array-lb run,
+// which also observes every volume's load, reweights and migrates at each
+// barrier. Both return the run unstarted: Start arms it at time zero, and
+// Decode restores a barrier checkpoint onto it instead (ckpt.go). StepTo
+// advances the run round by round and Finish runs the remainder and
+// collects. Between StepTo calls the whole array is parked at an interval
+// barrier.
 //
 // Determinism contract: the controller routes requests and makes every
 // decision serially, between rounds, from state the barrier freezes —
@@ -86,11 +88,12 @@ func NewStatic(cfg Config, seed int64, intervals int, monitorEvery time.Duration
 	return c, nil
 }
 
-// NewControlled assembles an array-lb run and starts it. build(vol, gen)
-// must assemble volume vol's stack over gen with MonitorEvery equal to
-// monitorEvery.
-func NewControlled(ctx context.Context, cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator,
-	build FeedBuildFunc) (*Controlled, error) {
+// NewAdaptive builds an array-lb run over one base stream: the
+// controller's adaptive router routes every request once and reweights
+// and migrates at each barrier. The run is built but not started: Start
+// it, or Decode a barrier checkpoint onto it. build must assemble volume
+// vol's stack over gen with MonitorEvery equal to monitorEvery.
+func NewAdaptive(cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator, build FeedBuildFunc) (*Controlled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,6 +107,16 @@ func NewControlled(ctx context.Context, cfg ControllerConfig, intervals int, mon
 		c.counts[v] = make(map[int64]uint64)
 	}
 	if err := c.build(intervals, monitorEvery, base, build); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewControlled is NewAdaptive followed by Start.
+func NewControlled(ctx context.Context, cfg ControllerConfig, intervals int, monitorEvery time.Duration, base workload.Generator,
+	build FeedBuildFunc) (*Controlled, error) {
+	c, err := NewAdaptive(cfg, intervals, monitorEvery, base, build)
+	if err != nil {
 		return nil, err
 	}
 	c.Start(ctx)

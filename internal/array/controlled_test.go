@@ -1,14 +1,18 @@
 package array
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"lbica/internal/ckpt"
 	"lbica/internal/core"
 	"lbica/internal/engine"
 	"lbica/internal/iostat"
@@ -259,7 +263,8 @@ func TestStaticArrayCodecRoundTrip(t *testing.T) {
 
 // Damaged or mismatched checkpoints are errors, never panics: a payload
 // set of the wrong size, a truncated or bit-flipped controller payload, a
-// feed still holding requests at encode, and an array-lb run.
+// feed still holding requests at encode, and a static checkpoint decoded
+// onto an array-lb run.
 func TestStaticArrayCodecErrors(t *testing.T) {
 	ctx := context.Background()
 	const seed, intervals = 4, 6
@@ -322,16 +327,152 @@ func TestStaticArrayCodecErrors(t *testing.T) {
 		t.Error("Encode accepted feeds still holding requests")
 	}
 
-	lb, err := NewControlled(ctx, ControllerConfig{Volumes: 3, Seed: seed, Workers: 1}, intervals,
-		engine.DefaultConfig().MonitorEvery, tpccBase(seed, intervals), feedBuild(seed, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lb.Encode(); err == nil {
-		t.Error("an array-lb run encoded")
-	}
+	lb := newAdaptive(t, ControllerConfig{Volumes: 3, Seed: seed, Workers: 1}, seed, intervals)
 	if err := lb.Decode(ctx, payloads); err == nil {
 		t.Error("an array-lb run decoded a static checkpoint")
+	}
+}
+
+// An array-lb run restored at any barrier finishes byte-identical to its
+// scratch run, per-volume results included, for both variants and worker
+// counts, and re-encodes to the payloads it was restored from. On
+// TestControlledMergeCarriesMigrations' seed-3 hot shard, some barrier
+// holds pins and the restored run adds more after it; the run is 10
+// intervals long because p2c first migrates at barrier 8.
+func TestControlledCodecRestoresAtEveryBarrier(t *testing.T) {
+	ctx := context.Background()
+	const seed, intervals = 3, 10
+	for _, variant := range []Variant{Weighted, PowerOfTwo} {
+		for _, workers := range []int{1, 0} {
+			name := fmt.Sprintf("%v/w%d", variant, workers)
+			cfg := ControllerConfig{Volumes: 3, Skew: 1.2, Seed: seed, Variant: variant, Workers: workers}
+			want := runControlled(t, cfg, seed, intervals)
+			leader := newAdaptive(t, cfg, seed, intervals)
+			leader.Start(ctx)
+			migratedPastPins := false
+			for barrier := 0; barrier <= intervals; barrier++ {
+				if err := leader.StepTo(ctx, barrier); err != nil {
+					t.Fatal(err)
+				}
+				payloads, err := leader.Encode()
+				if err != nil {
+					t.Fatalf("%s: Encode at barrier %d: %v", name, barrier, err)
+				}
+				r := newAdaptive(t, cfg, seed, intervals)
+				if err := r.Decode(ctx, payloads); err != nil {
+					t.Fatalf("%s: Decode at barrier %d: %v", name, barrier, err)
+				}
+				if re, err := r.Encode(); err != nil || !reflect.DeepEqual(re, payloads) {
+					t.Fatalf("%s: barrier %d re-encodes differently (err %v)", name, barrier, err)
+				}
+				pinned := len(r.rt.pins)
+				got, err := r.Finish(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: run restored at barrier %d differs from its scratch run", name, barrier)
+				}
+				migratedPastPins = migratedPastPins || (pinned > 0 && len(r.rt.pins) > pinned)
+			}
+			if !migratedPastPins {
+				t.Errorf("%s: no barrier held pins that the restored run added to", name)
+			}
+			// Encoding at every barrier left the leader's own run intact.
+			if got, err := leader.Finish(ctx); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: the encoded leader's own finish differs from its scratch run (err %v)", name, err)
+			}
+		}
+	}
+}
+
+// Damaged or mismatched array-lb checkpoints are errors: a checkpoint of
+// another width or variant, pins out of block order, a pin naming a
+// volume outside the array, more than maxPins pins, an encode taken
+// mid-interval, and an array-lb checkpoint decoded onto a static run.
+func TestAdaptiveArrayCodecErrors(t *testing.T) {
+	ctx := context.Background()
+	const seed, intervals, barrier = 3, 8, 5
+	cfg := ControllerConfig{Volumes: 3, Skew: 1.2, Seed: seed, Workers: 1}
+	// encodeAt steps a run to the barrier, lets mutate damage its router,
+	// and encodes it.
+	encodeAt := func(mutate func(*adaptiveRouter)) ([][]byte, *adaptiveRouter) {
+		c := newAdaptive(t, cfg, seed, intervals)
+		c.Start(ctx)
+		if err := c.StepTo(ctx, barrier); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.rt.pins) < 2 {
+			t.Fatalf("%d pins at barrier %d; the hot shard migrated too little", len(c.rt.pins), barrier)
+		}
+		mutate(c.rt)
+		payloads, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payloads, c.rt
+	}
+	payloads, rt := encodeAt(func(*adaptiveRouter) {})
+	decode := func(cfg ControllerConfig, ps [][]byte) error {
+		return newAdaptive(t, cfg, seed, intervals).Decode(ctx, ps)
+	}
+
+	wide := cfg
+	wide.Volumes = 4
+	if err := decode(wide, append(append([][]byte(nil), payloads...), payloads[3])); err == nil {
+		t.Error("a 3-volume checkpoint decoded onto a 4-volume run")
+	}
+	p2c := cfg
+	p2c.Variant = PowerOfTwo
+	if err := decode(p2c, payloads); err == nil {
+		t.Error("a weighted checkpoint decoded onto a p2c run")
+	}
+
+	// Swap the two lowest pins' (block, volume) pairs in place.
+	blocks := slices.Sorted(maps.Keys(rt.pins))
+	first, second := blocks[0], blocks[1]
+	pair := func(b int64) []byte {
+		enc := ckpt.NewEncoder(16)
+		enc.I64(b)
+		enc.Int(rt.pins[b])
+		return enc.Data()
+	}
+	ordered := append(pair(first), pair(second)...)
+	at := bytes.Index(payloads[0], ordered)
+	if at < 0 {
+		t.Fatal("the two lowest pins are not adjacent in the controller payload")
+	}
+	swapped := bytes.Clone(payloads[0])
+	copy(swapped[at:], append(pair(second), pair(first)...))
+	if err := decode(cfg, append([][]byte{swapped}, payloads[1:]...)); err == nil {
+		t.Error("pins out of block order decoded")
+	}
+
+	for what, mutate := range map[string]func(*adaptiveRouter){
+		"a pin on volume 3 of 3": func(rt *adaptiveRouter) { rt.pins[1<<40] = 3 },
+		"maxPins+1 pins": func(rt *adaptiveRouter) {
+			for b := int64(1 << 40); len(rt.pins) <= maxPins; b++ {
+				rt.pins[b] = 0
+			}
+		},
+	} {
+		if damaged, _ := encodeAt(mutate); decode(cfg, damaged) == nil {
+			t.Errorf("%s decoded", what)
+		}
+	}
+
+	mid := newAdaptive(t, cfg, seed, intervals)
+	mid.Start(ctx)
+	mid.StepTo(ctx, barrier)
+	mid.routeBefore(time.Duration(barrier+1) * engine.DefaultConfig().MonitorEvery)
+	if _, err := mid.Encode(); err == nil {
+		t.Error("Encode accepted a run with requests routed into the next interval")
+	}
+
+	static := newStatic(t, Config{Volumes: 3, Policy: Zipf, Skew: 1.2, Workers: 1}, seed, intervals,
+		tpccBase(seed, intervals), controlledBuild(seed))
+	if err := static.Decode(ctx, payloads); err == nil {
+		t.Error("a static run decoded an array-lb checkpoint")
 	}
 }
 

@@ -27,14 +27,23 @@ func controlledBuild(seed int64) FeedBuildFunc {
 	}
 }
 
+// newAdaptive builds an unstarted array-lb run over small tpcc/LBICA
+// volumes.
+func newAdaptive(t *testing.T, cfg ControllerConfig, seed int64, intervals int) *Controlled {
+	t.Helper()
+	base := workload.TPCC(workload.Scale{Intervals: intervals}, sim.NewRNG(seed, "workload:tpcc"))
+	c, err := NewAdaptive(cfg, intervals, engine.DefaultConfig().MonitorEvery, base, controlledBuild(seed))
+	if err != nil {
+		t.Fatalf("NewAdaptive: %v", err)
+	}
+	return c
+}
+
 func runControlled(t *testing.T, cfg ControllerConfig, seed int64, intervals int) *Results {
 	t.Helper()
 	ctx := context.Background()
-	base := workload.TPCC(workload.Scale{Intervals: intervals}, sim.NewRNG(seed, "workload:tpcc"))
-	c, err := NewControlled(ctx, cfg, intervals, engine.DefaultConfig().MonitorEvery, base, controlledBuild(seed))
-	if err != nil {
-		t.Fatalf("NewControlled: %v", err)
-	}
+	c := newAdaptive(t, cfg, seed, intervals)
+	c.Start(ctx)
 	res, err := c.Finish(ctx)
 	if err != nil {
 		t.Fatalf("Finish: %v", err)

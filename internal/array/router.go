@@ -26,14 +26,20 @@
 // own sibling Router and replays a copy of the whole stream, and the
 // siblings draw in lockstep.
 //
+// Every Controlled run has a codec (ckpt.go): parked at a barrier, it
+// encodes its controller state and every volume's stack, and a run built
+// unstarted from the same configuration decodes them and finishes
+// byte-identical to the uninterrupted run.
+//
 // # The array-lb controller
 //
-// NewControlled replaces the static router with a closed-loop controller
+// NewAdaptive replaces the static router with a closed-loop controller
 // (controller.go): at each barrier it also reads every volume's measured
 // load, reweights the router from smoothed inverse loads (or routes
-// power-of-two-choices under VariantP2C), and migrates the hottest clean
-// cache lines off the bottleneck volume, pinning their routing at the
-// destination.
+// power-of-two-choices under the PowerOfTwo variant), and migrates the
+// hottest clean cache lines off the bottleneck volume, pinning their
+// routing at the destination. Its checkpoint carries the router's
+// weights, load estimates and pins.
 //
 // Determinism contract: the base generator and the router are touched
 // only on the controller goroutine. Each round it routes the next

@@ -96,11 +96,6 @@ func (e Extent) End() int64 { return e.LBA + e.Sectors }
 // Bytes returns the extent size in bytes.
 func (e Extent) Bytes() int64 { return e.Sectors * SectorSize }
 
-// Overlaps reports whether two extents share any sector.
-func (e Extent) Overlaps(o Extent) bool {
-	return e.LBA < o.End() && o.LBA < e.End()
-}
-
 // Adjacent reports whether o starts exactly where e ends or vice versa.
 func (e Extent) Adjacent(o Extent) bool {
 	return e.End() == o.LBA || o.End() == e.LBA
@@ -185,9 +180,6 @@ func (r *Request) Op() Op { return r.Origin.Op() }
 
 // QueueTime returns time spent waiting in queue (Dispatch − Submit).
 func (r *Request) QueueTime() time.Duration { return r.Dispatch - r.Submit }
-
-// ServiceTime returns time at the device (Complete − Dispatch).
-func (r *Request) ServiceTime() time.Duration { return r.Complete - r.Dispatch }
 
 // Latency returns total time in the tier (Complete − Submit).
 func (r *Request) Latency() time.Duration { return r.Complete - r.Submit }

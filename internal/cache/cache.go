@@ -328,9 +328,6 @@ func (c *Cache) DirtyRatio() float64 {
 // BlockSectors returns the cache block size in sectors.
 func (c *Cache) BlockSectors() int64 { return c.cfg.BlockSectors }
 
-// BlockOf returns the block number containing the given LBA.
-func (c *Cache) BlockOf(lba int64) int64 { return lba / c.cfg.BlockSectors }
-
 // BlockExtent returns the device extent of a cache block.
 func (c *Cache) BlockExtent(blockNum int64) block.Extent {
 	return block.Extent{LBA: blockNum * c.cfg.BlockSectors, Sectors: c.cfg.BlockSectors}

@@ -11,9 +11,6 @@ func TestBlockGeometryHelpers(t *testing.T) {
 	if c.BlockSectors() != 8 {
 		t.Errorf("BlockSectors = %d", c.BlockSectors())
 	}
-	if c.BlockOf(17) != 2 {
-		t.Errorf("BlockOf(17) = %d, want 2", c.BlockOf(17))
-	}
 	e := c.BlockExtent(3)
 	if e.LBA != 24 || e.Sectors != 8 {
 		t.Errorf("BlockExtent(3) = %v", e)

@@ -32,21 +32,36 @@ func fuzzStack(spec experiments.Spec) *engine.Stack {
 	return engine.New(cfg, experiments.NewGenerator(spec), experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
 }
 
+// fuzzVolume builds an array volume with fuzzStack's geometry.
+func fuzzVolume(spec experiments.Spec) array.FeedBuildFunc {
+	return func(vol int, gen workload.Generator) (*engine.Stack, error) {
+		cfg := engine.DefaultConfig()
+		cfg.Seed = sim.Stream(spec.Seed, vol)
+		cfg.Volume = vol
+		cfg.MonitorEvery = spec.Interval
+		cfg.Cache.Sets = 64
+		cfg.Cache.Ways = 4
+		cfg.PrewarmBlocks = 256
+		return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds)), nil
+	}
+}
+
 // fuzzArray is fuzzStack's two-volume statically routed array, built and
 // not started: the shape a multi-volume warmup container restores onto.
 func fuzzArray(spec experiments.Spec) *array.Controlled {
 	acfg := array.Config{Volumes: 2, Policy: array.Zipf, Skew: 1.2, Workers: 1}
-	c, err := array.NewStatic(acfg, spec.Seed, spec.Intervals, spec.Interval, experiments.NewGenerator(spec),
-		func(vol int, gen workload.Generator) (*engine.Stack, error) {
-			cfg := engine.DefaultConfig()
-			cfg.Seed = sim.Stream(spec.Seed, vol)
-			cfg.Volume = vol
-			cfg.MonitorEvery = spec.Interval
-			cfg.Cache.Sets = 64
-			cfg.Cache.Ways = 4
-			cfg.PrewarmBlocks = 256
-			return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds)), nil
-		})
+	c, err := array.NewStatic(acfg, spec.Seed, spec.Intervals, spec.Interval, experiments.NewGenerator(spec), fuzzVolume(spec))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// fuzzAdaptive is fuzzArray's shape under the array-lb controller, built
+// and not started: the shape an ARRAY-LB container restores onto.
+func fuzzAdaptive(spec experiments.Spec) *array.Controlled {
+	ccfg := array.ControllerConfig{Volumes: 2, Skew: 1.2, Seed: spec.Seed, Workers: 1}
+	c, err := array.NewAdaptive(ccfg, spec.Intervals, spec.Interval, experiments.NewGenerator(spec), fuzzVolume(spec))
 	if err != nil {
 		panic(err)
 	}
@@ -120,8 +135,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				_ = checkpoint.DecodeStack(ctx, fuzzStack(spec), pl)
 			}
 			if len(payloads) > 1 {
-				// A multi-volume container restores onto a static array.
+				// A multi-volume container restores onto a static array
+				// or an array-lb one.
 				_ = fuzzArray(spec).Decode(ctx, payloads)
+				_ = fuzzAdaptive(spec).Decode(ctx, payloads)
 			}
 		}
 		// The same bytes as a bare stack payload: error or restore, never

@@ -75,6 +75,25 @@ func TestGenCorpus(t *testing.T) {
 	}
 	t.Logf("multi-volume container size: %d", len(multiBuf))
 
+	// An ARRAY-LB container: the array-lb controller's payload, at a
+	// barrier after its first migration, so it holds pins.
+	lb := fuzzAdaptive(spec)
+	lb.Start(context.Background())
+	lb.StepTo(context.Background(), 5)
+	lbPayloads, err := lb.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbPath := filepath.Join(t.TempDir(), "array-lb.ckpt")
+	if err := checkpoint.WriteFile(lbPath, "corpus-array-lb", lbPayloads); err != nil {
+		t.Fatal(err)
+	}
+	lbBuf, err := os.ReadFile(lbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("array-lb container size: %d, controller payload %d", len(lbBuf), len(lbPayloads[0]))
+
 	dir := "testdata/fuzz/FuzzDecodeCheckpoint"
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -89,6 +108,7 @@ func TestGenCorpus(t *testing.T) {
 		"seed06": {},
 		"seed07": payload[:128],
 		"seed08": multiBuf,
+		"seed09": lbBuf,
 	}
 	for name, data := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)", strconv.Quote(string(data)))

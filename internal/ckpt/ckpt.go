@@ -361,7 +361,7 @@ func (e *Encoder) Request(r *block.Request) {
 // Completer encodes a completion-callback reference: nil, a memo
 // back-reference, or — on first encounter — the completer's kind tag and
 // payload. A completer that does not implement EncodableCompleter sets
-// the sticky error (the state cannot be checkpointed).
+// the sticky error: the state has no codec, and the encode fails.
 func (e *Encoder) Completer(c block.Completer) {
 	if c == nil {
 		e.U32(0)

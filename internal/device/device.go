@@ -123,8 +123,7 @@ func (s *SSD) Width() int { return s.cfg.Channels }
 // Name implements Model.
 func (s *SSD) Name() string { return s.cfg.Name }
 
-// HDDConfig parameterizes a rotational disk subsystem. Defaults
-// (DefaultHDDConfig) approximate a 7.2K-RPM SAS drive; Spindles > 1 models
+// HDDConfig parameterizes a rotational disk subsystem; Spindles > 1 models
 // the striped multi-drive "disk subsystem" of an enterprise array.
 type HDDConfig struct {
 	Name string
@@ -160,18 +159,6 @@ type HDDConfig struct {
 	WriteCacheLatency time.Duration
 	WriteCacheDepth   int
 	DrainIOPS         float64
-}
-
-// DefaultHDDConfig returns 7.2K SAS defaults with a 4-spindle subsystem.
-func DefaultHDDConfig() HDDConfig {
-	return HDDConfig{
-		Name:         "hdd",
-		RPM:          7200,
-		SeekAvg:      8500 * time.Microsecond,
-		PerSector:    2500 * time.Nanosecond, // ≈ 200 MB/s streaming
-		Spindles:     4,
-		SeqThreshold: 64,
-	}
 }
 
 // HDD is a rotational disk-subsystem model with sequential-locality

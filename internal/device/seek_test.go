@@ -10,7 +10,7 @@ import (
 )
 
 func distCfg() HDDConfig {
-	cfg := DefaultHDDConfig()
+	cfg := sasHDD()
 	cfg.Spindles = 1
 	cfg.DistanceSeek = true
 	cfg.StrokeSectors = 1 << 24
@@ -69,7 +69,7 @@ func TestDisciplinesEquivalentUnderAverageSeek(t *testing.T) {
 	run := func(d ioqueue.Discipline) time.Duration {
 		eng := sim.NewEngine()
 		q := ioqueue.New("hdd", ioqueue.WithDiscipline(d), ioqueue.WithMaxMergeSectors(0))
-		cfg := DefaultHDDConfig()
+		cfg := sasHDD()
 		cfg.Spindles = 1
 		h := NewHDD(cfg, sim.NewRNG(3, "h"))
 		srv := NewServer(eng, h, q, nil)

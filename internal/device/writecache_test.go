@@ -9,7 +9,7 @@ import (
 )
 
 func wcConfig() HDDConfig {
-	cfg := DefaultHDDConfig()
+	cfg := sasHDD()
 	cfg.WriteCacheLatency = 150 * time.Microsecond
 	cfg.WriteCacheDepth = 10
 	cfg.DrainIOPS = 1000
@@ -69,7 +69,7 @@ func TestWriteCacheNeverServesReads(t *testing.T) {
 }
 
 func TestSeqThresholdBoundary(t *testing.T) {
-	cfg := DefaultHDDConfig()
+	cfg := sasHDD()
 	cfg.SeqThreshold = 64
 	h := NewHDD(cfg, sim.NewRNG(1, "h"))
 	h.Service(rd(0)) // position the head; rd() covers sectors [0,8)
@@ -99,7 +99,7 @@ func TestSSDTransferScalesWithSize(t *testing.T) {
 }
 
 func TestHDDAvgLatencySymmetric(t *testing.T) {
-	h := NewHDD(DefaultHDDConfig(), sim.NewRNG(4, "h"))
+	h := NewHDD(sasHDD(), sim.NewRNG(4, "h"))
 	if h.AvgLatency(block.Read) != h.AvgLatency(block.Write) {
 		t.Error("rotational model calibrates reads and writes identically at this altitude")
 	}

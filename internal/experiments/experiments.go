@@ -41,7 +41,7 @@ const (
 	SchemeSIB   = "SIB"
 	SchemeLBICA = "LBICA"
 	// SchemeArrayLB runs per-volume LBICA plus the array-level controller
-	// (internal/array.NewControlled): adaptive weighted routing and hot-
+	// (internal/array.NewAdaptive): adaptive weighted routing and hot-
 	// block migration, re-decided at every monitor-interval barrier. At
 	// Volumes == 1 there is nothing to balance across and the scheme
 	// degenerates to plain LBICA (relabeled in the results).
@@ -544,21 +544,12 @@ func RunVolumes(ctx context.Context, spec Spec) (*engine.Results, []*engine.Resu
 	return r.finish(ctx)
 }
 
-// hasCodec reports whether a normalized spec's run can be checkpointed —
-// shared by the warm planner, stored, saved and restored: every run but a
-// multi-volume ARRAY-LB one, whose controller reweights its routing at
-// every interval barrier and whose weights, estimates and pins have no
-// codec.
-func (s Spec) hasCodec() bool { return s.Volumes == 1 || s.Scheme != SchemeArrayLB }
-
 // builtRun is a normalized spec's run: the single stack at one volume, the
-// array controller otherwise. RunVolumes, the warm planner, the store's
-// scratch members and the single-run checkpoints all start it (or decode a
-// barrier checkpoint onto it), step it and finish it. A run with a codec
-// is built unstarted by newRun; a multi-volume ARRAY-LB run is built by
-// start, because array.NewControlled builds and starts in one call. The
-// array constructors cannot fail: the spec was validated in Normalize and
-// feedStack never fails.
+// array controller otherwise. newRun builds it unstarted; RunVolumes, the
+// warm planner, the store's scratch members and the single-run
+// checkpoints all start it (or decode a barrier checkpoint onto it), step
+// it and finish it. The array constructors cannot fail: the spec was
+// validated in Normalize and feedStack never fails.
 type builtRun struct {
 	s   Spec
 	st  *engine.Stack
@@ -577,7 +568,12 @@ func (s Spec) newRun() *builtRun {
 		// with one volume has nothing to balance across: it runs as plain
 		// LBICA and is relabeled.
 		r.st = s.singleStack()
-	case s.hasCodec():
+	case s.Scheme == SchemeArrayLB:
+		variant, _ := array.ParseVariant(s.RouteVariant) // validated in Normalize
+		ccfg := array.ControllerConfig{Volumes: s.Volumes, Skew: s.RouteSkew, Seed: s.Seed,
+			Variant: variant, Workers: s.ShardWorkers}
+		r.arr, err = array.NewAdaptive(ccfg, s.Intervals, s.Interval, NewGenerator(s), s.feedStack)
+	default:
 		// A static array: one base stream, pulled and routed once by the
 		// spec's router into per-volume feeds. The workload keeps the run
 		// seed; each volume's hardware draws from its own volume seed.
@@ -592,20 +588,11 @@ func (s Spec) newRun() *builtRun {
 
 // start arms the run at time zero.
 func (r *builtRun) start(ctx context.Context) {
-	switch s := r.s; {
-	case r.st != nil:
-		r.st.Start(ctx, s.Intervals)
-	case r.arr != nil:
-		r.arr.Start(ctx)
-	default:
-		variant, _ := array.ParseVariant(s.RouteVariant) // validated in Normalize
-		ccfg := array.ControllerConfig{Volumes: s.Volumes, Skew: s.RouteSkew, Seed: s.Seed,
-			Variant: variant, Workers: s.ShardWorkers}
-		var err error
-		if r.arr, err = array.NewControlled(ctx, ccfg, s.Intervals, s.Interval, NewGenerator(s), s.feedStack); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
+	if r.st != nil {
+		r.st.Start(ctx, r.s.Intervals)
+		return
 	}
+	r.arr.Start(ctx)
 }
 
 // stepTo advances a started run to the barrier that closes the given

@@ -81,7 +81,7 @@ func warmLeaderIndex(specs []Spec, warmupIntervals int) int {
 		if s.Scheme == SchemeLBICA {
 			return i
 		}
-		if arrayLB < 0 && s.Scheme == SchemeArrayLB && s.Normalize().hasCodec() {
+		if arrayLB < 0 && s.Scheme == SchemeArrayLB && s.Normalize().Volumes == 1 {
 			arrayLB = i
 		}
 	}
@@ -107,7 +107,8 @@ func warmLeaderIndex(specs []Spec, warmupIntervals int) int {
 //     prefixes diverged, and the WB cell falls back to a scratch run.
 //   - SIB members, multi-volume ARRAY-LB members (the adaptive
 //     controller diverges from static routing at the first barrier),
-//     and any failed restore fall back to a scratch run.
+//     and any failed restore fall back to a scratch run, which stores
+//     and restores its own prefix through the store when one is given.
 //
 // When the group cannot share at all every member runs from scratch,
 // making RunWarmShared a drop-in replacement for per-spec RunContext
@@ -199,7 +200,7 @@ func runWarmPlan(ctx context.Context, specs []Spec, leaderIdx, warmupIntervals i
 // reason.
 func memberOutcome(s Spec, acted bool) WarmOutcome {
 	switch {
-	case !s.hasCodec():
+	case s.Scheme == SchemeArrayLB && s.Volumes > 1:
 		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
 	case s.Scheme == SchemeWB && acted:
 		return WarmOutcome{Kind: WarmScratch, Reason: WarmReasonBalancerActed}

@@ -4,11 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"lbica/internal/array"
 	"lbica/internal/checkpoint"
 	"lbica/internal/engine"
 )
@@ -38,11 +38,14 @@ const (
 // drives the prefix — SchemeLBICA for a group's shared leader prefix (the
 // planner keys the leader's LBICA spec even when the nominal leader member
 // is a one-volume ARRAY-LB), a scratch member's own scheme for its private
-// prefix. Execution-only fields (ShardWorkers, RouteVariant) are absent:
-// they never shape simulated state. A custom schedule and a replay stream
-// key by content, not by pointer. A hooked run keys apart from an unhooked
-// one: its trace and recording start at time zero, so it must never resume
-// from another run's prefix.
+// prefix. The routing variant is keyed only for a multi-volume ARRAY-LB
+// run, as "|rv=" before the warmup length: weighted and p2c controllers
+// route apart from the first barrier on, while at one volume the variant
+// is inert, so every other key is the one earlier versions wrote.
+// ShardWorkers is absent: it never shapes simulated state. A custom
+// schedule and a replay stream key by content, not by pointer. A hooked
+// run keys apart from an unhooked one: its trace and recording start at
+// time zero, so it must never resume from another run's prefix.
 //
 // Intervals is part of the key even though the prefix stops at the warmup
 // barrier: the stack is armed for the full run, so the total tick budget
@@ -50,14 +53,19 @@ const (
 func warmCacheKey(spec Spec, warmupIntervals int) string {
 	s := spec.Normalize()
 	t := s.Thresholds
+	variant := ""
+	if s.Scheme == SchemeArrayLB && s.Volumes > 1 {
+		v, _ := array.ParseVariant(s.RouteVariant) // validated in Normalize
+		variant = "|rv=" + v.String()
+	}
 	return fmt.Sprintf(
-		"v%d|wl=%s|name=%s|phases=%s|replay=%s|scheme=%s|seed=%d|iv=%d|step=%d|rate=%g|cache=%g|burst=%g|vol=%d|rp=%s|rs=%g|th=%g,%g,%g,%g,%d|geom=%d,%d,%s|elev=%t|cold=%t|hooks=%t"+warmKeySuffix+"%d",
+		"v%d|wl=%s|name=%s|phases=%s|replay=%s|scheme=%s|seed=%d|iv=%d|step=%d|rate=%g|cache=%g|burst=%g|vol=%d|rp=%s|rs=%g|th=%g,%g,%g,%g,%d|geom=%d,%d,%s|elev=%t|cold=%t|hooks=%t%s"+warmKeySuffix+"%d",
 		checkpoint.FormatVersion, s.Workload, s.Name, contentDigest(s.Phases), contentDigest(s.Replay),
 		s.Scheme, s.Seed, s.Intervals, int64(s.Interval),
 		s.RateFactor, s.CacheMult, s.BurstMult,
 		s.Volumes, s.RoutePolicy, s.RouteSkew,
 		t.DominantPair, t.MemberMin, t.PromoteAlone, t.ReadAlone, t.MinQueued,
-		s.CacheMiB, s.CacheWays, s.Replacement, s.DiskElevator, s.DisablePrewarm, s.Hooks != nil,
+		s.CacheMiB, s.CacheWays, s.Replacement, s.DiskElevator, s.DisablePrewarm, s.Hooks != nil, variant,
 		warmupIntervals)
 }
 
@@ -131,14 +139,14 @@ func prepareWarm(ctx context.Context, spec Spec, warmupIntervals int, store *che
 // within an invocation needs cross-scheme prefix equality, but sharing
 // across invocations only needs same-spec determinism, so even the
 // schemes the warm plan must exclude (an acted balancer, SIB's scans, a
-// group with no leader) amortize their prefixes over repeated sweeps.
-// Falls back to plain RunContext — outcome unchanged — when there is no
-// store, the warmup is not strictly inside the run, or the run has no
-// codec (Spec.hasCodec).
+// group with no leader, a multi-volume ARRAY-LB) amortize their prefixes
+// over repeated sweeps. Falls back to plain RunContext — outcome
+// unchanged — when there is no store or the warmup is not strictly inside
+// the run.
 func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *checkpoint.Store, reason string) (*engine.Results, WarmOutcome) {
 	o := WarmOutcome{Kind: WarmScratch, Reason: reason}
 	ns := s.Normalize()
-	if store == nil || !ns.hasCodec() || warmupIntervals <= 0 || warmupIntervals >= ns.Intervals {
+	if store == nil || warmupIntervals <= 0 || warmupIntervals >= ns.Intervals {
 		return RunContext(ctx, s), o
 	}
 	r, _, cache := prepareWarm(ctx, ns, warmupIntervals, store)
@@ -147,10 +155,6 @@ func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *ch
 	return res, o
 }
 
-// errNoCodec refuses a single-run checkpoint before anything is simulated
-// or written.
-var errNoCodec = errors.New("a multi-volume ARRAY-LB run cannot be checkpointed: its controller's weights, estimates and pins have no codec")
-
 // RunSaving runs spec to completion exactly like RunVolumes, pausing at
 // the saveAt-th interval barrier to write the run's complete state to a
 // checkpoint file at path (atomically), keyed by warmCacheKey. A
@@ -158,9 +162,6 @@ var errNoCodec = errors.New("a multi-volume ARRAY-LB run cannot be checkpointed:
 // state is not a resumable prefix; an encode or write error ends the run.
 func RunSaving(ctx context.Context, spec Spec, saveAt int, path string) (*engine.Results, []*engine.Results, error) {
 	spec = spec.Normalize()
-	if !spec.hasCodec() {
-		return nil, nil, errNoCodec
-	}
 	r := spec.newRun()
 	r.start(ctx)
 	r.stepTo(ctx, saveAt)
@@ -184,9 +185,6 @@ func RunSaving(ctx context.Context, spec Spec, saveAt int, path string) (*engine
 // older format — is refused before anything is decoded.
 func RunRestored(ctx context.Context, spec Spec, path string) (*engine.Results, []*engine.Results, error) {
 	spec = spec.Normalize()
-	if !spec.hasCodec() {
-		return nil, nil, errNoCodec
-	}
 	key, payloads, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return nil, nil, err

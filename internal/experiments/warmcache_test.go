@@ -210,7 +210,8 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 		// leader prefix (always the LBICA balancer) for the same spec.
 		"Scheme": {nil, func(s *Spec) { s.Scheme = SchemeSIB }},
 	}
-	// ShardWorkers and RouteVariant are execution-only.
+	// ShardWorkers is execution-only, and so is RouteVariant at one
+	// volume, where ARRAY-LB runs as LBICA.
 	allow := map[string]struct{ from, to func(*Spec) }{
 		"ShardWorkers": {nil, func(s *Spec) { s.ShardWorkers = 4 }},
 		"RouteVariant": {func(s *Spec) { s.Scheme = SchemeArrayLB }, func(s *Spec) { s.RouteVariant = "p2c" }},
@@ -244,5 +245,24 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 	}
 	if k2 := warmCacheKey(base, 11); k2 == baseKey {
 		t.Error("warmup length not part of the cache key")
+	}
+	// A multi-volume ARRAY-LB controller's variant shapes the prefix from
+	// the first barrier on.
+	lb := Spec{Workload: "tpcc", Scheme: SchemeArrayLB, Seed: 11, Intervals: 40, Volumes: 3, RouteSkew: 1.2}
+	p2c := lb
+	p2c.RouteVariant = "p2c"
+	if warmCacheKey(lb, 10) == warmCacheKey(p2c, 10) {
+		t.Error("a multi-volume ARRAY-LB spec's route variant is not part of the cache key")
+	}
+	// Keys earlier versions wrote, and store entries and checkpoint files
+	// carry, stay byte-identical: a single stack and a static array.
+	static := Spec{Workload: "tpcc", Scheme: SchemeWB, Seed: 11, Intervals: 40, Volumes: 3, RouteSkew: 1.2}
+	for spec, want := range map[Spec]string{
+		base:   "v3|wl=tpcc|name=|phases=-|replay=-|scheme=LBICA|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=1|rp=|rs=0|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
+		static: "v3|wl=tpcc|name=|phases=-|replay=-|scheme=WB|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=3|rp=|rs=1.2|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
+	} {
+		if got := warmCacheKey(spec, 10); got != want {
+			t.Errorf("%s key changed:\n got %s\nwant %s", spec.Scheme, got, want)
+		}
 	}
 }

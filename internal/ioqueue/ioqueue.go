@@ -397,16 +397,3 @@ func (q *Queue) Extract(pred func(pos int, r *block.Request) bool) []*block.Requ
 	}
 	return out
 }
-
-// ExtractTail removes and returns all requests at dispatch position >= keep,
-// i.e. everything past the bottleneck threshold — LBICA's Group-3 rule.
-func (q *Queue) ExtractTail(keep int) []*block.Request {
-	return q.Extract(func(pos int, _ *block.Request) bool { return pos >= keep })
-}
-
-// EstimatedWait returns the naive wait estimate for the request at dispatch
-// position pos given a calibrated mean service latency: pos × svc. This is
-// Eq. 1 applied to a single queue position, the quantity SIB ranks by.
-func EstimatedWait(pos int, svc time.Duration) time.Duration {
-	return time.Duration(pos) * svc
-}

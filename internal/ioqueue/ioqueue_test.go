@@ -200,7 +200,8 @@ func TestExtractTail(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.Push(req(uint64(i), block.AppWrite, int64(i)*100, 8), 0)
 	}
-	out := q.ExtractTail(2)
+	// LBICA's Group-3 rule: everything past the bottleneck threshold.
+	out := q.Extract(func(pos int, _ *block.Request) bool { return pos >= 2 })
 	if len(out) != 4 {
 		t.Fatalf("extracted %d, want 4", len(out))
 	}
@@ -236,22 +237,13 @@ func TestExtractPredicate(t *testing.T) {
 func TestExtractedRequestCannotMergeAnymore(t *testing.T) {
 	q := New("ssd")
 	q.Push(req(1, block.AppWrite, 100, 8), 0)
-	out := q.ExtractTail(0)
+	out := q.Extract(func(int, *block.Request) bool { return true })
 	if len(out) != 1 {
 		t.Fatal("extract failed")
 	}
 	// A new contiguous request must NOT merge into the extracted one.
 	if q.Push(req(2, block.AppWrite, 108, 8), 0) {
 		t.Fatal("merged into an extracted (gone) request")
-	}
-}
-
-func TestEstimatedWait(t *testing.T) {
-	if EstimatedWait(5, 100*time.Microsecond) != 500*time.Microsecond {
-		t.Error("estimated wait arithmetic wrong")
-	}
-	if EstimatedWait(0, time.Second) != 0 {
-		t.Error("head of queue must have zero estimated wait")
 	}
 }
 
@@ -267,7 +259,8 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			case 0:
 				q.Pop()
 			case 1:
-				q.ExtractTail(r.Intn(8))
+				keep := r.Intn(8)
+				q.Extract(func(pos int, _ *block.Request) bool { return pos >= keep })
 			default:
 				o := block.Origin(r.Intn(4))
 				lba := int64(r.Intn(64)) * 8

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"time"
 
 	"lbica/internal/block"
@@ -281,29 +280,6 @@ func WriteCSV(w io.Writer, samples []Sample) error {
 			us(s.SSDAwait), us(s.HDDAwait), us(s.AppAwait),
 			100*s.Census.Ratio(block.AppRead), 100*s.Census.Ratio(block.AppWrite),
 			100*s.Census.Ratio(block.Promote), 100*s.Census.Ratio(block.Evict))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTable renders samples as an aligned human-readable table, iostat
-// style.
-func WriteTable(w io.Writer, samples []Sample) error {
-	const hdr = "%8s %14s %14s %6s %8s %8s %12s %12s %12s\n"
-	const row = "%8d %14.1f %14.1f %6v %8d %8d %12.1f %12.1f %12.1f\n"
-	if _, err := fmt.Fprintf(w, hdr, "interval", "cacheQ(us)", "diskQ(us)", "burst",
-		"ssdQmax", "hddQmax", "ssd_await", "hdd_await", "app_await"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", 100)); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		_, err := fmt.Fprintf(w, row, s.Interval, us(s.CacheLoad), us(s.DiskLoad),
-			s.Bottleneck, s.SSDDepthMax, s.HDDDepthMax,
-			us(s.SSDAwait), us(s.HDDAwait), us(s.AppAwait))
 		if err != nil {
 			return err
 		}

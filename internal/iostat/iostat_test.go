@@ -171,7 +171,7 @@ func TestOnCloseCallback(t *testing.T) {
 	}
 }
 
-func TestWriteCSVAndTable(t *testing.T) {
+func TestWriteCSV(t *testing.T) {
 	m, ssd, _ := newMon()
 	ssd.depth = 4
 	ssd.census[block.AppRead] = 3
@@ -192,14 +192,6 @@ func TestWriteCSVAndTable(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "75.0,0.0,25.0,0.0") {
 		t.Errorf("csv census percentages wrong: %q", lines[1])
-	}
-
-	var tbl strings.Builder
-	if err := WriteTable(&tbl, m.Samples()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tbl.String(), "cacheQ(us)") {
-		t.Error("table header missing")
 	}
 }
 

@@ -91,7 +91,6 @@ func (e *Engine) DecodeState(d *ckpt.Decoder) {
 	e.slots = slots
 	e.free = free
 	e.heap = heap
-	e.stopped = false
 }
 
 // EncodeEvent serializes an event handle as a (pending, at, slot, gen)

@@ -119,16 +119,6 @@ func TestRNGHelpers(t *testing.T) {
 	if n := g.Int63n(100); n < 0 || n >= 100 {
 		t.Errorf("Int63n out of range: %d", n)
 	}
-	p := g.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Errorf("Perm missing %d", i)
-		}
-	}
 	if g.Name() != "helpers" {
 		t.Errorf("Name() = %q", g.Name())
 	}

@@ -90,6 +90,3 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // ExpFloat64 returns an exponential draw with rate 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

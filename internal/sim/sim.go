@@ -114,14 +114,13 @@ func (e Event) Cancel() {
 // Engine is the simulation executive. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	slots   []slot
-	free    []int32 // free arena slots
-	heap    []heapEnt
-	dead    int // cancelled events still occupying heap entries
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	seq   uint64
+	slots []slot
+	free  []int32 // free arena slots
+	heap  []heapEnt
+	dead  int // cancelled events still occupying heap entries
+	fired uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -172,9 +171,6 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 	}
 	return e.At(e.now+d, fn)
 }
-
-// Stop halts Run after the currently firing event returns.
-func (e *Engine) Stop() { e.stopped = true }
 
 // release returns a slot to the free-list, dropping its callback reference
 // and invalidating outstanding handles.
@@ -283,13 +279,12 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// Run executes events in time order until the queue empties, Stop is called,
-// or the clock would pass horizon (exclusive). A zero horizon means no limit.
+// Run executes events in time order until the queue empties or the clock
+// would pass horizon (exclusive). A zero horizon means no limit.
 // It returns the number of events fired during this call.
 func (e *Engine) Run(horizon time.Duration) uint64 {
-	e.stopped = false
 	start := e.fired
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		top := e.heap[0]
 		s := &e.slots[top.slot]
 		if s.state != slotPending || s.gen != top.gen {

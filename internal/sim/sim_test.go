@@ -99,22 +99,6 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++; e.Stop() })
-	e.At(2, func() { fired++ })
-	e.RunUntilIdle()
-	if fired != 1 {
-		t.Fatalf("Stop did not halt run: fired = %d", fired)
-	}
-	// A fresh Run picks the remaining event up.
-	e.RunUntilIdle()
-	if fired != 2 {
-		t.Fatalf("resume after Stop fired = %d, want 2", fired)
-	}
-}
-
 func TestEnginePanicsOnPastSchedule(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {

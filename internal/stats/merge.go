@@ -34,9 +34,6 @@ func (m *WeightedMean) AddDuration(d time.Duration, weight float64) {
 	m.Add(float64(d), weight)
 }
 
-// Weight returns the total weight folded in.
-func (m *WeightedMean) Weight() float64 { return m.weight }
-
 // Mean returns the weighted mean (0 when no weight has been added).
 func (m *WeightedMean) Mean() float64 {
 	if m.weight == 0 {

@@ -15,9 +15,6 @@ func TestWeightedMean(t *testing.T) {
 	if got, want := m.Mean(), 17.5; got != want {
 		t.Errorf("Mean() = %v, want %v", got, want)
 	}
-	if got, want := m.Weight(), 4.0; got != want {
-		t.Errorf("Weight() = %v, want %v", got, want)
-	}
 	// Zero and negative weights contribute nothing.
 	m.Add(1e9, 0)
 	m.Add(1e9, -2)

@@ -111,9 +111,6 @@ func (e *EWMA) Value() float64 { return e.level }
 // Duration returns the level as a duration.
 func (e *EWMA) Duration() time.Duration { return time.Duration(e.level) }
 
-// Initialized reports whether at least one sample has been folded in.
-func (e *EWMA) Initialized() bool { return e.seen }
-
 // Reset clears the level.
 func (e *EWMA) Reset() { e.level, e.seen = 0, false }
 

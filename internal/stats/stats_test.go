@@ -63,9 +63,6 @@ func TestEWMAFirstSampleInitializes(t *testing.T) {
 	if e.Value() != 100 {
 		t.Errorf("first sample level = %v, want 100", e.Value())
 	}
-	if !e.Initialized() {
-		t.Error("Initialized() false after Add")
-	}
 }
 
 func TestEWMATracksShift(t *testing.T) {
@@ -278,9 +275,14 @@ func TestEWMADurationHelpers(t *testing.T) {
 	if e.Duration() != time.Second {
 		t.Errorf("duration = %v", e.Duration())
 	}
+	// After a reset the next sample initializes the level again.
 	e.Reset()
-	if e.Initialized() || e.Value() != 0 {
+	if e.Value() != 0 {
 		t.Error("reset failed")
+	}
+	e.Add(8)
+	if e.Value() != 8 {
+		t.Errorf("first sample after reset: level %v, want 8", e.Value())
 	}
 }
 

@@ -107,11 +107,11 @@ func TestWarmCacheValidation(t *testing.T) {
 	}
 }
 
-// On a statically routed array the scratch members with a codec store
-// their private prefixes too: per workload, the LBICA leader's shared
-// prefix and SIB's own, while WB forks from the leader and the
-// multi-volume ARRAY-LB, which has no codec, runs from scratch uncached.
-// Both passes match the uncached sweep.
+// On a statically routed array the scratch members store their private
+// prefixes too: per workload, the LBICA leader's shared prefix, SIB's own
+// and the multi-volume ARRAY-LB's own (its controller diverges from the
+// leader at the first barrier), while WB forks from the leader. Both
+// passes match the uncached sweep.
 func TestWarmCacheSweepArrayScratchMembers(t *testing.T) {
 	grid := func(dir string) Grid {
 		return Grid{
@@ -130,7 +130,7 @@ func TestWarmCacheSweepArrayScratchMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "warm-cache")
-	for pass, want := range []WarmStats{{CacheStores: 4}, {CacheHits: 4}} {
+	for pass, want := range []WarmStats{{CacheStores: 6}, {CacheHits: 6}} {
 		res, err := Execute(t.Context(), grid(dir), Options{Workers: 0})
 		if err != nil {
 			t.Fatal(err)

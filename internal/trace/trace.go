@@ -85,8 +85,8 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12v %s %s #%d %s [%d,+%d)", e.At, e.Kind, e.Dev, e.ID, e.Origin, e.LBA, e.Sector)
 }
 
-// Recorder receives events. Implementations: *Buffer, *BinaryWriter,
-// MultiRecorder, and the engine's census maintenance.
+// Recorder receives events. Implementations: *Buffer, *BinaryWriter, and
+// the engine's census maintenance.
 type Recorder interface {
 	Record(Event)
 }
@@ -108,15 +108,6 @@ func (discard) Record(Event) {}
 // Discard drops every event.
 var Discard Recorder = discard{}
 
-// MultiRecorder fans events out to several recorders.
-func MultiRecorder(rs ...Recorder) Recorder {
-	return RecorderFunc(func(e Event) {
-		for _, r := range rs {
-			r.Record(e)
-		}
-	})
-}
-
 // Buffer is an in-memory event sink.
 type Buffer struct {
 	Events []Event
@@ -134,32 +125,6 @@ func (b *Buffer) Filter(pred func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// CensusAt reconstructs the in-queue census of a device at time t by
-// replaying queued/merged/dispatched events — what blktrace post-processing
-// does offline.
-func (b *Buffer) CensusAt(dev Device, t time.Duration) block.Census {
-	var c block.Census
-	inQueue := make(map[uint64]block.Origin)
-	for _, e := range b.Events {
-		if e.At > t {
-			break
-		}
-		if e.Dev != dev {
-			continue
-		}
-		switch e.Kind {
-		case Queued:
-			inQueue[e.ID] = e.Origin
-		case Merged, Dispatched, Bypassed:
-			delete(inQueue, e.ID)
-		}
-	}
-	for _, o := range inQueue {
-		c[o]++
-	}
-	return c
 }
 
 // Binary codec.
@@ -297,15 +262,4 @@ func ReadAll(r io.Reader) ([]Event, error) {
 		}
 		out = append(out, e)
 	}
-}
-
-// WriteText renders events in the human-readable one-per-line format.
-func WriteText(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := fmt.Fprintln(bw, e.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
