@@ -39,10 +39,11 @@
 // routing) — the command that regenerates BENCH_array.json — and
 // `-perf -perf-filter sweep` measures the shared-warmup sweep win
 // (scratch vs warm-fork on a three-scheme comparison grid), the command
-// that regenerates BENCH_sweep.json. -perf-check is the CI gate around
-// the committed baselines: given a comma-separated list it reruns
-// exactly each baseline's benchmarks at its recorded scale and exits
-// non-zero on any regression beyond the tolerance band:
+// that regenerates BENCH_sweep.json; the file also carries the checkpoint
+// codec's entries, from `-perf -perf-filter ckpt/`. -perf-check is the CI
+// gate around the committed baselines: given a comma-separated list it
+// reruns exactly each baseline's benchmarks at its recorded scale and
+// exits non-zero on any regression beyond the tolerance band:
 //
 //	lbicabench -perf -perf-filter array > BENCH_array.json
 //	lbicabench -perf -perf-filter sweep > BENCH_sweep.json

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"lbica/internal/block"
@@ -18,11 +20,14 @@ func TestCodecLineStateAndEpochRange(t *testing.T) {
 		c.Access(block.Write, ext(i*8, 8), 0)
 	}
 	c.Access(block.Write, ext(0, 8), 0) // epoch 2 on block 0
+	c.Prewarm([]int64{40})              // a clean line
 	flushing := c.CollectDirty(nil, 2)
 
 	enc := ckpt.NewEncoder(0)
 	c.EncodeState(enc)
 	payload := enc.Data()
+	clean := c.find(40)
+	cleanState := c.meta[clean].state
 	decode := func(b []byte) (*Cache, error) {
 		r := small()
 		d := ckpt.NewDecoder(b)
@@ -53,16 +58,41 @@ func TestCodecLineStateAndEpochRange(t *testing.T) {
 		t.Fatalf("after MarkClean restored dirty %d, original %d", r.DirtyCount(), c.DirtyCount())
 	}
 
-	// The first line's epoch follows the section marker, the policy byte,
-	// the line count and the tags.
-	off := 4 + len("cache.Cache") + 1 + 4 + 8*len(c.tags)
-	bad := append([]byte(nil), payload...)
-	binary.LittleEndian.PutUint64(bad[off:], 1<<62-1)
-	if _, err := decode(bad); err != nil {
+	// The clean line's state word (write epoch × 4 | flags) follows the
+	// section marker, the policy byte, the line count, the lines before it
+	// (a tag, a state word and two ticks each) and its own tag.
+	hdr := ckpt.NewDecoder(payload)
+	hdr.Section("cache.Cache")
+	hdr.U8()
+	hdr.U32()
+	for range clean {
+		hdr.Varint()
+		hdr.Uvarint()
+		hdr.Uvarint()
+		hdr.Uvarint()
+	}
+	hdr.Varint()
+	off := len(payload) - hdr.Remaining()
+	orig := hdr.Uvarint()
+	end := len(payload) - hdr.Remaining()
+	if hdr.Err() != nil || orig != cleanState {
+		t.Fatalf("clean line's state word read as %d (err %v), want %d", orig, hdr.Err(), cleanState)
+	}
+	withState := func(word []byte) []byte {
+		return slices.Concat(payload[:off], word, payload[end:])
+	}
+	r, err = decode(withState(binary.AppendUvarint(nil, (1<<62-1)*lineEpoch)))
+	if err != nil {
 		t.Fatalf("largest epoch a line holds: %v", err)
 	}
-	binary.LittleEndian.PutUint64(bad[off:], 1<<62)
-	if _, err := decode(bad); err == nil {
+	if got := r.meta[clean].epoch(); got != 1<<62-1 {
+		t.Fatalf("largest epoch restored as %d", got)
+	}
+	// Epoch 2^62 needs a 65th bit: nine continuation bytes, then 0b10. A
+	// reader that dropped the high bits, or read the value as zero, would
+	// restore a clean line of epoch 0, which the counters agree with.
+	beyond := append(bytes.Repeat([]byte{0x80}, 9), 0x02)
+	if _, err := decode(withState(beyond)); err == nil {
 		t.Fatal("an epoch beyond the line's range decoded")
 	}
 }

@@ -2,12 +2,12 @@ package cache
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"lbica/internal/block"
@@ -218,6 +218,24 @@ func TestGenCacheOpsCorpus(t *testing.T) {
 	}
 }
 
+// corruptPayloads encodes c once per edit, each edit applied to a copy of
+// c decoded from its own payload: the encoder writes whatever the lines and
+// counters hold, so an edit to the state is an edit to the wire.
+func corruptPayloads(t *testing.T, c *Cache, edits map[string]func(*Cache)) map[string][]byte {
+	t.Helper()
+	payload := encodeCache(c)
+	out := make(map[string][]byte, len(edits))
+	for name, edit := range edits {
+		d, err := decodeCache(c.cfg, payload)
+		if err != nil {
+			t.Fatalf("intact payload: %v", err)
+		}
+		edit(d)
+		out[name] = encodeCache(d)
+	}
+	return out
+}
+
 // TestDecodeRejectsCorruptOccupancy: a cache payload whose valid or dirty
 // counter disagrees with its lines, or whose free line carries a dirty or
 // flushing flag, does not decode. A wrong dirty count would steer
@@ -229,40 +247,48 @@ func TestDecodeRejectsCorruptOccupancy(t *testing.T) {
 	}
 	c.Prewarm([]int64{40, 41, 42})
 	c.CollectDirty(nil, 3)
-	payload := encodeCache(c)
-	if _, err := decodeCache(c.cfg, payload); err != nil {
-		t.Fatalf("intact payload: %v", err)
-	}
-	n := len(c.tags)
-	// Wire layout: section marker, policy byte, line count, tags, then
-	// per line epoch, lastUse, loadedAt and the dirty and flushing bools;
-	// after the lines the tick, then the dirty and valid counters.
-	lineOff := 4 + len("cache.Cache") + 1 + 4 + 8*n
-	const lineSize = 3*8 + 2
-	countersOff := lineOff + lineSize*n + 8
 	free := slices.Index(c.tags, -1)
-	for _, k := range []struct {
-		name string
-		edit func(b []byte)
-	}{
-		{"dirty counter one high", func(b []byte) { addInt(b[countersOff:], 1) }},
-		{"dirty counter one low", func(b []byte) { addInt(b[countersOff:], -1) }},
-		{"dirty counter zero", func(b []byte) { binary.LittleEndian.PutUint64(b[countersOff:], 0) }},
-		{"valid counter one high", func(b []byte) { addInt(b[countersOff+8:], 1) }},
-		{"valid counter one low", func(b []byte) { addInt(b[countersOff+8:], -1) }},
-		{"free line dirty", func(b []byte) { b[lineOff+lineSize*free+24] = 1 }},
-		{"free line flushing", func(b []byte) { b[lineOff+lineSize*free+25] = 1 }},
-		{"clean line flushing", func(b []byte) { b[lineOff+lineSize*slices.Index(c.tags, 40)+25] = 1 }},
-	} {
-		bad := bytes.Clone(payload)
-		k.edit(bad)
-		if _, err := decodeCache(c.cfg, bad); err == nil {
-			t.Errorf("%s: decoded", k.name)
+	clean := slices.Index(c.tags, 40)
+	bad := corruptPayloads(t, c, map[string]func(*Cache){
+		"dirty counter one high": func(d *Cache) { d.dirty++ },
+		"dirty counter one low":  func(d *Cache) { d.dirty-- },
+		"dirty counter zero":     func(d *Cache) { d.dirty = 0 },
+		"valid counter one high": func(d *Cache) { d.valid++ },
+		"valid counter one low":  func(d *Cache) { d.valid-- },
+		"free line dirty":        func(d *Cache) { d.meta[free].state |= lineDirty },
+		"free line flushing":     func(d *Cache) { d.meta[free].state |= lineFlushing },
+		"clean line flushing":    func(d *Cache) { d.meta[clean].state |= lineFlushing },
+	})
+	for name, b := range bad {
+		if _, err := decodeCache(c.cfg, b); err == nil {
+			t.Errorf("%s: decoded", name)
 		}
 	}
 }
 
-// addInt adds delta to the little-endian int64 at the front of b.
-func addInt(b []byte, delta int64) {
-	binary.LittleEndian.PutUint64(b, uint64(int64(binary.LittleEndian.Uint64(b))+delta))
+// TestDecodeRejectsMisplacedLines: a payload that puts a block in a line
+// of another set, or caches one block twice in its set, must fail to
+// decode. Either cache would pass the occupancy counters, but find would
+// miss the misplaced block, and the duplicate would count twice. Each edit
+// keeps the counters right, so only the placement check can refuse it.
+func TestDecodeRejectsMisplacedLines(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{{16, 4}, {12, 4}} { // 12 sets: no set mask
+		c := New(Config{BlockSectors: 8, Sets: g.sets, Ways: g.ways})
+		for b := int64(0); b < int64(3*g.sets); b++ {
+			c.Access(block.Write, c.BlockExtent(b), 0)
+		}
+		set1 := c.setBase(1)
+		bad := corruptPayloads(t, c, map[string]func(*Cache){
+			// Block 1 moves to the line of block 2's set that held block 2.
+			"block in another set": func(d *Cache) { d.tags[d.find(2)] = 1 },
+			// The second way of block 1's set takes the first way's block.
+			"block twice in a set": func(d *Cache) { d.tags[set1+1] = d.tags[set1] },
+		})
+		for name, b := range bad {
+			_, err := decodeCache(c.cfg, b)
+			if err == nil || !strings.Contains(err.Error(), "set") {
+				t.Errorf("%dx%d %s: err %v, want a placement error", g.sets, g.ways, name, err)
+			}
+		}
+	}
 }

@@ -33,8 +33,9 @@ import (
 // bodies, the completer payloads, or this container) so stale caches read
 // as misses instead of corrupt state. Version 3 stores a multi-volume
 // warmup as the static array controller's payload followed by one payload
-// per volume (array.Controlled.Encode).
-const FormatVersion = 3
+// per volume (array.Controlled.Encode); version 4 writes each cache line
+// as variable-length integers (cache.Cache.EncodeState).
+const FormatVersion = 4
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -68,43 +69,40 @@ func WriteFile(path, key string, payloads [][]byte) error {
 	for _, p := range payloads {
 		w.U32(uint32(len(p)))
 	}
-	body := w.Data()
-	buf := make([]byte, 0, len(magic)+len(body)+totalLen(payloads)+4)
-	buf = append(buf, magic...)
-	buf = append(buf, body...)
-	for _, p := range payloads {
-		buf = append(buf, p...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	head := append([]byte(magic), w.Data()...)
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*.tmp")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	err = writeContainer(tmp, head, payloads)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }
 
-func totalLen(payloads [][]byte) int {
-	n := 0
-	for _, p := range payloads {
-		n += len(p)
+// writeContainer writes the head, each payload and the CRC-32 over all of
+// them to f one after another, so no payload is copied on the way out.
+func writeContainer(f *os.File, head []byte, payloads [][]byte) error {
+	sum := crc32.ChecksumIEEE(head)
+	if _, err := f.Write(head); err != nil {
+		return err
 	}
-	return n
+	for _, p := range payloads {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+		if _, err := f.Write(p); err != nil {
+			return err
+		}
+	}
+	_, err := f.Write(binary.LittleEndian.AppendUint32(nil, sum))
+	return err
 }
 
 // ReadFile loads and fully verifies a checkpoint container, returning

@@ -17,7 +17,7 @@ import (
 
 // fuzzSpec/fuzzStack shrink the cache to a few hundred lines so the
 // committed corpus seeds stay small while still decoding genuinely (the
-// tag array dominates a default-geometry payload at ~2 MiB).
+// line table dominates a default-geometry payload at ~0.7 MB).
 func fuzzSpec() experiments.Spec {
 	return experiments.Spec{Workload: experiments.WorkloadTPCC, Scheme: experiments.SchemeLBICA, Seed: 7, Intervals: 8}.Normalize()
 }

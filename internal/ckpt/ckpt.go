@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"lbica/internal/block"
@@ -84,6 +85,27 @@ func (w *Writer) U64(v uint64) {
 
 // I64 writes a signed 64-bit value.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+
+// Uvarint writes v as a variable-length integer: seven bits a byte, low
+// groups first, so a value below 128 takes one byte and the largest ten.
+func (w *Writer) Uvarint(v uint64) {
+	if w.sizing {
+		w.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	// Appending to w.buf in place updates only its length, where
+	// binary.AppendUvarint's result would store the whole slice header
+	// (and its pointer, behind a write barrier) once per value.
+	for v >= 0x80 {
+		w.buf = append(w.buf, byte(v)|0x80)
+		v >>= 7
+	}
+	w.buf = append(w.buf, byte(v))
+}
+
+// Varint writes v zigzag-encoded as a Uvarint, so a value near zero
+// takes one byte whatever its sign.
+func (w *Writer) Varint(v int64) { w.Uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Int writes an int as 64 bits.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
@@ -188,6 +210,34 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads a signed 64-bit value.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// Uvarint reads a value written by Writer.Uvarint. Input that ends inside
+// the value, or whose value does not fit in 64 bits, sets the sticky error.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	switch {
+	case n == 0:
+		r.Failf("truncated varint: %d bytes remain", r.Remaining())
+		return 0
+	case n < -binary.MaxVarintLen64:
+		r.Failf("varint longer than %d bytes", binary.MaxVarintLen64)
+		return 0
+	case n < 0:
+		r.Failf("varint overflows 64 bits")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Varint reads a value written by Writer.Varint.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
 
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }

@@ -15,6 +15,8 @@ import (
 
 	"lbica/internal/block"
 	"lbica/internal/cache"
+	"lbica/internal/checkpoint"
+	"lbica/internal/engine"
 	"lbica/internal/experiments"
 	"lbica/internal/ioqueue"
 	"lbica/internal/sim"
@@ -64,6 +66,8 @@ func Suite(intervals int) []Bench {
 		{"queue/deep-push-pop", BenchQueueDeepPushPop},
 		{"generator/zipf-next", BenchZipfNext},
 		{"generator/tpcc-next", BenchPhaseGenNext},
+		{"ckpt/encode-stack", BenchCkptEncodeStack},
+		{"ckpt/decode-stack", BenchCkptDecodeStack},
 		{"matrix/serial", func(b *testing.B) { BenchMatrixSerial(b, intervals) }},
 		{"shard/volumes4-serial", func(b *testing.B) { BenchShard(b, intervals, 4, 1) }},
 		{"shard/volumes4-parallel", func(b *testing.B) { BenchShard(b, intervals, 4, 0) }},
@@ -372,6 +376,69 @@ func BenchPhaseGenNext(b *testing.B) {
 			b.Fatal("tpcc stream ended")
 		}
 	}
+}
+
+// WarmedStack builds the checkpoint benches' input, which the codec's
+// size and allocation tests share: a default-geometry tpcc/LBICA stack
+// warmed to interval 150 of 200, the prefix sweep-warm's leader encodes.
+// build returns a fresh, unstarted stack of the same run for a decode to
+// restore onto.
+func WarmedStack() (leader *engine.Stack, build func() *engine.Stack) {
+	spec := experiments.Spec{Workload: experiments.WorkloadTPCC, Scheme: experiments.SchemeLBICA, Seed: 1}.Normalize()
+	build = func() *engine.Stack {
+		cfg := engine.DefaultConfig()
+		cfg.Seed = spec.Seed
+		cfg.MonitorEvery = spec.Interval
+		return engine.New(cfg, experiments.NewGenerator(spec), experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
+	}
+	leader = build()
+	leader.Start(context.Background(), spec.Intervals)
+	leader.StepTo(150 * spec.Interval)
+	return leader, build
+}
+
+// BenchCkptEncodeStack measures one checkpoint encode of the warmed stack
+// (checkpoint.EncodeStack): the sizing pass, the payload buffer and the
+// encode pass.
+func BenchCkptEncodeStack(b *testing.B) {
+	leader, _ := WarmedStack()
+	defer leader.Release()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := checkpoint.EncodeStack(leader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchCkptDecodeStack measures one restore of the warmed stack's payload
+// onto a fresh build (checkpoint.DecodeStack). The build and its release
+// run outside the timer, and the leader stays live throughout, as a warm
+// plan's leader does while its members restore: the decode shares the
+// leader's Zipf table instead of rebuilding it.
+func BenchCkptDecodeStack(b *testing.B) {
+	ctx := context.Background()
+	leader, build := WarmedStack()
+	payload, err := checkpoint.EncodeStack(leader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := build()
+		b.StartTimer()
+		if err := checkpoint.DecodeStack(ctx, fresh, payload); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		fresh.Release()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(leader)
+	leader.Release()
 }
 
 // BenchShard runs one tpcc/LBICA array of the given width end to end
