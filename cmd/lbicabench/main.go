@@ -17,9 +17,9 @@
 //	lbicabench -workers 1      # serial baseline
 //
 // With -perf it instead runs the hot-path benchmark suite (kernel
-// schedule/fire, generator Zipf draw and tpcc request, cache hit/miss,
-// queue push/merge, full-matrix end-to-end) and emits machine-readable
-// JSON — the command that regenerates BENCH_hotpath.json:
+// schedule/fire, generator Zipf draw and tpcc request, router Zipf pick,
+// cache hit/miss, queue push/merge, full-matrix end-to-end) and emits
+// machine-readable JSON — the command that regenerates BENCH_hotpath.json:
 //
 //	lbicabench -perf                          # full suite, paper-scale matrix
 //	lbicabench -perf -perf-filter kernel      # kernel microbenchmarks only

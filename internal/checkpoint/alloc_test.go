@@ -54,7 +54,7 @@ func TestCodecAllocations(t *testing.T) {
 
 // TestPayloadSize pins the size of the paper-scale warm prefix's payload
 // (perf.WarmedStack). Cache lines are most of it, and they go on the wire
-// as variable-length integers: the payload is about 0.72 MB, where
+// as variable-length integers: the payload is about 0.74 MB, where
 // fixed-width lines made it 2.31 MB. A return to fixed-width lines fails
 // here, not only in the benchmark's allocation figures.
 func TestPayloadSize(t *testing.T) {

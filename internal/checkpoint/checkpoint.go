@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -34,8 +35,10 @@ import (
 // as misses instead of corrupt state. Version 3 stores a multi-volume
 // warmup as the static array controller's payload followed by one payload
 // per volume (array.Controlled.Encode); version 4 writes each cache line
-// as variable-length integers (cache.Cache.EncodeState).
-const FormatVersion = 4
+// as variable-length integers (cache.Cache.EncodeState); version 5 writes
+// each random stream's register instead of its draw count
+// (sim.RNG.EncodeState).
+const FormatVersion = 5
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -187,7 +190,9 @@ type Store struct {
 // created if absent; an existing non-directory path or an unwritable
 // directory is an error — callers validate eagerly (at flag-parse time)
 // so a misconfigured cache fails the invocation up front instead of
-// surfacing mid-sweep.
+// surfacing mid-sweep. Open also removes the entries an earlier format
+// wrote (pruneStale): the version is part of every key, so no lookup
+// would ever reach them again.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty cache directory")
@@ -204,7 +209,43 @@ func Open(dir string) (*Store, error) {
 	}
 	probe.Close()
 	os.Remove(probe.Name())
+	pruneStale(dir)
 	return &Store{dir: dir}, nil
+}
+
+// pruneStale removes each *.ckpt file in dir whose header has the
+// container magic and a version below FormatVersion. A file it cannot
+// read, a foreign file and a newer format's entry stay: the store only
+// deletes what it knows this build has replaced.
+func pruneStale(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() || filepath.Ext(e.Name()) != ".ckpt" {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		if v, ok := headerVersion(path); ok && v < FormatVersion {
+			os.Remove(path)
+		}
+	}
+}
+
+// headerVersion reads the format version from a container's header. ok
+// is false when the file cannot be read or does not start with the magic.
+func headerVersion(path string) (version uint32, ok bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	var head [len(magic) + 4]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil || string(head[:len(magic)]) != magic {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(head[len(magic):]), true
 }
 
 // Dir returns the store's root directory.

@@ -181,3 +181,49 @@ func TestOpenValidation(t *testing.T) {
 		t.Error("Open accepted a regular file as a cache directory")
 	}
 }
+
+// Open removes the entries an earlier format wrote, and only those: a
+// foreign file, a newer format's entry, a header too short to read, a file
+// without the .ckpt suffix and a current entry all stay.
+func TestOpenPrunesStaleEntries(t *testing.T) {
+	dir := t.TempDir()
+	header := func(version uint32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte("LBICACK1"), version)
+	}
+	files := map[string][]byte{
+		"v4.ckpt":      append(header(4), "old payload"...),
+		"v1.ckpt":      header(1),
+		"foreign.ckpt": []byte("not a checkpoint container"),
+		"v6.ckpt":      append(header(6), "newer payload"...),
+		"short.ckpt":   []byte("LBICACK1\x04"),
+		"v4.txt":       header(4),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	current := filepath.Join(dir, "current.ckpt")
+	if err := checkpoint.WriteFile(current, "key", [][]byte{[]byte("p")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"v4.ckpt", "v1.ckpt"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open (stat: %v)", name, err)
+		}
+	}
+	for _, name := range []string{"foreign.ckpt", "v6.ckpt", "short.ckpt", "v4.txt", "sub.ckpt", "current.ckpt"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Open removed %s: %v", name, err)
+		}
+	}
+	if _, _, err := checkpoint.ReadFile(current); err != nil {
+		t.Errorf("current entry no longer reads: %v", err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lbica/internal/array"
 	"lbica/internal/block"
 	"lbica/internal/cache"
 	"lbica/internal/checkpoint"
@@ -66,6 +67,7 @@ func Suite(intervals int) []Bench {
 		{"queue/deep-push-pop", BenchQueueDeepPushPop},
 		{"generator/zipf-next", BenchZipfNext},
 		{"generator/tpcc-next", BenchPhaseGenNext},
+		{"router/zipf-pick", BenchRouterZipfPick},
 		{"ckpt/encode-stack", BenchCkptEncodeStack},
 		{"ckpt/decode-stack", BenchCkptDecodeStack},
 		{"matrix/serial", func(b *testing.B) { BenchMatrixSerial(b, intervals) }},
@@ -375,6 +377,17 @@ func BenchPhaseGenNext(b *testing.B) {
 		if _, ok := gen.Next(); !ok {
 			b.Fatal("tpcc stream ended")
 		}
+	}
+}
+
+// BenchRouterZipfPick measures one static Zipf route pick at array-skew's
+// shape (8 volumes, skew 1.2): one Float64 from the router's stream,
+// inverted through the volume-popularity table.
+func BenchRouterZipfPick(b *testing.B) {
+	rt := array.NewRouter(1, 8, array.Zipf, 1.2)
+	b.ReportAllocs()
+	for b.Loop() {
+		rt.Route(workload.Request{})
 	}
 }
 

@@ -2,12 +2,6 @@ package sim
 
 import "lbica/internal/ckpt"
 
-// maxRNGReplay caps the draw count a checkpoint may ask a stream to
-// replay. Restoring an RNG is O(draws so far), so a hostile count would
-// turn decode into a CPU sink; 1<<27 raw draws (well past any real
-// warmup prefix) decode in under a second.
-const maxRNGReplay = 1 << 27
-
 // EncodeState serializes the kernel: clock, sequence counter, firing
 // count, the slot arena (generations and lifecycle states — callbacks
 // are closures and never serialized; owners re-install them through
@@ -129,22 +123,26 @@ func (e *Engine) DecodeEvent(d *ckpt.Decoder) (Event, bool) {
 }
 
 // EncodeState serializes the stream's identity and position: name,
-// derived seed, and raw draw count.
+// derived seed, the register's tap index and its rngLen words.
 func (g *RNG) EncodeState(enc *ckpt.Encoder) {
 	enc.String(g.name)
 	enc.I64(g.seed)
-	enc.U64(g.src.n)
+	enc.U32(uint32(g.reg.tap))
+	for _, w := range g.reg.vec {
+		enc.I64(w)
+	}
 }
 
-// DecodeState restores the stream in place by reseeding a fresh source
-// and replaying the recorded draw count. The checkpoint must name the
-// same stream with the same derived seed as the freshly built instance; a
-// mismatch means the checkpoint was written for a different configuration
-// and fails the decode.
+// DecodeState restores the stream in place by writing the recorded
+// register over its own, so a restore costs the same at any position. The
+// checkpoint must name the same stream with the same derived seed as the
+// freshly built instance; a mismatch means the checkpoint was written for
+// a different configuration and fails the decode. A failed decode leaves
+// the stream as it was.
 func (g *RNG) DecodeState(d *ckpt.Decoder) {
 	name := d.String()
 	seed := d.I64()
-	n := d.U64()
+	tap := d.U32()
 	if d.Err() != nil {
 		return
 	}
@@ -152,13 +150,17 @@ func (g *RNG) DecodeState(d *ckpt.Decoder) {
 		d.Failf("rng stream mismatch: checkpoint has %q/%d, stack has %q/%d", name, seed, g.name, g.seed)
 		return
 	}
-	if n > maxRNGReplay {
-		d.Failf("rng stream %q replay count %d exceeds cap %d", name, n, uint64(maxRNGReplay))
+	if tap >= rngLen {
+		d.Failf("rng stream %q tap %d out of range (register %d)", name, tap, rngLen)
 		return
 	}
-	*g = *newStream(g.name, g.seed)
-	for i := uint64(0); i < n; i++ {
-		g.src.src.Int63()
+	if d.Remaining() < 8*rngLen {
+		d.Failf("rng stream %q register truncated: %d bytes, want %d", name, d.Remaining(), 8*rngLen)
+		return
 	}
-	g.src.n = n
+	for i := range g.reg.vec {
+		g.reg.vec[i] = d.I64()
+	}
+	g.reg.tap = int(tap)
+	g.reg.feed = (int(tap) + rngLen - rngTap) % rngLen
 }

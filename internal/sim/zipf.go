@@ -39,15 +39,26 @@ func NewZipf(g *RNG, n int, s float64) *Zipfian {
 // as a binary search over the whole CDF finds it.
 func (z *Zipfian) Next() int { return z.t.rank(z.g.Float64()) }
 
+// zipfBuckets is the guide's bucket count. A power of two makes both u*m
+// and every edge b/m exact, and 4096 int32 edges (16 KB) stay in L1, so
+// the guide lookup costs no miss whatever rank the draw lands on.
+const zipfBuckets = 1 << 12
+
+// zipfSteps is how many ranks rank walks from its guess before it
+// bisects what is left of the bracket.
+const zipfSteps = 4
+
 // zipfTable is one distribution's sampling table. cdf[i] is P(rank <= i),
-// summed and normalized in rank order. guide splits [0, 1) into m equal
-// u-buckets: guide[b] is the first rank whose CDF reaches b/m, the
-// bucket's lower edge, and guide[m] = n-1, so a draw in bucket b lies in
-// ranks guide[b]..guide[b+1] and Next searches only that bracket.
+// summed and normalized in rank order. guide splits [0, 1) into
+// zipfBuckets equal u-buckets: guide[b] is the first rank whose CDF
+// reaches b/zipfBuckets, the bucket's lower edge, and the last entry is
+// n-1. Because a draw u in bucket b satisfies b/m <= u < (b+1)/m exactly,
+// its rank lies in guide[b]..guide[b+1]. full marks a CDF that need not be
+// monotone, which rank searches whole.
 type zipfTable struct {
-	cdf     []float64
-	guide   []int32
-	buckets float64 // m
+	cdf   []float64
+	guide [zipfBuckets + 1]int32
+	full  bool
 }
 
 func newZipfTable(n int, s float64) *zipfTable {
@@ -60,39 +71,62 @@ func newZipfTable(n int, s float64) *zipfTable {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	m := n
-	if !(sum <= math.MaxFloat64) {
-		// A NaN or overflowed sum leaves a CDF that need not be monotone,
-		// so no bracket can be trusted: one bucket spans every rank and
-		// each draw is the full search.
-		m = 1
-	}
-	guide := make([]int32, m+1)
+	// A NaN or overflowed sum leaves a CDF that need not be monotone, so
+	// no bracket can be trusted and each draw is the full search.
+	t := &zipfTable{cdf: cdf, full: !(sum <= math.MaxFloat64)}
 	r := 0
-	for b := 0; b < m; b++ {
-		edge := float64(b) / float64(m)
+	for b := 0; b < zipfBuckets; b++ {
+		edge := float64(b) / zipfBuckets
 		for r < n-1 && cdf[r] < edge {
 			r++
 		}
-		guide[b] = int32(r)
+		t.guide[b] = int32(r)
 	}
-	guide[m] = int32(n - 1)
-	return &zipfTable{cdf: cdf, guide: guide, buckets: float64(m)}
+	t.guide[zipfBuckets] = int32(n - 1)
+	return t
 }
 
-// rank returns the first rank whose CDF reaches u (n-1 if none does).
+// rank returns the first rank whose CDF reaches u (n-1 if none does). It
+// guesses by linear interpolation inside u's bracket, walks at most
+// zipfSteps ranks toward the answer, and bisects the rest of the bracket
+// only if the walk falls short.
 func (t *zipfTable) rank(u float64) int {
 	cdf := t.cdf
-	b := int(u * t.buckets)
-	if b > len(t.guide)-2 {
-		b = len(t.guide) - 2 // u*m rounded up to m
+	x := u * zipfBuckets
+	if t.full || !(x >= 0 && x < zipfBuckets) {
+		return bisect(cdf, 0, len(cdf)-1, u)
 	}
+	b := int(x)
 	lo, hi := int(t.guide[b]), int(t.guide[b+1])
-	// Float rounding can put u just outside its bucket's edges; the
-	// bracket holds the answer only when cdf[lo-1] < u <= cdf[hi].
-	if (lo > 0 && cdf[lo-1] >= u) || cdf[hi] < u {
-		lo, hi = 0, len(cdf)-1
+	if lo == hi {
+		return lo
 	}
+	r := lo + int((x-float64(b))*float64(hi-lo)+0.5)
+	if cdf[r] < u {
+		// The answer is past the guess: walk up.
+		lo = r + 1
+		for i := 0; i < zipfSteps && lo < hi; i++ {
+			if cdf[lo] >= u {
+				return lo
+			}
+			lo++
+		}
+	} else {
+		// The guess reaches u, so the answer is at or below it: walk down.
+		hi = r
+		for i := 0; i < zipfSteps && lo < hi; i++ {
+			if cdf[hi-1] < u {
+				return hi
+			}
+			hi--
+		}
+	}
+	return bisect(cdf, lo, hi, u)
+}
+
+// bisect returns the first rank in lo..hi whose CDF reaches u, or hi if
+// none does.
+func bisect(cdf []float64, lo, hi int, u float64) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if cdf[mid] < u {

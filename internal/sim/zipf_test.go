@@ -60,8 +60,8 @@ func plainCDF(n int, s float64) []float64 {
 }
 
 // TestZipfMatchesFullSearch checks the guided search against the full one
-// on random draws and on the float edges where a bucket bracket can go
-// wrong: every bucket edge and every CDF value, each ±1 ulp.
+// on random draws and on the float edges where a bracket or a walk can go
+// wrong: every bucket edge b/4096 and every CDF value, each ±1 ulp.
 func TestZipfMatchesFullSearch(t *testing.T) {
 	draws := 1 << 20
 	if testing.Short() {
@@ -89,9 +89,8 @@ func TestZipfMatchesFullSearch(t *testing.T) {
 				check(u)
 				check(math.Nextafter(u, 1))
 			}
-			m := len(tab.guide) - 1
-			for b := 0; b <= m; b++ {
-				around(float64(b) / float64(m))
+			for b := 0; b <= zipfBuckets; b++ {
+				around(float64(b) / zipfBuckets)
 			}
 			for _, v := range cdf {
 				around(v)
@@ -102,6 +101,69 @@ func TestZipfMatchesFullSearch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestZipfFallback covers the bisection after a short walk: the last
+// bucket of a steep distribution spans thousands of nearly weightless
+// ranks, so the interpolated guess lands far from most answers. The test
+// checks that such draws occur and still match the full search.
+func TestZipfFallback(t *testing.T) {
+	const n, s = 98304, 4.0
+	tab := newZipfTable(n, s)
+	cdf := plainCDF(n, s)
+	const b = zipfBuckets - 1
+	lo, hi := int(tab.guide[b]), int(tab.guide[b+1])
+	if hi-lo < 100 {
+		t.Fatalf("last bucket spans ranks %d..%d; the case no longer reaches the fallback", lo, hi)
+	}
+	far := 0
+	for i := 0; i < 1<<14; i++ {
+		x := float64(b) + float64(i)/(1<<14)
+		u := x / zipfBuckets
+		want := fullRank(cdf, u)
+		if got := tab.rank(u); got != want {
+			t.Fatalf("rank(%v) = %d, full search %d", u, got, want)
+		}
+		// rank's interpolated guess for u.
+		guess := lo + int((x-b)*float64(hi-lo)+0.5)
+		if want < guess-zipfSteps || want > guess+zipfSteps {
+			far++
+		}
+	}
+	if far == 0 {
+		t.Error("no draw in the last bucket lies past the walk; the fallback went untested")
+	}
+}
+
+// fuzzTables holds one table per zipfCases entry, built on first use.
+var fuzzTables = sync.OnceValue(func() []*zipfTable {
+	tabs := make([]*zipfTable, len(zipfCases))
+	for i, c := range zipfCases {
+		tabs[i] = newZipfTable(c.n, c.s)
+	}
+	return tabs
+})
+
+// FuzzZipfRank maps any float64 bit pattern, in range or not, to the rank
+// the full search gives, over every zipfCases table.
+func FuzzZipfRank(f *testing.F) {
+	bits := math.Float64bits
+	f.Add(uint8(0), bits(0.5))
+	f.Add(uint8(0), bits(1.0/zipfBuckets))
+	f.Add(uint8(11), bits((zipfBuckets-0.5)/zipfBuckets)) // n=98304, s=4: the fallback
+	f.Add(uint8(11), bits(math.Nextafter(1, 0)))
+	f.Add(uint8(17), bits(0.75))
+	f.Add(uint8(3), bits(0))
+	f.Add(uint8(3), bits(math.Copysign(0, -1)))
+	f.Add(uint8(5), bits(1))
+	f.Add(uint8(5), bits(math.NaN()))
+	f.Fuzz(func(t *testing.T, c uint8, b uint64) {
+		tab := fuzzTables()[int(c)%len(zipfCases)]
+		u := math.Float64frombits(b)
+		if got, want := tab.rank(u), fullRank(tab.cdf, u); got != want {
+			t.Fatalf("case %d: rank(%v) = %d, full search %d", int(c)%len(zipfCases), u, got, want)
+		}
+	})
 }
 
 // TestZipfDegenerateTables covers exponents whose CDF is not monotone (a

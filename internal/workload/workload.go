@@ -207,9 +207,9 @@ const MinIOPS = 64 * float64(time.Second) / float64(MaxArrival)
 
 // MaxZipfRanks bounds a phase's working sets, which are also its Zipf rank
 // counts: 2^24 blocks (64 GiB), 16 times the catalog's largest working
-// set (synth-seq*, 2^20 blocks). A phase builds a sampling table of about
-// 12 bytes a rank before its first request, even at exponent 0, so the
-// table at the bound is about 200 MB.
+// set (synth-seq*, 2^20 blocks). A phase builds a sampling table of 8
+// bytes a rank plus a 16 KB guide before its first request, even at
+// exponent 0, so the table at the bound is about 134 MB.
 const MaxZipfRanks = 1 << 24
 
 // maxBlock bounds a phase's address regions: every generated LBA, a block
