@@ -84,7 +84,7 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 // benchmark set without touching the figure pipeline.
 func TestRunPerfMode(t *testing.T) {
 	var out, errBuf strings.Builder
-	err := run(t.Context(), []string{"-perf", "-perf-filter", "schedule-cancel"}, &out, &errBuf)
+	err := run(t.Context(), []string{"-perf", "-perf-filter", "schedule-fire-16"}, &out, &errBuf)
 	if err != nil {
 		t.Fatalf("run -perf: %v (stderr: %s)", err, errBuf.String())
 	}
@@ -92,7 +92,7 @@ func TestRunPerfMode(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatalf("stdout is not a perf report: %v\n%s", err, out.String())
 	}
-	if len(rep.Results) != 1 || rep.Results[0].Name != "kernel/schedule-cancel" {
+	if len(rep.Results) != 1 || rep.Results[0].Name != "kernel/schedule-fire-16" {
 		t.Fatalf("unexpected results: %+v", rep.Results)
 	}
 	if rep.Results[0].NsPerOp <= 0 {
@@ -121,7 +121,7 @@ func TestRunPerfCheck(t *testing.T) {
 
 	// Generous baseline for a cheap microbenchmark: must pass.
 	pass := write("pass.json", perf.Report{Intervals: 1, Results: []perf.Result{
-		{Name: "kernel/schedule-cancel", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
+		{Name: "kernel/schedule-fire", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
 	}})
 	var out, errBuf strings.Builder
 	if err := run(t.Context(), []string{"-perf-check", pass}, &out, &errBuf); err != nil {
@@ -138,7 +138,7 @@ func TestRunPerfCheck(t *testing.T) {
 	// Unreachable baseline plus a vanished benchmark: must fail and name
 	// both breaches.
 	fail := write("fail.json", perf.Report{Intervals: 1, Results: []perf.Result{
-		{Name: "kernel/schedule-cancel", NsPerOp: 1e-6, AllocsPerOp: 0},
+		{Name: "kernel/schedule-fire", NsPerOp: 1e-6, AllocsPerOp: 0},
 		{Name: "no/such-bench", NsPerOp: 1, AllocsPerOp: 1},
 	}})
 	out.Reset()
@@ -146,7 +146,7 @@ func TestRunPerfCheck(t *testing.T) {
 	if err := run(t.Context(), []string{"-perf-check", fail}, &out, &errBuf); err == nil {
 		t.Fatal("regressed baseline passed the perf check")
 	}
-	if s := errBuf.String(); !strings.Contains(s, "kernel/schedule-cancel") || !strings.Contains(s, "no/such-bench") {
+	if s := errBuf.String(); !strings.Contains(s, "kernel/schedule-fire") || !strings.Contains(s, "no/such-bench") {
 		t.Errorf("breaches not named on stderr:\n%s", s)
 	}
 
@@ -177,7 +177,7 @@ func TestRunPerfCheckMultiBaseline(t *testing.T) {
 		return path
 	}
 	report := write("report.json", perf.Report{Intervals: 1, Results: []perf.Result{
-		{Name: "kernel/schedule-cancel", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
+		{Name: "kernel/schedule-fire-16", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
 	}})
 	second := write("second.json", perf.Report{Results: []perf.Result{
 		{Name: "kernel/schedule-fire", NsPerOp: 1e9, AllocsPerOp: 1 << 20},

@@ -41,7 +41,7 @@ var facadeGoldens = map[string]string{
 	"phases/named":                   "bb447520adf58796d4fe66db6b2b8136c4f483e37faf005118c2a284bdf412ba",
 	"phases/unnamed-wb":              "82c408785548631d1c76ac8839c9a86116980f54b05c8c38cf9545bd1fc47313",
 	"record/stream":                  "17d64e7ee23dcc3ea409c1ff29d06e1b9078e568f1b829405c74b1667f59d0f1",
-	"record/tpcc-wb":                 "8d515856874f981133689e6bc9ec993894826326cf54a9577395c115dc921ad6",
+	"record/tpcc-wb":                 "bfbc7de131b9c02def502737fdff52ef518b5e952b9b81fb3dd87e7625666c3e",
 	"replacement/fifo":               "07e294ff2883164085eb3dafadb24c4d8c9540fb1a2225ecaebf923889294153",
 	"replacement/fifo-3vol":          "514cd510de4b216194bae13c90579d6a86bad083ffd326c9b058bc2b1739cd9d",
 	"replacement/fifo-3vol-array-lb": "e409079bdbbcc548047ea3456079bc711f32146c53d23e483a39a11284eb42d5",
@@ -59,7 +59,7 @@ var facadeGoldens = map[string]string{
 	"static/wo-3vol":                 "2ea503436f91db38de2e38176f7cfec37bf4561d6b80d85fa41e897a1a8ec2ca",
 	"static/wt":                      "1b2a253c0b4fc5cf8adc42700d3beaa6c549c857acdcd4faea3a3b08c1b153ee",
 	"static/wtwo":                    "c3c2cb9b559863295565ce9cfd28d5719132bf6fbedb73fb741b8cfc5da23a53",
-	"trace/stream":                   "4887050c636e8b3aad162b5bb3f0ec84f2e6452f24c3b9c8a80e5e06111ac021",
+	"trace/stream":                   "2888b1dff64d1df6b319ecb5f186da95370a85f91c5fa05f428548930e1130a3",
 }
 
 // goldenOpts is a short run the golden cases start from.

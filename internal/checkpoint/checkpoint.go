@@ -1,8 +1,9 @@
 // Package checkpoint persists warmed simulation state across process
 // invocations: a versioned container file holding one encoded
-// engine.Stack payload, or a static array's controller and volume
-// payloads, and a content-addressed on-disk store that maps a canonical
-// warmup key to such a file.
+// engine.Stack payload, or a multi-volume array's controller payload
+// (static or array-lb) and one payload per volume, and a
+// content-addressed on-disk store that maps a canonical warmup key to
+// such a file.
 //
 // Trust model: checkpoint files are a cache, never a source of truth. A
 // missing, truncated, corrupt, version-skewed, or key-colliding entry is
@@ -37,8 +38,11 @@ import (
 // per volume (array.Controlled.Encode); version 4 writes each cache line
 // as variable-length integers (cache.Cache.EncodeState); version 5 writes
 // each random stream's register instead of its draw count
-// (sim.RNG.EncodeState).
-const FormatVersion = 5
+// (sim.RNG.EncodeState); version 6 writes the event kernel as its clock,
+// counters and each pending event's (time, seq) key, and names an event
+// by its seq instead of an arena slot and generation
+// (sim.Engine.EncodeState).
+const FormatVersion = 6
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"

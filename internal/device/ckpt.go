@@ -82,9 +82,9 @@ func (s *Server) EncodeState(enc *ckpt.Encoder) {
 }
 
 // DecodeState restores the server in place against its engine (already
-// restored, so every recorded completion event has a pending slot
-// awaiting rebind). Each live op is rebuilt with a fresh bound callback
-// and its event rebound by (slot, generation).
+// restored, so every recorded completion event is pending and awaiting
+// rebind). Each live op is rebuilt with a fresh bound callback and its
+// event rebound by (time, seq).
 func (s *Server) DecodeState(d *ckpt.Decoder) {
 	d.Section("device.Server")
 	m, ok := s.model.(EncodableModel)

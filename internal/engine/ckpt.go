@@ -2,12 +2,13 @@
 // onto a freshly built stack of the same configuration. It is the only
 // code that copies mid-run state — persistent checkpoints, warm-plan
 // members and Fork (fork.go) all go through it. EncodeState writes the
-// full state set — engine arena, cache, queues with their in-flight
-// request graphs, device servers, monitor, balancer, generator — and
-// DecodeState replays it in place, rebinding the event chains onto the
-// restored arena. Determinism contract: a restored stack, run to
-// completion, produces byte-identical Results to the stack that was
-// checkpointed (and therefore to an uninterrupted from-scratch run).
+// full state set — the event kernel's pending events, cache, queues with
+// their in-flight request graphs, device servers, monitor, balancer,
+// generator — and DecodeState replays it in place, rebinding the event
+// chains onto the restored kernel's events by sequence number.
+// Determinism contract: a restored stack, run to completion, produces
+// byte-identical Results to the stack that was checkpointed (and
+// therefore to an uninterrupted from-scratch run).
 package engine
 
 import (
@@ -327,7 +328,7 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	st.pumpReq.Extent.Sectors = d.I64()
 	st.pumpStopped = d.Bool()
 
-	// Rebind the self-rescheduling chains onto the restored arena.
+	// Rebind the self-rescheduling chains onto the restored events.
 	st.ctxDone = ctx.Done()
 	st.bindChainFns()
 	rebind := func(fn func(), what string) sim.Event {

@@ -259,8 +259,8 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 	// single stack and a static array.
 	static := Spec{Workload: "tpcc", Scheme: SchemeWB, Seed: 11, Intervals: 40, Volumes: 3, RouteSkew: 1.2}
 	for spec, want := range map[Spec]string{
-		base:   "v5|wl=tpcc|name=|phases=-|replay=-|scheme=LBICA|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=1|rp=|rs=0|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
-		static: "v5|wl=tpcc|name=|phases=-|replay=-|scheme=WB|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=3|rp=|rs=1.2|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
+		base:   "v6|wl=tpcc|name=|phases=-|replay=-|scheme=LBICA|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=1|rp=|rs=0|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
+		static: "v6|wl=tpcc|name=|phases=-|replay=-|scheme=WB|seed=11|iv=40|step=200000000|rate=1|cache=1|burst=1|vol=3|rp=|rs=1.2|th=0.65,0.12,0.6,0.75,24|geom=0,0,|elev=false|cold=false|hooks=false|warm=10",
 	} {
 		if got := warmCacheKey(spec, 10); got != want {
 			t.Errorf("%s key changed:\n got %s\nwant %s", spec.Scheme, got, want)

@@ -12,8 +12,6 @@
 package iostat
 
 import (
-	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -264,27 +262,3 @@ func (m *Monitor) Samples() []Sample { return m.samples }
 func QueueTime(depth int, svc time.Duration) time.Duration {
 	return time.Duration(depth) * svc
 }
-
-// WriteCSV renders samples as CSV with a fixed column set. Durations are
-// microseconds to match the paper's axes.
-func WriteCSV(w io.Writer, samples []Sample) error {
-	if _, err := fmt.Fprintln(w, "interval,cache_load_us,disk_load_us,bottleneck,"+
-		"ssd_depth_max,hdd_depth_max,ssd_await_us,hdd_await_us,app_await_us,"+
-		"r_pct,w_pct,p_pct,e_pct"); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		_, err := fmt.Fprintf(w, "%d,%.1f,%.1f,%t,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f\n",
-			s.Interval, us(s.CacheLoad), us(s.DiskLoad), s.Bottleneck,
-			s.SSDDepthMax, s.HDDDepthMax,
-			us(s.SSDAwait), us(s.HDDAwait), us(s.AppAwait),
-			100*s.Census.Ratio(block.AppRead), 100*s.Census.Ratio(block.AppWrite),
-			100*s.Census.Ratio(block.Promote), 100*s.Census.Ratio(block.Evict))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

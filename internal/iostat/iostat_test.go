@@ -1,7 +1,6 @@
 package iostat
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -168,30 +167,6 @@ func TestOnCloseCallback(t *testing.T) {
 	m.Tick(2 * time.Second)
 	if len(got) != 2 || got[1].Interval != 1 {
 		t.Fatalf("callbacks = %v", got)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	m, ssd, _ := newMon()
-	ssd.depth = 4
-	ssd.census[block.AppRead] = 3
-	ssd.census[block.Promote] = 1
-	m.NoteDepth(SSD, 0)
-	m.Tick(time.Second)
-
-	var csv strings.Builder
-	if err := WriteCSV(&csv, m.Samples()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "0,400.0,0.0,true,4,0") {
-		t.Errorf("csv row = %q", lines[1])
-	}
-	if !strings.Contains(lines[1], "75.0,0.0,25.0,0.0") {
-		t.Errorf("csv census percentages wrong: %q", lines[1])
 	}
 }
 

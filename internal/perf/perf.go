@@ -58,7 +58,7 @@ type Bench struct {
 func Suite(intervals int) []Bench {
 	return []Bench{
 		{"kernel/schedule-fire", BenchKernelScheduleFire},
-		{"kernel/schedule-cancel", BenchKernelScheduleCancel},
+		{"kernel/schedule-fire-16", BenchKernelScheduleFire16},
 		{"cache/read-hit", BenchCacheReadHit},
 		{"cache/miss-evict", BenchCacheMissEvict},
 		{"cache/collect-dirty", BenchCacheCollectDirty},
@@ -168,27 +168,22 @@ func Check(baseline, current Report) []string {
 	return breaches
 }
 
-// BenchKernelScheduleFire measures steady-state schedule+fire.
-func BenchKernelScheduleFire(b *testing.B) {
+// BenchKernelScheduleFire measures steady-state schedule+fire with up to
+// 1,024 events pending.
+func BenchKernelScheduleFire(b *testing.B) { benchScheduleFire(b, 1024) }
+
+// BenchKernelScheduleFire16 measures schedule+fire with at most 16 events
+// pending, the depth runs reach: their heaps average 4–13 entries.
+func BenchKernelScheduleFire16(b *testing.B) { benchScheduleFire(b, 16) }
+
+// benchScheduleFire schedules one event per op and drains the engine
+// whenever depth events are pending.
+func benchScheduleFire(b *testing.B, depth int) {
 	e := sim.NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Duration(i%100), func() {})
-		if e.Pending() > 1024 {
-			e.RunUntilIdle()
-		}
-	}
-	e.RunUntilIdle()
-}
-
-// BenchKernelScheduleCancel measures the cancel-heavy path.
-func BenchKernelScheduleCancel(b *testing.B) {
-	e := sim.NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := e.After(time.Duration(i%100), func() {})
-		ev.Cancel()
-		if i%1024 == 1023 {
+		if e.Pending() >= depth {
 			e.RunUntilIdle()
 		}
 	}

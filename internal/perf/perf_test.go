@@ -29,9 +29,9 @@ func TestRunFiltered(t *testing.T) {
 // RunExact runs exactly the named entries — no substring surprises —
 // and silently drops unknown names (Check flags those as missing).
 func TestRunExact(t *testing.T) {
-	rep := RunExact([]string{"kernel/schedule-cancel", "no/such-bench"}, 1)
-	if len(rep.Results) != 1 || rep.Results[0].Name != "kernel/schedule-cancel" {
-		t.Fatalf("RunExact results = %+v, want exactly kernel/schedule-cancel", rep.Results)
+	rep := RunExact([]string{"kernel/schedule-fire", "no/such-bench"}, 1)
+	if len(rep.Results) != 1 || rep.Results[0].Name != "kernel/schedule-fire" {
+		t.Fatalf("RunExact results = %+v, want exactly kernel/schedule-fire", rep.Results)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestSuiteNamesUniqueAndReportSerializes(t *testing.T) {
 			t.Errorf("%s has nil Fn", b.Name)
 		}
 	}
-	rep := Run("schedule-cancel", 1)
+	rep := Run("schedule-fire-16", 1)
 	out, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package sib
 import "lbica/internal/ckpt"
 
 // EncodeState serializes the scan counters, all plain values. The scan
-// periodic itself lives in the engine arena and
-// rides with the engine section.
+// periodic itself is a pending kernel event and rides with the engine
+// section.
 func (s *SIB) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("sib.SIB")
 	enc.Int(s.scans)

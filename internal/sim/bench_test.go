@@ -10,6 +10,6 @@ import (
 // `go test -bench` and `lbicabench -perf` measure the exact same bodies.
 
 func BenchmarkEngineScheduleFire(b *testing.B)   { perf.BenchKernelScheduleFire(b) }
-func BenchmarkEngineScheduleCancel(b *testing.B) { perf.BenchKernelScheduleCancel(b) }
+func BenchmarkEngineScheduleFire16(b *testing.B) { perf.BenchKernelScheduleFire16(b) }
 func BenchmarkZipfNext(b *testing.B)             { perf.BenchZipfNext(b) }
 func BenchmarkPhaseGenNext(b *testing.B)         { perf.BenchPhaseGenNext(b) }

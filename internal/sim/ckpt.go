@@ -1,95 +1,83 @@
 package sim
 
-import "lbica/internal/ckpt"
+import (
+	"cmp"
+	"slices"
+
+	"lbica/internal/ckpt"
+)
 
 // EncodeState serializes the kernel: clock, sequence counter, firing
-// count, the slot arena (generations and lifecycle states — callbacks
-// are closures and never serialized; owners re-install them through
-// Rebind after decode), the free-list, and
-// the heap entries byte for byte. Because the heap's (time, seq, slot,
-// generation) tuples round-trip exactly, the restored engine's firing
-// order is identical by construction.
+// count and each pending event's (time, seq) key, in key order.
+// Callbacks are closures and never serialized; owners re-install them
+// through Rebind after decode. The key totally orders the events, so the
+// restored engine's firing order is identical by construction. To write
+// the keys in order it sorts the heap in place: a sorted slice is still a
+// valid heap, and the firing order depends on the keys alone. So the
+// payload is canonical, and a restored engine re-encodes to the same
+// bytes.
 func (e *Engine) EncodeState(enc *ckpt.Encoder) {
+	slices.SortFunc(e.heap, entCmp)
 	enc.Section("sim.Engine")
 	enc.Duration(e.now)
 	enc.U64(e.seq)
 	enc.U64(e.fired)
-	enc.Int(e.dead)
-	enc.U32(uint32(len(e.slots)))
-	for i := range e.slots {
-		enc.U32(e.slots[i].gen)
-		enc.U8(uint8(e.slots[i].state))
-	}
-	enc.U32(uint32(len(e.free)))
-	for _, idx := range e.free {
-		enc.I32(idx)
-	}
 	enc.U32(uint32(len(e.heap)))
 	for _, ent := range e.heap {
 		enc.Duration(ent.at)
 		enc.U64(ent.seq)
-		enc.I32(ent.slot)
-		enc.U32(ent.gen)
 	}
 }
 
 // DecodeState restores the kernel in place, overwriting the engine's
-// arena, free-list and heap wholesale. The engine pointer itself is
+// clock, counters and heap wholesale. The engine pointer itself is
 // untouched, so closures a freshly built stack captured over it stay
-// valid — every pending slot's callback is nil afterwards, awaiting its
-// owner's Rebind (UnboundEvents counts the stragglers).
+// valid — every pending event's callback is nil afterwards, awaiting its
+// owner's Rebind (UnboundEvents counts the stragglers). An event before
+// the clock, numbered at or past the counter, or sharing its number with
+// another fails the decode. The heap is rebuilt sorted by key, which is
+// a valid heap and what Rebind's binary search needs.
 func (e *Engine) DecodeState(d *ckpt.Decoder) {
 	d.Section("sim.Engine")
 	now := d.Duration()
 	seq := d.U64()
 	fired := d.U64()
-	dead := d.Int()
-	nSlots := d.Count(5)
-	slots := make([]slot, nSlots)
-	for i := range slots {
-		slots[i] = slot{gen: d.U32(), state: slotState(d.U8())}
-		if slots[i].state > slotDead {
-			d.Failf("slot %d has invalid state %d", i, slots[i].state)
-			return
-		}
-	}
-	nFree := d.Count(4)
-	free := make([]int32, nFree)
-	for i := range free {
-		free[i] = d.I32()
-		if free[i] < 0 || int(free[i]) >= nSlots {
-			d.Failf("free-list slot %d out of range (arena %d)", free[i], nSlots)
-			return
-		}
-	}
-	nHeap := d.Count(24)
-	heap := make([]heapEnt, nHeap)
-	for i := range heap {
-		heap[i] = heapEnt{at: d.Duration(), seq: d.U64(), slot: d.I32(), gen: d.U32()}
-		if heap[i].slot < 0 || int(heap[i].slot) >= nSlots {
-			d.Failf("heap entry %d references slot %d (arena %d)", i, heap[i].slot, nSlots)
-			return
-		}
-	}
+	heap := make([]entry, d.Count(16))
 	if d.Err() != nil {
 		return
 	}
-	if now < 0 || dead < 0 || dead > nHeap {
-		d.Failf("corrupt engine scalars (now %v, dead %d, heap %d)", now, dead, nHeap)
+	if now < 0 {
+		d.Failf("engine clock %v is negative", now)
 		return
 	}
+	for i := range heap {
+		heap[i] = entry{at: d.Duration(), seq: d.U64()}
+		if d.Err() != nil {
+			return
+		}
+		if heap[i].at < now || heap[i].seq >= seq {
+			d.Failf("event %d at %v numbered %d, but the clock is at %v and the counter at %d",
+				i, heap[i].at, heap[i].seq, now, seq)
+			return
+		}
+	}
+	slices.SortFunc(heap, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
+	for i := 1; i < len(heap); i++ {
+		if heap[i].seq == heap[i-1].seq {
+			d.Failf("two pending events are numbered %d", heap[i].seq)
+			return
+		}
+	}
+	slices.SortFunc(heap, entCmp)
 	e.now = now
 	e.seq = seq
 	e.fired = fired
-	e.dead = dead
-	e.slots = slots
-	e.free = free
 	e.heap = heap
 }
 
-// EncodeEvent serializes an event handle as a (pending, at, slot, gen)
-// reference. A non-pending handle (zero, fired, or cancelled) encodes as
-// a single absent flag.
+// EncodeEvent serializes an event handle as a (pending, at, seq)
+// reference. A non-pending handle (zero or fired) encodes as a single
+// absent flag.
 func EncodeEvent(enc *ckpt.Encoder, ev Event) {
 	if !ev.Pending() {
 		enc.Bool(false)
@@ -97,29 +85,23 @@ func EncodeEvent(enc *ckpt.Encoder, ev Event) {
 	}
 	enc.Bool(true)
 	enc.Duration(ev.at)
-	enc.I32(ev.slot)
-	enc.U32(ev.gen)
+	enc.U64(ev.seq)
 }
 
 // DecodeEvent reads a reference written by EncodeEvent and returns the
 // handle bound to e. The second result is false for an absent reference.
-// The handle is only usable through Rebind, which validates the slot's
-// generation and state.
+// The handle is only usable through Rebind, which looks its key up among
+// the pending events.
 func (e *Engine) DecodeEvent(d *ckpt.Decoder) (Event, bool) {
 	if !d.Bool() {
 		return Event{}, false
 	}
 	at := d.Duration()
-	slot := d.I32()
-	gen := d.U32()
+	seq := d.U64()
 	if d.Err() != nil {
 		return Event{}, false
 	}
-	if slot < 0 || int(slot) >= len(e.slots) {
-		d.Failf("event reference slot %d out of range (arena %d)", slot, len(e.slots))
-		return Event{}, false
-	}
-	return Event{eng: e, at: at, slot: slot, gen: gen}, true
+	return Event{eng: e, at: at, seq: seq}, true
 }
 
 // EncodeState serializes the stream's identity and position: name,

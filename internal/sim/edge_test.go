@@ -20,73 +20,16 @@ func TestFiredCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.At(time.Duration(i), func() {})
 	}
-	ev := e.At(10, func() {})
-	ev.Cancel()
-	e.RunUntilIdle()
+	e.At(10, func() {})
+	e.Run(5)
 	if e.Fired() != 5 {
-		t.Errorf("fired = %d, want 5 (cancelled events do not count)", e.Fired())
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	// Cancellation is still lazy inside the heap, but Pending reports live
-	// events only (the arena kernel changed this: the old kernel counted
-	// cancelled-but-unpopped events).
-	e := NewEngine()
-	live := e.At(5, func() {})
-	ev := e.At(10, func() {})
-	ev.Cancel()
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 live (cancelled excluded)", e.Pending())
-	}
-	_ = live
-	e.RunUntilIdle()
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d after drain", e.Pending())
-	}
-}
-
-func TestCancelledEventsAreReaped(t *testing.T) {
-	// Cancelling more than half the heap must compact it eagerly instead of
-	// leaving dead events queued until pop — the cancelled-event leak fix.
-	e := NewEngine()
-	events := make([]Event, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		events = append(events, e.At(time.Duration(i+1), func() {}))
-	}
-	for _, ev := range events[:900] {
-		ev.Cancel()
-	}
-	if e.Pending() != 100 {
-		t.Fatalf("pending = %d, want 100 live", e.Pending())
-	}
-	if n := len(e.heap); n >= 500 {
-		t.Errorf("heap still holds %d entries after cancelling 900/1000; reap did not run", n)
-	}
-	if n := e.RunUntilIdle(); n != 100 {
-		t.Errorf("fired %d, want the 100 live events", n)
-	}
-}
-
-func TestCancelAfterFireIsNoOp(t *testing.T) {
-	// The arena recycles slots; a stale handle must not cancel the slot's
-	// new occupant.
-	e := NewEngine()
-	var stale Event
-	stale = e.At(1, func() {})
-	e.RunUntilIdle()
-	fired := false
-	e.At(2, func() { fired = true }) // likely reuses the freed slot
-	stale.Cancel()
-	e.RunUntilIdle()
-	if !fired {
-		t.Fatal("stale Cancel killed an unrelated recycled event")
+		t.Errorf("fired = %d, want 5 (the event past the horizon is still pending)", e.Fired())
 	}
 }
 
 func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
-	// Warm the arena and heap to their high-water marks.
+	// Warm the heap to its high-water mark.
 	for i := 0; i < 128; i++ {
 		e.After(time.Duration(i), func() {})
 	}

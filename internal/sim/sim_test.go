@@ -88,17 +88,6 @@ func TestEngineHorizonIdleAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
-	e.RunUntilIdle()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestEnginePanicsOnPastSchedule(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {

@@ -470,6 +470,16 @@ func (t *Tee) Next() (Request, bool) {
 	return r, ok
 }
 
+// HotBlocks forwards the inner generator's prewarm set (nil when the inner
+// generator has none), so recording a run leaves its cache as warm as it
+// would be unrecorded.
+func (t *Tee) HotBlocks(n int) []int64 {
+	if h, ok := t.inner.(interface{ HotBlocks(int) []int64 }); ok {
+		return h.HotBlocks(n)
+	}
+	return nil
+}
+
 func (p *PhaseGen) String() string {
 	return fmt.Sprintf("workload(%s, %d phases)", p.name, len(p.phases))
 }

@@ -339,6 +339,30 @@ func TestRecordAndReplay(t *testing.T) {
 	}
 }
 
+// Recording observes a run and must not shape it: a recorded run starts
+// from the same prewarmed cache and reports exactly what the unrecorded
+// run does.
+func TestRecordingDoesNotShapeTheRun(t *testing.T) {
+	o := Options{Workload: WorkloadTPCC, Scheme: SchemeWB, Seed: 1, Intervals: 12}
+	plain, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	o.RecordTo = &rec
+	recorded, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() == 0 {
+		t.Fatal("nothing recorded")
+	}
+	if !reflect.DeepEqual(plain, recorded) {
+		t.Errorf("recording changed the report: hit ratio %.3f → %.3f, mean latency %v → %v",
+			plain.Summary.HitRatio, recorded.Summary.HitRatio, plain.Summary.AvgLatency, recorded.Summary.AvgLatency)
+	}
+}
+
 func TestReplayBadStream(t *testing.T) {
 	if _, err := Run(Options{ReplayFrom: strings.NewReader("garbage-bytes!!!")}); err == nil {
 		t.Error("bad replay stream must error")
