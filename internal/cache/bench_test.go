@@ -9,12 +9,14 @@ import (
 	"lbica/internal/perf"
 )
 
-// The hit, miss/evict and flush-round benchmarks delegate to internal/perf
-// so `go test -bench` and `lbicabench -perf` measure the exact same bodies.
+// The hit, miss/evict, flush-round and access-mix benchmarks delegate to
+// internal/perf so `go test -bench` and `lbicabench -perf` measure the
+// exact same bodies.
 
 func BenchmarkCacheReadHit(b *testing.B)       { perf.BenchCacheReadHit(b) }
 func BenchmarkCacheReadMissEvict(b *testing.B) { perf.BenchCacheMissEvict(b) }
 func BenchmarkCacheCollectDirty(b *testing.B)  { perf.BenchCacheCollectDirty(b) }
+func BenchmarkCacheAccess(b *testing.B)        { perf.BenchCacheAccess(b) }
 
 // BenchmarkCacheWriteDirtyEvict measures dirtying writes with dirty-victim
 // eviction — the write-back worst case.

@@ -17,6 +17,7 @@ import (
 	"lbica/internal/block"
 	"lbica/internal/cache"
 	"lbica/internal/checkpoint"
+	"lbica/internal/device"
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
 	"lbica/internal/ioqueue"
@@ -62,9 +63,11 @@ func Suite(intervals int) []Bench {
 		{"cache/read-hit", BenchCacheReadHit},
 		{"cache/miss-evict", BenchCacheMissEvict},
 		{"cache/collect-dirty", BenchCacheCollectDirty},
+		{"cache/access", BenchCacheAccess},
 		{"queue/push-pop", BenchQueuePushPop},
 		{"queue/merge", BenchQueueMerge},
 		{"queue/deep-push-pop", BenchQueueDeepPushPop},
+		{"device/ssd-cycle", BenchSSDCycle},
 		{"generator/zipf-next", BenchZipfNext},
 		{"generator/tpcc-next", BenchPhaseGenNext},
 		{"router/zipf-pick", BenchRouterZipfPick},
@@ -268,6 +271,55 @@ func BenchCacheCollectDirty(b *testing.B) {
 	}
 }
 
+// BenchCacheAccess measures one Access, the probe every admitted
+// application request makes, on a write-back cache at the default geometry
+// (8,192 sets × 8 ways) prewarmed with the hottest ranks of tpcc's address
+// distribution (147,456 ranks, exponent 0.85). Requests are one-block
+// reads (70%) and writes drawn from that distribution into a preallocated
+// ring, so reads hit and miss, misses promote, and writes dirty lines that
+// later leave as dirty victims.
+func BenchCacheAccess(b *testing.B) {
+	const ring = 1 << 16
+	c := cache.New(cache.DefaultConfig())
+	defer c.Release()
+	hot := make([]int64, c.Capacity())
+	for i := range hot {
+		hot[i] = int64(i)
+	}
+	c.Prewarm(hot)
+	type access struct {
+		op block.Op
+		e  block.Extent
+	}
+	g := sim.NewRNG(1, "bench")
+	z := sim.NewZipf(g, 144*1024, 0.85)
+	reqs := make([]access, ring)
+	for i := range reqs {
+		op := block.Read
+		if g.Float64() >= 0.7 {
+			op = block.Write
+		}
+		reqs[i] = access{op, c.BlockExtent(int64(z.Next()))}
+	}
+	victims := 0
+	next := 0
+	step := func() {
+		r := &reqs[next&(ring-1)]
+		victims += len(c.Access(r.op, r.e, 0).Victims)
+		next++
+	}
+	for next < 2*ring {
+		step()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		step()
+	}
+	if st := c.Stats(); st.ReadHits == 0 || st.ReadMisses == 0 || victims == 0 {
+		b.Fatalf("mix did not hit, miss and evict: %+v, %d victims", st, victims)
+	}
+}
+
 // BenchQueuePushPop measures unmergeable push/pop churn.
 func BenchQueuePushPop(b *testing.B) {
 	q := ioqueue.New("bench")
@@ -349,6 +401,50 @@ func BenchQueueDeepPushPop(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		op()
+	}
+}
+
+// BenchSSDCycle measures one SSD request's dispatch and completion through
+// device.Server: the SSD model every run builds (engine.DefaultConfig: one
+// channel, log-normal read and write latencies), serving a live ioqueue.
+// Each op pushes one unmergeable request (one in three a write) from a
+// preallocated ring and kicks the server; once 32 are queued the engine
+// runs until idle, dispatching and completing them in turn.
+func BenchSSDCycle(b *testing.B) {
+	const (
+		depth = 32
+		ring  = 1 << 10
+	)
+	eng := sim.NewEngine()
+	q := ioqueue.New("ssd")
+	srv := device.NewServer(eng, device.NewSSD(engine.DefaultConfig().SSD, sim.NewRNG(1, "ssd")), q, nil)
+	reqs := make([]block.Request, ring)
+	next := 0
+	op := func() {
+		i := next % ring
+		origin := block.AppRead
+		if next%3 == 2 {
+			origin = block.AppWrite
+		}
+		r := &reqs[i]
+		*r = block.Request{ID: uint64(next), Origin: origin, Extent: block.Extent{LBA: int64(i) * 4096, Sectors: 8}}
+		next++
+		q.Push(r, eng.Now())
+		srv.Kick()
+		if q.Depth() >= depth {
+			eng.RunUntilIdle()
+		}
+	}
+	for next < 2*ring {
+		op()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+	eng.RunUntilIdle()
+	if got := srv.Completed(); got != uint64(next) {
+		b.Fatalf("server completed %d of %d requests", got, next)
 	}
 }
 

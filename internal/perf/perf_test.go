@@ -10,8 +10,8 @@ func TestRunFiltered(t *testing.T) {
 	// "cache/" pins the cache microbenchmarks alone — the bare substring
 	// would also catch the sweep/warm-cache-* end-to-end entries.
 	rep := Run("cache/", 2)
-	if len(rep.Results) != 3 {
-		t.Fatalf("filter \"cache/\" matched %d benchmarks, want 3", len(rep.Results))
+	if len(rep.Results) != 4 {
+		t.Fatalf("filter \"cache/\" matched %d benchmarks, want 4", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if !strings.Contains(r.Name, "cache/") {
