@@ -120,24 +120,55 @@ type Victim struct {
 	Epoch uint64
 }
 
+// Action is the set of transfers one application request needs, one bit
+// per transfer. A set fits one byte, so Access returns its Decision in
+// registers.
+type Action uint8
+
+// Actions.
+const (
+	// Hit: every covered block was valid (read) / present (write) in the
+	// cache.
+	Hit Action = 1 << iota
+	// CacheRead: serve the read from the SSD (origin AppRead).
+	CacheRead
+	// DiskRead: read from the HDD (origin ReadMiss).
+	DiskRead
+	// CacheWrite: buffer the write in the SSD (origin AppWrite).
+	CacheWrite
+	// DiskWrite: write to the HDD (origin BypassWrite) — RO bypass or the
+	// through-leg of WT/WTWO.
+	DiskWrite
+	// Promote: after the disk read completes, fill the SSD (origin
+	// Promote).
+	Promote
+)
+
+var actionNames = [...]string{"Hit", "CacheRead", "DiskRead", "CacheWrite", "DiskWrite", "Promote"}
+
+// Has reports whether a holds every action in x.
+func (a Action) Has(x Action) bool { return a&x == x }
+
+func (a Action) String() string {
+	var s []byte
+	for i, n := range actionNames {
+		if a&(1<<i) != 0 {
+			if s != nil {
+				s = append(s, '|')
+			}
+			s = append(s, n...)
+		}
+	}
+	if a>>len(actionNames) != 0 || s == nil {
+		return fmt.Sprintf("Action(%#x)", uint8(a))
+	}
+	return string(s)
+}
+
 // Decision tells the engine which transfers to issue for one application
 // request.
 type Decision struct {
-	// Hit reports whether every covered block was valid (read) / present
-	// (write) in the cache.
-	Hit bool
-	// CacheRead: serve the read from the SSD (origin AppRead).
-	CacheRead bool
-	// DiskRead: read from the HDD (origin ReadMiss).
-	DiskRead bool
-	// CacheWrite: buffer the write in the SSD (origin AppWrite).
-	CacheWrite bool
-	// DiskWrite: write to the HDD (origin BypassWrite) — RO bypass or the
-	// through-leg of WT/WTWO.
-	DiskWrite bool
-	// Promote: after the disk read completes, fill the SSD (origin
-	// Promote).
-	Promote bool
+	Action Action
 	// Victims evicted to make room; issue their writebacks. The slice
 	// aliases a scratch buffer owned by the Cache and is valid only until
 	// the next Access/Prewarm call — consume (or copy) it immediately.
@@ -242,6 +273,7 @@ type Cache struct {
 	tags    []int64    // Sets×Ways block numbers; -1 when invalid
 	meta    []lineMeta // parallel to tags
 	ways    int
+	shift   uint  // log2(BlockSectors): a sector number's block is sector >> shift
 	setMask int64 // Sets-1 when Sets is a power of two, else -1
 	tick    uint64
 	dirty   int
@@ -260,10 +292,13 @@ type Cache struct {
 
 // New builds a cache, on the line arrays of a released cache (Release)
 // with the same line count when one is free. Invalid geometry panics: the
-// caller controls config.
+// caller controls config. BlockSectors must be a power of two.
 func New(cfg Config) *Cache {
 	if cfg.BlockSectors <= 0 {
 		cfg.BlockSectors = 8
+	}
+	if cfg.BlockSectors&(cfg.BlockSectors-1) != 0 {
+		panic(fmt.Sprintf("cache: BlockSectors %d is not a power of two", cfg.BlockSectors))
 	}
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("cache: Sets and Ways must be positive")
@@ -274,7 +309,7 @@ func New(cfg Config) *Cache {
 	if cfg.DirtyLowWatermark == 0 {
 		cfg.DirtyLowWatermark = 0.5
 	}
-	c := &Cache{cfg: cfg, policy: cfg.InitialPolicy, ways: cfg.Ways, rndSt: uint64(cfg.ReplacementSeed)*2654435761 + 0x9e3779b97f4a7c15}
+	c := &Cache{cfg: cfg, policy: cfg.InitialPolicy, ways: cfg.Ways, shift: uint(bits.TrailingZeros64(uint64(cfg.BlockSectors))), rndSt: uint64(cfg.ReplacementSeed)*2654435761 + 0x9e3779b97f4a7c15}
 	n := cfg.Sets * cfg.Ways
 	if l := takeLines(n); l != nil {
 		c.tags, c.meta, c.flushable = l.tags, l.meta, l.flushable
@@ -335,7 +370,14 @@ func (c *Cache) BlockExtent(blockNum int64) block.Extent {
 
 // blocksOf enumerates the block numbers an extent covers.
 func (c *Cache) blocksOf(e block.Extent) (first, last int64) {
-	return e.LBA / c.cfg.BlockSectors, (e.End() - 1) / c.cfg.BlockSectors
+	return c.blockOf(e.LBA), c.blockOf(e.End() - 1)
+}
+
+// blockOf returns sector / BlockSectors, truncated toward zero as Go's
+// division is, with a shift: a negative sector is biased up by
+// BlockSectors-1 first.
+func (c *Cache) blockOf(sector int64) int64 {
+	return (sector + sector>>63&(c.cfg.BlockSectors-1)) >> c.shift
 }
 
 // setBase returns the tag/meta index of blockNum's set's first way.
@@ -522,15 +564,13 @@ func (c *Cache) read(e block.Extent) Decision {
 	}
 	if allHit {
 		c.stats.ReadHits++
-		return Decision{Hit: true, CacheRead: true}
+		return Decision{Action: Hit | CacheRead}
 	}
 	c.stats.ReadMisses++
-	d := Decision{DiskRead: true}
 	// Promote on miss unless the policy forbids read allocation.
 	if c.policy == WO || c.policy == WTWO {
-		return d
+		return Decision{Action: DiskRead}
 	}
-	d.Promote = true
 	c.victims = c.victims[:0]
 	anyVictim := false
 	for b := first; b <= last; b++ {
@@ -541,24 +581,29 @@ func (c *Cache) read(e block.Extent) Decision {
 			anyVictim = true
 		}
 	}
-	if anyVictim {
-		d.Victims = c.victims
-	}
 	c.stats.Promotes++
-	return d
+	return c.decision(DiskRead|Promote, anyVictim)
+}
+
+// decision returns act with the victims this access evicted, if any.
+func (c *Cache) decision(act Action, anyVictim bool) Decision {
+	if anyVictim {
+		return Decision{Action: act, Victims: c.victims}
+	}
+	return Decision{Action: act}
 }
 
 func (c *Cache) write(e block.Extent) Decision {
 	c.stats.Writes++
 	first, last := c.blocksOf(e)
-	present := true
+	var hit Action = Hit
 	for b := first; b <= last; b++ {
 		if c.find(b) < 0 {
-			present = false
+			hit = 0
 			break
 		}
 	}
-	if present {
+	if hit != 0 {
 		c.stats.WriteHits++
 	} else {
 		c.stats.WriteMisses++
@@ -570,9 +615,8 @@ func (c *Cache) write(e block.Extent) Decision {
 		for b := first; b <= last; b++ {
 			c.invalidate(b)
 		}
-		return Decision{Hit: present, DiskWrite: true}
+		return Decision{Action: hit | DiskWrite}
 	case WB, WO:
-		d := Decision{Hit: present, CacheWrite: true}
 		c.victims = c.victims[:0]
 		anyVictim := false
 		for b := first; b <= last; b++ {
@@ -580,12 +624,8 @@ func (c *Cache) write(e block.Extent) Decision {
 			c.markDirty(i)
 			anyVictim = anyVictim || ev
 		}
-		if anyVictim {
-			d.Victims = c.victims
-		}
-		return d
+		return c.decision(hit|CacheWrite, anyVictim)
 	default: // WT, WTWO — through-write, clean allocate
-		d := Decision{Hit: present, CacheWrite: true, DiskWrite: true}
 		c.victims = c.victims[:0]
 		anyVictim := false
 		for b := first; b <= last; b++ {
@@ -601,10 +641,7 @@ func (c *Cache) write(e block.Extent) Decision {
 			m.state += lineEpoch
 			anyVictim = anyVictim || ev
 		}
-		if anyVictim {
-			d.Victims = c.victims
-		}
-		return d
+		return c.decision(hit|CacheWrite|DiskWrite, anyVictim)
 	}
 }
 

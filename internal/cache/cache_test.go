@@ -29,15 +29,64 @@ func TestPolicyParseAndString(t *testing.T) {
 	}
 }
 
+// TestAccessActionSets pins the exact action set Access returns for every
+// policy, direction and residency of a two-block request: all blocks
+// cached (hit), one (partial) or none (miss).
+func TestAccessActionSets(t *testing.T) {
+	type residency int
+	const (
+		miss residency = iota
+		partial
+		hit
+	)
+	readMiss := map[Policy]Action{WB: DiskRead | Promote, WT: DiskRead | Promote, RO: DiskRead | Promote, WO: DiskRead, WTWO: DiskRead}
+	writeLegs := map[Policy]Action{WB: CacheWrite, WT: CacheWrite | DiskWrite, RO: DiskWrite, WO: CacheWrite, WTWO: CacheWrite | DiskWrite}
+	for _, p := range []Policy{WB, WT, RO, WO, WTWO} {
+		for _, op := range []block.Op{block.Read, block.Write} {
+			for _, res := range []residency{miss, partial, hit} {
+				var want Action
+				switch {
+				case op == block.Read && res == hit:
+					want = Hit | CacheRead
+				case op == block.Read:
+					want = readMiss[p]
+				case res == hit:
+					want = Hit | writeLegs[p]
+				default:
+					want = writeLegs[p]
+				}
+				c := small()
+				c.Prewarm([]int64{0, 1}[:res])
+				c.SetPolicy(p)
+				d := c.Access(op, ext(0, 16), 0)
+				if d.Action != want || d.Victims != nil {
+					t.Errorf("%v %v over %d of 2 cached blocks = %v, victims %v; want %v, none", p, op, res, d.Action, d.Victims, want)
+				}
+				for _, x := range []Action{Hit, CacheRead, DiskRead, CacheWrite, DiskWrite, Promote} {
+					if d.Action.Has(x) != (want&x != 0) {
+						t.Errorf("%v %v over %d of 2 cached blocks: Has(%v) = %v", p, op, res, x, d.Action.Has(x))
+					}
+				}
+			}
+		}
+	}
+	if got := (CacheWrite | DiskWrite).String(); got != "CacheWrite|DiskWrite" {
+		t.Errorf("action set renders as %q", got)
+	}
+	if !(CacheWrite | DiskWrite).Has(CacheWrite|DiskWrite) || CacheWrite.Has(CacheWrite|DiskWrite) {
+		t.Error("Has must require every action of its argument")
+	}
+}
+
 func TestReadMissPromotesUnderWB(t *testing.T) {
 	c := small()
 	d := c.Access(block.Read, ext(0, 8), 0)
-	if d.Hit || !d.DiskRead || !d.Promote || d.CacheRead {
+	if d.Action.Has(Hit) || !d.Action.Has(DiskRead) || !d.Action.Has(Promote) || d.Action.Has(CacheRead) {
 		t.Fatalf("first read decision = %+v", d)
 	}
 	// Second read of the same block is a hit served from cache.
 	d = c.Access(block.Read, ext(0, 8), 0)
-	if !d.Hit || !d.CacheRead || d.DiskRead || d.Promote {
+	if !d.Action.Has(Hit) || !d.Action.Has(CacheRead) || d.Action.Has(DiskRead) || d.Action.Has(Promote) {
 		t.Fatalf("re-read decision = %+v", d)
 	}
 	st := c.Stats()
@@ -50,7 +99,7 @@ func TestWOSuppressesPromote(t *testing.T) {
 	c := small()
 	c.SetPolicy(WO)
 	d := c.Access(block.Read, ext(0, 8), 0)
-	if d.Promote || !d.DiskRead {
+	if d.Action.Has(Promote) || !d.Action.Has(DiskRead) {
 		t.Fatalf("WO read-miss decision = %+v", d)
 	}
 	if c.Contains(0) {
@@ -59,7 +108,7 @@ func TestWOSuppressesPromote(t *testing.T) {
 	// But a cached block still hits.
 	c.Access(block.Write, ext(0, 8), 0) // WO writes allocate dirty
 	d = c.Access(block.Read, ext(0, 8), 0)
-	if !d.Hit || !d.CacheRead {
+	if !d.Action.Has(Hit) || !d.Action.Has(CacheRead) {
 		t.Fatalf("WO hit decision = %+v", d)
 	}
 }
@@ -67,7 +116,7 @@ func TestWOSuppressesPromote(t *testing.T) {
 func TestWBWriteBuffersDirty(t *testing.T) {
 	c := small()
 	d := c.Access(block.Write, ext(0, 8), 0)
-	if !d.CacheWrite || d.DiskWrite {
+	if !d.Action.Has(CacheWrite) || d.Action.Has(DiskWrite) {
 		t.Fatalf("WB write decision = %+v", d)
 	}
 	if c.DirtyCount() != 1 {
@@ -79,7 +128,7 @@ func TestWTWritesThroughClean(t *testing.T) {
 	c := small()
 	c.SetPolicy(WT)
 	d := c.Access(block.Write, ext(0, 8), 0)
-	if !d.CacheWrite || !d.DiskWrite {
+	if !d.Action.Has(CacheWrite) || !d.Action.Has(DiskWrite) {
 		t.Fatalf("WT write decision = %+v", d)
 	}
 	if c.DirtyCount() != 0 {
@@ -111,7 +160,7 @@ func TestROWriteBypassesAndInvalidates(t *testing.T) {
 	}
 	c.SetPolicy(RO)
 	d := c.Access(block.Write, ext(0, 8), 0)
-	if d.CacheWrite || !d.DiskWrite {
+	if d.Action.Has(CacheWrite) || !d.Action.Has(DiskWrite) {
 		t.Fatalf("RO write decision = %+v", d)
 	}
 	if c.Contains(0) {
@@ -122,7 +171,7 @@ func TestROWriteBypassesAndInvalidates(t *testing.T) {
 	}
 	// RO read misses still promote.
 	d = c.Access(block.Read, ext(64, 8), 0)
-	if !d.Promote {
+	if !d.Action.Has(Promote) {
 		t.Error("RO read miss must promote")
 	}
 }
@@ -132,12 +181,12 @@ func TestWTWOSemantics(t *testing.T) {
 	c.SetPolicy(WTWO)
 	// Reads never allocate.
 	d := c.Access(block.Read, ext(0, 8), 0)
-	if d.Promote || c.Contains(0) {
+	if d.Action.Has(Promote) || c.Contains(0) {
 		t.Fatal("WTWO read miss must not promote")
 	}
 	// Writes allocate clean and write through.
 	d = c.Access(block.Write, ext(0, 8), 0)
-	if !d.CacheWrite || !d.DiskWrite {
+	if !d.Action.Has(CacheWrite) || !d.Action.Has(DiskWrite) {
 		t.Fatalf("WTWO write decision = %+v", d)
 	}
 	if c.DirtyCount() != 0 {
@@ -145,7 +194,7 @@ func TestWTWOSemantics(t *testing.T) {
 	}
 	// Read-after-write hits in cache (SIB's one performance win).
 	d = c.Access(block.Read, ext(0, 8), 0)
-	if !d.Hit || !d.CacheRead {
+	if !d.Action.Has(Hit) || !d.Action.Has(CacheRead) {
 		t.Fatalf("WTWO read-after-write = %+v", d)
 	}
 }
@@ -184,7 +233,7 @@ func TestMultiBlockRequest(t *testing.T) {
 	c := small()
 	// 32 KiB request covers 8 cache blocks.
 	d := c.Access(block.Write, ext(0, 64), 0)
-	if !d.CacheWrite {
+	if !d.Action.Has(CacheWrite) {
 		t.Fatal("multi-block write not buffered")
 	}
 	if c.DirtyCount() != 8 {
@@ -194,7 +243,7 @@ func TestMultiBlockRequest(t *testing.T) {
 	c2 := small()
 	c2.Access(block.Read, ext(0, 8), 0)
 	d = c2.Access(block.Read, ext(0, 16), 0)
-	if d.Hit {
+	if d.Action.Has(Hit) {
 		t.Error("partially cached read must miss")
 	}
 }
@@ -264,7 +313,7 @@ func TestPrewarm(t *testing.T) {
 		t.Fatalf("prewarm valid=%d dirty=%d", c.ValidCount(), c.DirtyCount())
 	}
 	d := c.Access(block.Read, ext(0, 8), 0)
-	if !d.Hit {
+	if !d.Action.Has(Hit) {
 		t.Error("prewarmed block must hit")
 	}
 }

@@ -67,6 +67,17 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	New(Config{BlockSectors: 8, Sets: 0, Ways: 2})
 }
 
+// TestNewPanicsOnBlockSectorsNotPowerOfTwo: blocksOf shifts, so a block
+// size that is not a power of two is bad geometry.
+func TestNewPanicsOnBlockSectorsNotPowerOfTwo(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a 12-sector block must panic")
+		}
+	}()
+	New(Config{BlockSectors: 12, Sets: 4, Ways: 2})
+}
+
 func TestPolicyStringUnknown(t *testing.T) {
 	if Policy(99).String() == "" {
 		t.Error("unknown policy must still render")
@@ -81,7 +92,7 @@ func TestNegativeLBAHandled(t *testing.T) {
 	// not panic if one sneaks in via a hand-built request.
 	c := New(Config{BlockSectors: 8, Sets: 4, Ways: 2})
 	d := c.Access(block.Read, block.Extent{LBA: -8, Sectors: 8}, 0)
-	if d.Hit {
+	if d.Action.Has(Hit) {
 		t.Error("negative-address read cannot hit")
 	}
 	if err := c.CheckInvariants(); err == nil {

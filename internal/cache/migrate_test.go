@@ -34,7 +34,7 @@ func TestExtractCleanSemantics(t *testing.T) {
 	if c.ExtractClean(1) {
 		t.Error("extracted the same block twice")
 	}
-	if d := c.Access(block.Read, ext(1*8, 8), 0); d.Hit {
+	if d := c.Access(block.Read, ext(1*8, 8), 0); d.Action.Has(Hit) {
 		t.Error("extracted block still hits")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -76,7 +76,7 @@ func TestInsertCleanSemantics(t *testing.T) {
 	if got := c.Stats().MigratedIn; got != 2 {
 		t.Errorf("MigratedIn = %d after resident re-insert, want 2 (arrivals reconcile with MigratedOut)", got)
 	}
-	if d := c.Access(block.Read, ext(1*8, 8), 0); !d.Hit {
+	if d := c.Access(block.Read, ext(1*8, 8), 0); !d.Action.Has(Hit) {
 		t.Error("inserted block does not hit")
 	}
 
@@ -103,10 +103,10 @@ func TestMigrationRoundTrip(t *testing.T) {
 		t.Fatal("extract failed")
 	}
 	dst.InsertClean(7)
-	if d := src.Access(block.Read, ext(7*8, 8), 0); d.Hit {
+	if d := src.Access(block.Read, ext(7*8, 8), 0); d.Action.Has(Hit) {
 		t.Error("source still hits after migration")
 	}
-	if d := dst.Access(block.Read, ext(7*8, 8), 0); !d.Hit {
+	if d := dst.Access(block.Read, ext(7*8, 8), 0); !d.Action.Has(Hit) {
 		t.Error("destination misses after migration")
 	}
 	if src.Stats().MigratedOut != 1 || dst.Stats().MigratedIn != 1 {

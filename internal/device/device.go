@@ -28,7 +28,8 @@ type Model interface {
 	// operation — the per-device constant in Eq. 1.
 	AvgLatency(op block.Op) time.Duration
 	// Width is the number of requests the device services concurrently
-	// (channel/spindle parallelism).
+	// (channel/spindle parallelism). It must not change: a Server reads it
+	// once.
 	Width() int
 	// Name identifies the device in logs and traces.
 	Name() string
@@ -70,8 +71,8 @@ func DefaultSSDConfig() SSDConfig {
 type SSD struct {
 	cfg   SSDConfig
 	g     *sim.RNG
-	read  sim.Dist
-	write sim.Dist
+	read  sim.LogNormal
+	write sim.LogNormal
 	// inflightWrites approximates the GC backlog for the write cliff.
 	recentWrites int
 }
@@ -268,6 +269,7 @@ type Server struct {
 	eng      *sim.Engine
 	model    Model
 	source   Source
+	width    int // model.Width(), fixed for the model's life
 	inflight int
 
 	busy       time.Duration // cumulative service time (utilization numerator)
@@ -381,14 +383,15 @@ type Source interface {
 
 // NewServer builds a server. onDone (optional) observes every completion
 // after timestamps are stamped and the request's own OnComplete has run.
+// The model's Width is read once, here.
 func NewServer(eng *sim.Engine, model Model, source Source, onDone func(*block.Request)) *Server {
-	return &Server{eng: eng, model: model, source: source, onDone: onDone}
+	return &Server{eng: eng, model: model, source: source, width: model.Width(), onDone: onDone}
 }
 
 // Kick starts dispatching if capacity is free. Call after pushing to the
 // source queue.
 func (s *Server) Kick() {
-	for s.inflight < s.model.Width() {
+	for s.inflight < s.width {
 		r := s.source.Pop()
 		if r == nil {
 			return
@@ -445,7 +448,7 @@ func (s *Server) Utilization(elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(s.busy) / (float64(elapsed) * float64(s.model.Width()))
+	return float64(s.busy) / (float64(elapsed) * float64(s.width))
 }
 
 func (s *Server) String() string {

@@ -19,7 +19,6 @@ import (
 	"lbica/internal/cache"
 	"lbica/internal/ckpt"
 	"lbica/internal/sim"
-	"lbica/internal/trace"
 )
 
 func init() {
@@ -149,7 +148,7 @@ func (st *Stack) Decode(ctx context.Context, payload []byte) error {
 // not know.
 func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("engine.Stack")
-	if st.rec != trace.Discard {
+	if st.rec != nil {
 		enc.Failf("engine: cannot checkpoint a traced stack")
 		return
 	}
@@ -250,7 +249,7 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 // installed; nil means background.
 func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	d.Section("engine.Stack")
-	if st.rec != trace.Discard {
+	if st.rec != nil {
 		d.Failf("engine: cannot restore onto a traced stack")
 		return
 	}

@@ -75,7 +75,8 @@ type Config struct {
 	// FIFO: queue positions there feed Eq. 1 and the tail-bypass rules.
 	HDDDiscipline ioqueue.Discipline
 
-	// Trace, when non-nil, receives every block-layer event.
+	// Trace, when non-nil, receives every block-layer event. trace.Discard
+	// is the same as nil: the stack is untraced and builds no events.
 	Trace trace.Recorder
 }
 
@@ -217,7 +218,7 @@ type Stack struct {
 
 	bal Balancer
 	gen workload.Generator
-	rec trace.Recorder
+	rec trace.Recorder // nil when untraced
 
 	ids          uint64
 	appSubmitted uint64
@@ -403,16 +404,26 @@ func (st *Stack) releaseEvictOp(op *evictOp) {
 
 // newReq builds a pooled request. Recycled requests return through the
 // device servers' OnRelease hook (recycleReq) after their completion
-// callbacks have run.
+// callbacks have run. A recycled request is reset field by field, every
+// field of block.Request: assigning a whole zeroed literal would build it
+// on the stack and copy it in under a write barrier.
 func (st *Stack) newReq(origin block.Origin, ext block.Extent) *block.Request {
 	var r *block.Request
 	if n := len(st.freeReqs); n > 0 {
 		r = st.freeReqs[n-1]
 		st.freeReqs = st.freeReqs[:n-1]
+		r.ParentID = 0
+		r.Submit, r.Dispatch, r.Complete = 0, 0, 0
+		r.Merged = 0
+		r.Shadowed = false
+		r.OnComplete = nil // recycleReq cleared it; kept so the reset is whole
 	} else {
 		r = &block.Request{}
 	}
-	*r = block.Request{ID: st.nextID(), Origin: origin, Extent: ext, Recycle: true}
+	r.ID = st.nextID()
+	r.Origin = origin
+	r.Extent = ext
+	r.Recycle = true
 	return r
 }
 
@@ -435,8 +446,8 @@ func New(cfg Config, gen workload.Generator, bal Balancer) *Stack {
 	}
 	eng := sim.NewEngine()
 	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.Discard
+	if rec == trace.Discard {
+		rec = nil
 	}
 
 	ssdModel := device.NewSSD(cfg.SSD, sim.NewRNG(cfg.Seed, "ssd"))
@@ -470,23 +481,27 @@ func New(cfg Config, gen workload.Generator, bal Balancer) *Stack {
 
 	st.ssd = device.NewServer(eng, ssdModel, st.ssdQ, func(r *block.Request) {
 		st.mon.NoteCompletion(iostat.SSD, r)
-		st.rec.Record(trace.Event{At: eng.Now(), Kind: trace.Completed, Dev: trace.SSD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+		if st.rec != nil {
+			st.record(trace.Completed, trace.SSD, r)
+		}
 	})
 	st.hdd = device.NewServer(eng, hddModel, st.hddQ, func(r *block.Request) {
 		st.mon.NoteCompletion(iostat.HDD, r)
-		st.rec.Record(trace.Event{At: eng.Now(), Kind: trace.Completed, Dev: trace.HDD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+		if st.rec != nil {
+			st.record(trace.Completed, trace.HDD, r)
+		}
 	})
 	st.ssd.OnDispatch(func(r *block.Request) {
 		st.mon.NoteDepth(iostat.SSD, eng.Now())
-		st.rec.Record(trace.Event{At: eng.Now(), Kind: trace.Dispatched, Dev: trace.SSD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+		if st.rec != nil {
+			st.record(trace.Dispatched, trace.SSD, r)
+		}
 	})
 	st.hdd.OnDispatch(func(r *block.Request) {
 		st.mon.NoteDepth(iostat.HDD, eng.Now())
-		st.rec.Record(trace.Event{At: eng.Now(), Kind: trace.Dispatched, Dev: trace.HDD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+		if st.rec != nil {
+			st.record(trace.Dispatched, trace.HDD, r)
+		}
 	})
 	st.ssd.OnRelease(st.recycleReq)
 	st.hdd.OnRelease(st.recycleReq)
@@ -572,7 +587,16 @@ func (st *Stack) NotePolicy(p cache.Policy, group string) {
 		Policy:   p,
 		Group:    group,
 	})
-	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: trace.PolicySet, Aux: int64(p)})
+	if st.rec != nil {
+		st.rec.Record(trace.Event{At: st.eng.Now(), Kind: trace.PolicySet, Aux: int64(p)})
+	}
+}
+
+// record hands the recorder one event about r, at the current time. The
+// callers check st.rec first, so an untraced stack builds no event.
+func (st *Stack) record(kind trace.Kind, dev trace.Device, r *block.Request) {
+	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: kind, Dev: dev,
+		ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
 }
 
 func (st *Stack) nextID() uint64 {
@@ -590,8 +614,9 @@ func (st *Stack) pushSSD(r *block.Request) {
 	if merged {
 		kind = trace.Merged
 	}
-	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: kind, Dev: trace.SSD,
-		ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+	if st.rec != nil {
+		st.record(kind, trace.SSD, r)
+	}
 	if !merged {
 		st.mon.NoteDepth(iostat.SSD, st.eng.Now())
 	}
@@ -608,8 +633,9 @@ func (st *Stack) pushHDD(r *block.Request) {
 	if merged {
 		kind = trace.Merged
 	}
-	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: kind, Dev: trace.HDD,
-		ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+	if st.rec != nil {
+		st.record(kind, trace.HDD, r)
+	}
 	if !merged {
 		st.mon.NoteDepth(iostat.HDD, st.eng.Now())
 	}
@@ -648,20 +674,20 @@ func (st *Stack) submit(wr workload.Request) {
 	d := st.cch.Access(wr.Op, wr.Extent, arrival)
 	st.issueVictims(d.Victims)
 
-	switch {
-	case d.CacheRead:
+	switch a := d.Action; {
+	case a.Has(cache.CacheRead):
 		r := st.newReq(block.AppRead, wr.Extent)
 		r.OnComplete = op
 		st.pushSSD(r)
 
-	case d.DiskRead:
+	case a.Has(cache.DiskRead):
 		r := st.newReq(block.ReadMiss, wr.Extent)
-		op.promote = d.Promote
+		op.promote = a.Has(cache.Promote)
 		op.promoteExt = wr.Extent // merging may widen r.Extent; promote only our range
 		r.OnComplete = op
 		st.pushHDD(r)
 
-	case d.CacheWrite && d.DiskWrite:
+	case a.Has(cache.CacheWrite | cache.DiskWrite):
 		// Write-through fan-out: the request completes when both legs do.
 		op.legs = 2
 		cw := st.newReq(block.AppWrite, wr.Extent)
@@ -673,12 +699,12 @@ func (st *Stack) submit(wr workload.Request) {
 		st.pushSSD(cw)
 		st.pushHDD(dw)
 
-	case d.CacheWrite:
+	case a.Has(cache.CacheWrite):
 		r := st.newReq(block.AppWrite, wr.Extent)
 		r.OnComplete = op
 		st.pushSSD(r)
 
-	case d.DiskWrite:
+	case a.Has(cache.DiskWrite):
 		r := st.newReq(block.BypassWrite, wr.Extent)
 		r.OnComplete = op
 		st.pushHDD(r)
@@ -703,8 +729,9 @@ func (st *Stack) bypassAppRequest(wr workload.Request, op *appOp) {
 	}
 	r := st.newReq(origin, wr.Extent)
 	r.OnComplete = op
-	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: trace.Bypassed, Dev: trace.HDD,
-		ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+	if st.rec != nil {
+		st.record(trace.Bypassed, trace.HDD, r)
+	}
 	st.pushHDD(r)
 }
 
@@ -744,8 +771,9 @@ func (st *Stack) RedirectTail(keep int) int {
 	st.mon.NoteDepth(iostat.SSD, st.eng.Now())
 	now := st.eng.Now()
 	for _, r := range moved {
-		st.rec.Record(trace.Event{At: now, Kind: trace.Bypassed, Dev: trace.SSD,
-			ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
+		if st.rec != nil {
+			st.record(trace.Bypassed, trace.SSD, r)
+		}
 		switch r.Origin {
 		case block.AppWrite:
 			st.cch.NoteBypass(block.Write)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,6 +81,47 @@ func TestTraceDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical runs produced different traces")
+	}
+}
+
+// TestDiscardRecorderIsUntraced: a stack configured with trace.Discard is
+// an untraced stack. It collects exactly what a stack with no recorder
+// does, and both checkpoint mid-run; a stack with a real recorder still
+// refuses to encode or to be restored onto.
+func TestDiscardRecorderIsUntraced(t *testing.T) {
+	ctx := context.Background()
+	build := func(rec trace.Recorder) *Stack {
+		cfg := testConfig()
+		cfg.Trace = rec
+		gen := workload.MixedRW(300*time.Millisecond, 3000, 2048, sim.NewRNG(23, "wl"))
+		return New(cfg, gen, nil)
+	}
+	var payload []byte
+	run := func(rec trace.Recorder) *Results {
+		st := build(rec)
+		st.Start(ctx, 6)
+		st.StepTo(150 * time.Millisecond)
+		p, err := st.Encode()
+		if err != nil {
+			t.Fatalf("untraced stack (recorder %v) does not checkpoint: %v", rec, err)
+		}
+		payload = p
+		st.Drain()
+		return st.Collect()
+	}
+	plain, discard := run(nil), run(trace.Discard)
+	if plain.AppCompleted == 0 || !reflect.DeepEqual(plain, discard) {
+		t.Fatalf("trace.Discard changed the run: %d vs %d requests completed", plain.AppCompleted, discard.AppCompleted)
+	}
+
+	traced := build(&trace.Buffer{})
+	traced.Start(ctx, 6)
+	traced.StepTo(150 * time.Millisecond)
+	if _, err := traced.Encode(); err == nil {
+		t.Error("a traced stack encoded")
+	}
+	if err := build(&trace.Buffer{}).Decode(ctx, payload); err == nil {
+		t.Error("a checkpoint restored onto a traced stack")
 	}
 }
 

@@ -97,15 +97,16 @@ type RecorderFunc func(Event)
 // Record implements Recorder.
 func (f RecorderFunc) Record(e Event) { f(e) }
 
-// discard is Discard's comparable concrete type: the engine's checkpoint
-// codec tests rec == Discard to refuse encoding a traced stack, which
-// panics on interfaces holding func values.
+// discard is Discard's comparable concrete type: engine.New tests a
+// configured recorder == Discard to run the stack untraced, and comparing
+// two interfaces that hold func values panics.
 type discard struct{}
 
 // Record implements Recorder by dropping the event.
 func (discard) Record(Event) {}
 
-// Discard drops every event.
+// Discard drops every event. A stack configured with it is untraced: it
+// builds no events at all, and it can be checkpointed.
 var Discard Recorder = discard{}
 
 // Buffer is an in-memory event sink.
