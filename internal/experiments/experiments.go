@@ -175,6 +175,11 @@ type Spec struct {
 	// the simulation, and an array run rejects it (per-volume streams
 	// would interleave).
 	Hooks *Hooks
+
+	// restoreTarget builds a run only for a checkpoint to be decoded onto
+	// (Spec.restoreRun). It is a build flag, not part of the run: the
+	// restored state is the same with or without it.
+	restoreTarget bool
 }
 
 // Hooks are a single-volume run's observers.
@@ -470,7 +475,7 @@ func (s Spec) volumeConfig(vol int) engine.Config {
 	}
 	cfg.Cache.Sets, cfg.Cache.Ways, _ = s.cacheGeometry() // validated in Normalize
 	cfg.PrewarmBlocks = cfg.Cache.Sets * cfg.Cache.Ways
-	if s.DisablePrewarm {
+	if s.DisablePrewarm || s.restoreTarget {
 		cfg.PrewarmBlocks = 0
 	}
 	if s.Hooks != nil {
@@ -584,6 +589,16 @@ func (s Spec) newRun() *builtRun {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return r
+}
+
+// restoreRun builds a normalized spec's run for a checkpoint decode, which
+// is all it is built for: the warm plan's members, a store hit and
+// RunRestored. It skips the prewarm, whose work decode throws away:
+// DecodeState overwrites every cache line, the tick, the counters and the
+// statistics Prewarm sets, and HotBlocks has no side effects.
+func (s Spec) restoreRun() *builtRun {
+	s.restoreTarget = true
+	return s.newRun()
 }
 
 // start arms the run at time zero.

@@ -177,7 +177,7 @@ func runWarmPlan(ctx context.Context, specs []Spec, leaderIdx, warmupIntervals i
 		if i == leaderIdx || plan[i].Kind != WarmForked {
 			continue
 		}
-		r := s.Normalize().newRun()
+		r := s.Normalize().restoreRun()
 		err := r.decode(ctx, payloads)
 		if shared--; shared == 0 {
 			payloads = nil // the last member has decoded them

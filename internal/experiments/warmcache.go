@@ -102,7 +102,7 @@ func prepareWarm(ctx context.Context, spec Spec, warmupIntervals int, store *che
 		case err != nil:
 			corrupt = true
 		case payloads != nil:
-			r := spec.newRun()
+			r := spec.restoreRun()
 			if r.decode(ctx, payloads) == nil {
 				return r, payloads, WarmCacheHit
 			}
@@ -196,7 +196,7 @@ func RunRestored(ctx context.Context, spec Spec, path string) (*engine.Results, 
 	if key != warmCacheKey(spec, at) {
 		return nil, nil, fmt.Errorf("checkpoint %s was saved for a different run configuration", path)
 	}
-	r := spec.newRun()
+	r := spec.restoreRun()
 	if err := r.decode(ctx, payloads); err != nil {
 		return nil, nil, fmt.Errorf("restoring checkpoint %s: %w", path, err)
 	}

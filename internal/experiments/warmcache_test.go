@@ -211,10 +211,13 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 		"Scheme": {nil, func(s *Spec) { s.Scheme = SchemeSIB }},
 	}
 	// ShardWorkers is execution-only, and so is RouteVariant at one
-	// volume, where ARRAY-LB runs as LBICA.
+	// volume, where ARRAY-LB runs as LBICA. restoreTarget only skips the
+	// prewarm of a build a checkpoint decode overwrites
+	// (TestRestoreRunSkipsPrewarm).
 	allow := map[string]struct{ from, to func(*Spec) }{
-		"ShardWorkers": {nil, func(s *Spec) { s.ShardWorkers = 4 }},
-		"RouteVariant": {func(s *Spec) { s.Scheme = SchemeArrayLB }, func(s *Spec) { s.RouteVariant = "p2c" }},
+		"ShardWorkers":  {nil, func(s *Spec) { s.ShardWorkers = 4 }},
+		"RouteVariant":  {func(s *Spec) { s.Scheme = SchemeArrayLB }, func(s *Spec) { s.RouteVariant = "p2c" }},
+		"restoreTarget": {nil, func(s *Spec) { s.restoreTarget = true }},
 	}
 	baseKey := warmCacheKey(base, 10)
 	typ := reflect.TypeOf(Spec{})
@@ -264,6 +267,43 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 	} {
 		if got := warmCacheKey(spec, 10); got != want {
 			t.Errorf("%s key changed:\n got %s\nwant %s", spec.Scheme, got, want)
+		}
+	}
+}
+
+// TestRestoreRunSkipsPrewarm: a run built only for a checkpoint decode
+// starts cold, and the decode leaves it exactly where the run that saved
+// the checkpoint was, for a single stack and a static array alike.
+func TestRestoreRunSkipsPrewarm(t *testing.T) {
+	ctx := context.Background()
+	for _, vols := range []int{1, 3} {
+		s := Spec{Workload: WorkloadTPCC, Scheme: SchemeLBICA, Seed: 3, Intervals: 8, Volumes: vols}.Normalize()
+		if vols == 1 {
+			cold, warm := s.restoreRun(), s.newRun()
+			if n := cold.st.Cache().ValidCount(); n != 0 {
+				t.Errorf("restore target prewarmed %d lines", n)
+			}
+			if warm.st.Cache().ValidCount() == 0 {
+				t.Error("a run's own build did not prewarm")
+			}
+			cold.st.Release()
+			warm.st.Release()
+		}
+		leader := s.newRun()
+		leader.start(ctx)
+		leader.stepTo(ctx, 4)
+		payloads, err := leader.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantVols := leader.finish(ctx)
+		r := s.restoreRun()
+		if err := r.decode(ctx, payloads); err != nil {
+			t.Fatalf("%d volumes: %v", vols, err)
+		}
+		got, gotVols := r.finish(ctx)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotVols, wantVols) {
+			t.Errorf("%d volumes: the restored run differs from the one that saved it", vols)
 		}
 	}
 }
