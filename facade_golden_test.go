@@ -24,7 +24,7 @@ var facadeGoldens = map[string]string{
 	"alias/random-write":             "bc054aa41b6c6e39577c35e04f1ff4096ba1719adce6ba617f598e7dc628fc64",
 	"alias/seq-read":                 "53b0511148543849f3b8da1e5cddec4cd0b57098544e849f269785edc452e689",
 	"alias/seq-write":                "bb50a6cbfc71f1b967e4e86f0cf25ac6236ce43f33971c5dcd2314f8da0bc5b0",
-	"cache/16way":                    "504912bc9fbf69a561d9bf13a2f8125bb7752b116331b18b4c381593e1e3a2b8",
+	"cache/16way":                    "0485237bfaa610673df7a974ee0667f3fa2737993deb216029d5f57205abe9ed",
 	"cache/32mib-4way":               "6da41cc12b039bf514186606a0db180f0f2744bd4bb0ab41b203034b20a7a01f",
 	"cache/64mib-3vol":               "c29b01bc8aafa5e05e43ded794cee21ea4629d258ae917b8cd53581c4f36bba9",
 	"checkpoint/lbica/restored":      "d8b24cc101c2b4c5c5b9b2d46f40ad8177fa54a5a035cd68eeeb351274cb6845",
@@ -35,19 +35,19 @@ var facadeGoldens = map[string]string{
 	"checkpoint/wb/saved":            "7570f087f6908d751d52e3912876df7b720cc54b4412a70cfcb4f2825957faf6",
 	"elevator/2vol":                  "85a6194b0f6cf478bdbe6188a01f05e85393fb30eddf2abe834a485f6c25d878",
 	"elevator/tpcc":                  "704a31daa3cb1a310b9ff529ae0cef6bf7d5d73f9b723b8d668f5501cbffe122",
-	"noprewarm/3vol-array-lb":        "f70ff505a584719d60b6527475eb9889b171c05ce93353d1fca74648d65b0b1e",
-	"noprewarm/mail":                 "5a56167f7725ce6d22b321bd232fb2abee259627730e540c4702ac8ae34da697",
+	"noprewarm/3vol-array-lb":        "a469447d6fa1fd64640583506c2709ada374b5574d9f98c7baa82f97d1987b2c",
+	"noprewarm/mail":                 "411b67bdf1e689ee7d3675befca58a1827d33840621b34ac9c26bc5699de096b",
 	"phases/2vol":                    "ae42d46918d11d974631018b6496aed035500081698cff2fb18120aa3cf4b1bb",
 	"phases/named":                   "bb447520adf58796d4fe66db6b2b8136c4f483e37faf005118c2a284bdf412ba",
 	"phases/unnamed-wb":              "82c408785548631d1c76ac8839c9a86116980f54b05c8c38cf9545bd1fc47313",
 	"record/stream":                  "17d64e7ee23dcc3ea409c1ff29d06e1b9078e568f1b829405c74b1667f59d0f1",
 	"record/tpcc-wb":                 "bfbc7de131b9c02def502737fdff52ef518b5e952b9b81fb3dd87e7625666c3e",
-	"replacement/fifo":               "07e294ff2883164085eb3dafadb24c4d8c9540fb1a2225ecaebf923889294153",
-	"replacement/fifo-3vol":          "514cd510de4b216194bae13c90579d6a86bad083ffd326c9b058bc2b1739cd9d",
-	"replacement/fifo-3vol-array-lb": "e409079bdbbcc548047ea3456079bc711f32146c53d23e483a39a11284eb42d5",
-	"replacement/rand":               "1811f8ec17f442cbedadb055a10356badcc4720e4e806c9eade33a9d147f8409",
-	"replacement/rand-3vol":          "0f47aaee86ab6c4249c0c8c0395bf750f3519d5230d5a1e4cc41fc52cc4a0299",
-	"replacement/rand-3vol-array-lb": "5fb9b0d2cdacf62c4869b7d0cb66df99c119dc544f4a8fb18c38e7a132101574",
+	"replacement/fifo":               "d873ff7c116dbf45d1b4d0bbfb6f069985fa191ae0df9984f5022165adfdf4a4",
+	"replacement/fifo-3vol":          "25b15854d7ac81a43cdc921a37681a66e9abc2d2a7c9c17414bf9fdfef37953a",
+	"replacement/fifo-3vol-array-lb": "ec29dc9f563dd6cd3d9415fded7212526d06902210999d227a71ba93d431e783",
+	"replacement/rand":               "5d0154174a15b46c17e4f946695fdcd2b5dd06909cfb8cbdda7162539d6c724f",
+	"replacement/rand-3vol":          "549c7e1735eb962669dbc991ba227f759137c6877020eaade65f473c7347ca62",
+	"replacement/rand-3vol-array-lb": "4d793a0afeced0df11f8a1c2f9ab0fc2e5c4cab55da5f22a5ff13f932a919c21",
 	"replay/1vol":                    "45c228a7198912d8fbccfe0c89443a1b4e115debf594e144ac7170e25ebd42fd",
 	"replay/1vol-named":              "23d2dfafc0c0871c26ab37a899daf124876796b2cab0ce8cb8377af1f277a614",
 	"replay/2vol":                    "40689fe6629c643888641f9942b67c0864ec313dea03acf47ffe91ba1018fdb1",
@@ -56,7 +56,7 @@ var facadeGoldens = map[string]string{
 	"shared/tpcc-lbica-thresholds":   "a4bdc780424c44ba8bb98958ed7e991ef51e145e8b03dff7accca2df70e2300d",
 	"static/ro":                      "dcd91892c962ea7bd6b2ef6532b58ee459c2dba651e232b77150330f0b13d4b5",
 	"static/wo":                      "2554999f16512da1f4f07b1e13624eeb8cdf1e7a89c4bac1cb0454f5143f5c5f",
-	"static/wo-3vol":                 "2ea503436f91db38de2e38176f7cfec37bf4561d6b80d85fa41e897a1a8ec2ca",
+	"static/wo-3vol":                 "dd5f6fafa6c2baaa29ec012f1d2b716116b7ae8776c5abfe9130eacac319d7a6",
 	"static/wt":                      "1b2a253c0b4fc5cf8adc42700d3beaa6c549c857acdcd4faea3a3b08c1b153ee",
 	"static/wtwo":                    "c3c2cb9b559863295565ce9cfd28d5719132bf6fbedb73fb741b8cfc5da23a53",
 	"trace/stream":                   "2888b1dff64d1df6b319ecb5f186da95370a85f91c5fa05f428548930e1130a3",

@@ -166,9 +166,9 @@ func (c *Controlled) Start(ctx context.Context) {
 }
 
 // routeBefore routes every base-stream request arriving strictly before
-// deadline into its volume's feed (deadline < 0 routes the remainder).
+// deadline into its volume's feed.
 func (c *Controlled) routeBefore(deadline time.Duration) {
-	for c.hasPending && (deadline < 0 || c.pending.At < deadline) {
+	for c.hasPending && c.pending.At < deadline {
 		var v int
 		if c.rt == nil {
 			v = c.static.Route(c.pending)
@@ -218,9 +218,10 @@ func (c *Controlled) stepTo(ctx context.Context, interval int, p *shardPool) err
 	return c.runErr
 }
 
-// Finish runs the remaining interval rounds, streams and drains the
-// remainder past the last interval (it lands in no sample but still
-// executes, matching RunContext), and collects the merged results. The
+// Finish runs the remaining interval rounds, drains the requests still in
+// flight at the last barrier, and collects the merged results. The base
+// stream's remainder past the last interval is never routed: a stack
+// submits nothing at or after its horizon (engine.Stack.Run). The
 // per-volume results land in Results.PerVolume exactly as for Run; on
 // cancellation only whole volumes are kept. Finish releases every volume
 // stack (engine.Stack.Release): the run cannot step or finish again.
@@ -228,7 +229,6 @@ func (c *Controlled) Finish(ctx context.Context) (*Results, error) {
 	p := c.newPool()
 	runErr := c.stepTo(ctx, c.intervals, p)
 	if runErr == nil {
-		c.routeBefore(-1)
 		p.round(-1)
 		runErr = ctx.Err()
 	}
@@ -373,8 +373,8 @@ func (c *Controlled) newPool() *shardPool {
 	return &shardPool{stacks: c.stacks, workers: runner.Options{Workers: c.cfg.Workers}.PoolSize(len(c.stacks))}
 }
 
-// stepVolume advances one volume to deadline, or drains it past the run's
-// end when deadline < 0.
+// stepVolume advances one volume to deadline, or drains its in-flight
+// requests when deadline < 0.
 func stepVolume(st *engine.Stack, deadline time.Duration) {
 	st.ResumeArrivals()
 	if deadline < 0 {

@@ -832,21 +832,24 @@ func (st *Stack) flushTick() {
 }
 
 // Run executes the workload for intervals monitor intervals (at least 1),
-// drains in-flight requests, and returns the results. Requests the
-// generator emits beyond the last interval still execute but land in no
-// sample.
+// drains in-flight requests, and returns the results. The run ends at its
+// horizon, intervals × MonitorEvery: no request arriving at or after it is
+// submitted, so every request the run counts lands in a sample's interval.
 func (st *Stack) Run(intervals int) *Results {
 	return st.RunContext(context.Background(), intervals)
 }
 
 // pump parks the generator's next request in pumpReq and schedules the
-// shared arrival closure for it.
+// shared arrival closure for it. It stops at the run's horizon: the first
+// request at or after intervals × MonitorEvery is dropped and ends the
+// arrivals, for every generator (a request exactly at a barrier belongs to
+// the next interval, and the last barrier closes the run).
 func (st *Stack) pump() {
 	if st.halted() {
 		return
 	}
 	wr, ok := st.gen.Next()
-	if !ok {
+	if !ok || wr.At >= time.Duration(st.maxTicks)*st.cfg.MonitorEvery {
 		st.pumpStopped = true
 		return
 	}

@@ -63,13 +63,16 @@ func TestResumeArrivalsAfterFeedExhaustion(t *testing.T) {
 		t.Fatalf("first round submitted %d, want 50", got)
 	}
 
-	// Refill past the deadline and resume: the parked pump must restart.
-	for i := 50; i < 80; i++ {
+	// Refill past the deadline, inside the run, and resume: the parked
+	// pump must restart. A feed obeys the run's horizon like any
+	// generator, so the request at exactly 2 × MonitorEvery never runs.
+	for i := 50; i <= 80; i++ {
 		feed.reqs = append(feed.reqs, workload.Request{
-			At:     cfg.MonitorEvery + time.Duration(i)*time.Millisecond,
+			At:     cfg.MonitorEvery + time.Duration(i-50)*time.Millisecond,
 			Extent: block.Extent{LBA: int64(i) * workload.BlockSectors, Sectors: workload.BlockSectors},
 		})
 	}
+	feed.reqs[80].At = 2 * cfg.MonitorEvery
 	st.ResumeArrivals()
 	st.StepTo(2 * cfg.MonitorEvery)
 	st.Drain()
