@@ -481,27 +481,19 @@ func New(cfg Config, gen workload.Generator, bal Balancer) *Stack {
 
 	st.ssd = device.NewServer(eng, ssdModel, st.ssdQ, func(r *block.Request) {
 		st.mon.NoteCompletion(iostat.SSD, r)
-		if st.rec != nil {
-			st.record(trace.Completed, trace.SSD, r)
-		}
+		st.record(trace.Completed, trace.SSD, r)
 	})
 	st.hdd = device.NewServer(eng, hddModel, st.hddQ, func(r *block.Request) {
 		st.mon.NoteCompletion(iostat.HDD, r)
-		if st.rec != nil {
-			st.record(trace.Completed, trace.HDD, r)
-		}
+		st.record(trace.Completed, trace.HDD, r)
 	})
 	st.ssd.OnDispatch(func(r *block.Request) {
 		st.mon.NoteDepth(iostat.SSD, eng.Now())
-		if st.rec != nil {
-			st.record(trace.Dispatched, trace.SSD, r)
-		}
+		st.record(trace.Dispatched, trace.SSD, r)
 	})
 	st.hdd.OnDispatch(func(r *block.Request) {
 		st.mon.NoteDepth(iostat.HDD, eng.Now())
-		if st.rec != nil {
-			st.record(trace.Dispatched, trace.HDD, r)
-		}
+		st.record(trace.Dispatched, trace.HDD, r)
 	})
 	st.ssd.OnRelease(st.recycleReq)
 	st.hdd.OnRelease(st.recycleReq)
@@ -592,9 +584,17 @@ func (st *Stack) NotePolicy(p cache.Policy, group string) {
 	}
 }
 
-// record hands the recorder one event about r, at the current time. The
-// callers check st.rec first, so an untraced stack builds no event.
+// record hands the recorder one event about r, at the current time. It
+// inlines to the nil check, so an untraced stack builds no event.
 func (st *Stack) record(kind trace.Kind, dev trace.Device, r *block.Request) {
+	if st.rec != nil {
+		st.emit(kind, dev, r)
+	}
+}
+
+// emit builds the event and hands it to the recorder; record calls it
+// only on a traced stack.
+func (st *Stack) emit(kind trace.Kind, dev trace.Device, r *block.Request) {
 	st.rec.Record(trace.Event{At: st.eng.Now(), Kind: kind, Dev: dev,
 		ID: r.ID, Origin: r.Origin, LBA: r.Extent.LBA, Sector: r.Extent.Sectors})
 }
@@ -614,9 +614,7 @@ func (st *Stack) pushSSD(r *block.Request) {
 	if merged {
 		kind = trace.Merged
 	}
-	if st.rec != nil {
-		st.record(kind, trace.SSD, r)
-	}
+	st.record(kind, trace.SSD, r)
 	if !merged {
 		st.mon.NoteDepth(iostat.SSD, st.eng.Now())
 	}
@@ -633,9 +631,7 @@ func (st *Stack) pushHDD(r *block.Request) {
 	if merged {
 		kind = trace.Merged
 	}
-	if st.rec != nil {
-		st.record(kind, trace.HDD, r)
-	}
+	st.record(kind, trace.HDD, r)
 	if !merged {
 		st.mon.NoteDepth(iostat.HDD, st.eng.Now())
 	}
@@ -729,9 +725,7 @@ func (st *Stack) bypassAppRequest(wr workload.Request, op *appOp) {
 	}
 	r := st.newReq(origin, wr.Extent)
 	r.OnComplete = op
-	if st.rec != nil {
-		st.record(trace.Bypassed, trace.HDD, r)
-	}
+	st.record(trace.Bypassed, trace.HDD, r)
 	st.pushHDD(r)
 }
 
@@ -771,9 +765,7 @@ func (st *Stack) RedirectTail(keep int) int {
 	st.mon.NoteDepth(iostat.SSD, st.eng.Now())
 	now := st.eng.Now()
 	for _, r := range moved {
-		if st.rec != nil {
-			st.record(trace.Bypassed, trace.SSD, r)
-		}
+		st.record(trace.Bypassed, trace.SSD, r)
 		switch r.Origin {
 		case block.AppWrite:
 			st.cch.NoteBypass(block.Write)
