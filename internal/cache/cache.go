@@ -273,7 +273,7 @@ type Cache struct {
 	tags    []int64    // Sets×Ways block numbers; -1 when invalid
 	meta    []lineMeta // parallel to tags
 	ways    int
-	shift   uint  // log2(BlockSectors): a sector number's block is sector >> shift
+	shift   uint  // log2(BlockSectors), for blockOf
 	setMask int64 // Sets-1 when Sets is a power of two, else -1
 	tick    uint64
 	dirty   int
