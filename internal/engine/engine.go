@@ -1002,7 +1002,7 @@ func (st *Stack) ResumeArrivals() {
 
 // Drain runs the event loop until no events remain — the in-flight
 // requests complete and, unless the generator is exhausted or the run was
-// cancelled, remaining arrivals execute.
+// cancelled, the remaining arrivals before the run's horizon execute.
 func (st *Stack) Drain() { st.eng.RunUntilIdle() }
 
 // MigrateOut extracts blockNum's clean cache line for migration to

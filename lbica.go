@@ -161,7 +161,9 @@ type Options struct {
 	// Seed fixes all randomness; runs with equal seeds are bit-identical.
 	Seed int64
 	// Intervals is the number of monitor intervals to run (default: the
-	// paper's length for the named workload, 200 otherwise).
+	// paper's length for the named workload, 200 otherwise). The run ends
+	// there: a request the workload schedules at or after Intervals ×
+	// IntervalLength does not run.
 	Intervals int
 	// IntervalLength is the monitor sampling interval (default 200 ms of
 	// virtual time).
@@ -182,7 +184,8 @@ type Options struct {
 	RecordTo io.Writer
 	// ReplayFrom, when non-nil, replays a stream captured with RecordTo
 	// instead of generating a workload. Intervals must still be set high
-	// enough to cover the recording.
+	// enough to cover the recording: records at or after the run's end
+	// are not replayed.
 	ReplayFrom io.Reader
 
 	// CacheMiB sizes the SSD cache (default 256 MiB); CacheWays sets the
